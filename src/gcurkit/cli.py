@@ -1,7 +1,9 @@
 """Command-line harness: file ingestion, decompositions, experiments, reports.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage errors,
-3 file parse errors, 4 numerical precondition violations.
+3 file parse errors, 4 numerical precondition violations (including an
+experiment grid cell in which no trial succeeded). The commands only parse
+arguments and format reports; every computation lives in the library.
 """
 
 import argparse
@@ -14,8 +16,8 @@ import numpy as np
 from . import __version__, curfac, experiments, matkit
 from . import io as gio
 from .errors import GcurkitError, ParseError
-from .gcur import evaluate_bounds, gcur, gcur_only_a, reconstruct_a, reconstruct_b
-from .gsvd import gsvd, truncate, truncated_pair
+from .gcur import evaluate_bounds, gcur, gcur_only_a, truncation_sandwich
+from .gsvd import gsvd, residuals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,18 +71,12 @@ def _one_based(indices):
     return [int(i) + 1 for i in indices]
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, kind):
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
-
-
-def _parse_float_list(text, flag):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated number list, got {text!r}")
+        what = "integer" if kind is int else "number"
+        raise UsageError(f"{flag} expects a comma-separated {what} list, got {text!r}")
 
 
 def _read(path, args):
@@ -103,8 +99,8 @@ def cmd_gsvd(args):
         {"file_a": args.file_a, "file_b": args.file_b, "k": args.rank},
         args.no_timestamp,
     )
-    recon_a = matkit.spectral_norm(a - f.U @ (f.gamma[:, None] * f.Y.T))
-    recon_b = matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    norm_a = matkit.spectral_norm(a)
+    recon_a, recon_b = residuals(a, b, f)
     report.update(
         {
             "gamma": f.gamma,
@@ -113,42 +109,30 @@ def cmd_gsvd(args):
             "reconstruction_residuals": {
                 "a_abs": recon_a,
                 "b_abs": recon_b,
-                "a_rel": recon_a / max(1.0, matkit.spectral_norm(a)),
+                "a_rel": recon_a / max(1.0, norm_a),
                 "b_rel": recon_b / max(1.0, matkit.spectral_norm(b)),
             },
         }
     )
     if args.rank is not None:
         _require_rank(args.rank, a.shape[1])
-        t = truncate(f, args.rank)
-        a_k, _ = truncated_pair(f, args.rank)
-        observed = matkit.spectral_norm(a - a_k)
-        lower = float(f.gamma[args.rank]) * matkit.smallest_singular_value(t.Y_tail)
-        upper = float(f.gamma[args.rank]) * matkit.spectral_norm(t.Y_tail)
+        t = truncation_sandwich(a, f, args.rank, norm_a)
         report["truncation"] = {
             "k": args.rank,
-            "gamma_next": float(f.gamma[args.rank]),
+            "gamma_next": t.gamma_next,
             "sandwich": {
-                "lower": lower,
-                "observed": observed,
-                "upper": upper,
-                "pass": bool(
-                    lower <= observed + 1e-9 * max(1.0, matkit.spectral_norm(a))
-                    and observed <= upper + 1e-9 * max(1.0, matkit.spectral_norm(a))
-                ),
+                "lower": t.lower,
+                "observed": t.observed,
+                "upper": t.upper,
+                "pass": t.holds,
             },
         }
     if args.factors_out:
         os.makedirs(args.factors_out, exist_ok=True)
-        gio.write_matrix_market(os.path.join(args.factors_out, "U.mtx"), f.U)
-        gio.write_matrix_market(os.path.join(args.factors_out, "V.mtx"), f.V)
-        gio.write_matrix_market(os.path.join(args.factors_out, "Y.mtx"), f.Y)
-        gio.write_matrix_market(
-            os.path.join(args.factors_out, "gamma.mtx"), f.gamma.reshape(-1, 1)
-        )
-        gio.write_matrix_market(
-            os.path.join(args.factors_out, "sigma.mtx"), f.sigma.reshape(-1, 1)
-        )
+        for name in ("U", "V", "Y", "gamma", "sigma"):
+            x = getattr(f, name)
+            path = os.path.join(args.factors_out, f"{name}.mtx")
+            gio.write_matrix_market(path, x.reshape(x.shape[0], -1))
     _emit(report, args)
     return EXIT_OK
 
@@ -157,7 +141,7 @@ def cmd_cur(args):
     a = _read(args.file_a, args)
     _require_rank(args.rank, min(a.shape), "min(rows, cols)")
     f = curfac.deim_cur(a, args.rank)
-    err = matkit.spectral_norm(a - curfac.reconstruct(a, f)) / matkit.spectral_norm(a)
+    err = curfac.cur_error(a, f.p, f.M, f.s) / matkit.spectral_norm(a)
     report = _base_report(
         "cur", {"file_a": args.file_a, "k": args.rank}, args.no_timestamp
     )
@@ -188,51 +172,36 @@ def cmd_gcur(args):
         },
         args.no_timestamp,
     )
+    f = gcur_only_a(a, b, args.rank) if args.only_a else gcur(a, b, args.rank)
     norm_a = matkit.spectral_norm(a)
+    norm_b = None if args.only_a else matkit.spectral_norm(b)
 
     if args.id_mode:
-        f = gcur_only_a(a, b, args.rank) if args.only_a else gcur(a, b, args.rank)
         if args.id_mode == "column":
-            c_a = a[:, f.p]
-            err_a = matkit.spectral_norm(a - c_a @ matkit.lstsq(c_a, a)) / norm_a
+            idx_a = idx_b = f.p
             report["p"] = _one_based(f.p)
-            report["rel_error_a"] = err_a
-            if not args.only_a:
-                c_b = b[:, f.p]
-                report["rel_error_b"] = matkit.spectral_norm(
-                    b - c_b @ matkit.lstsq(c_b, b)
-                ) / matkit.spectral_norm(b)
         else:
-            r_a = a[f.s_a, :]
-            err_a = matkit.spectral_norm(a - matkit.lstsq(r_a.T, a.T).T @ r_a) / norm_a
+            idx_a, idx_b = f.s_a, f.s_b
             report["s_a"] = _one_based(f.s_a)
-            report["rel_error_a"] = err_a
             if not args.only_a:
-                r_b = b[f.s_b, :]
                 report["s_b"] = _one_based(f.s_b)
-                report["rel_error_b"] = matkit.spectral_norm(
-                    b - matkit.lstsq(r_b.T, b.T).T @ r_b
-                ) / matkit.spectral_norm(b)
+        _, err_a = curfac.projection_error(a, idx_a, args.id_mode)
+        report["rel_error_a"] = err_a / norm_a
+        if not args.only_a:
+            _, err_b = curfac.projection_error(b, idx_b, args.id_mode)
+            report["rel_error_b"] = err_b / norm_b
         _emit(report, args)
         return EXIT_OK
 
-    if args.only_a:
-        f = gcur_only_a(a, b, args.rank)
-    else:
-        f = gcur(a, b, args.rank)
     report["p"] = _one_based(f.p)
     report["s_a"] = _one_based(f.s_a)
     report["M_a"] = f.M_a
     report["ratio_gap"] = f.ratio_gap
-    report["rel_error_a"] = (
-        matkit.spectral_norm(a - reconstruct_a(a, f)) / norm_a
-    )
+    report["rel_error_a"] = curfac.cur_error(a, f.p, f.M_a, f.s_a) / norm_a
     if not args.only_a:
         report["s_b"] = _one_based(f.s_b)
         report["M_b"] = f.M_b
-        report["rel_error_b"] = matkit.spectral_norm(
-            b - reconstruct_b(b, f)
-        ) / matkit.spectral_norm(b)
+        report["rel_error_b"] = curfac.cur_error(b, f.p, f.M_b, f.s_b) / norm_b
     if args.bounds:
         rep = evaluate_bounds(a, b, f)
         bound_dict = rep._asdict()
@@ -289,13 +258,9 @@ def _experiment_plot_series(report_dict):
 def cmd_experiment(args):
     name = args.name
     if name == "intro-angles":
-        eps = (
-            _parse_float_list(args.eps, "--eps") if args.eps else [5e-2, 5e-3, 5e-4]
-        )
+        eps = _parse_list(args.eps, "--eps", float) if args.eps else [5e-2, 5e-3, 5e-4]
         trials = args.trials if args.trials is not None else 1000
-        rep = experiments.intro_angles(
-            eps_values=eps, trials=trials, seed=args.seed, threads=None
-        )
+        rep = experiments.intro_angles(eps_values=eps, trials=trials, seed=args.seed)
     elif name in ("noise-recovery", "noise-recovery-inexact"):
         kind = args.matrix_kind
         if args.paper_scale:
@@ -304,14 +269,8 @@ def cmd_experiment(args):
         else:
             m = 2000
             trials = args.trials if args.trials is not None else 20
-        k_values = (
-            _parse_int_list(args.rank, "--rank") if args.rank else [10, 15, 20, 30]
-        )
-        eps = (
-            _parse_float_list(args.eps, "--eps")
-            if args.eps
-            else [0.05, 0.1, 0.15, 0.2]
-        )
+        k_values = _parse_list(args.rank, "--rank", int) if args.rank else [10, 15, 20, 30]
+        eps = _parse_list(args.eps, "--eps", float) if args.eps else [0.05, 0.1, 0.15, 0.2]
         rep = experiments.noise_recovery(
             kind=kind,
             m=m,
@@ -322,11 +281,10 @@ def cmd_experiment(args):
             rho=args.rho,
             seed=args.seed,
             inexact_chol=(name == "noise-recovery-inexact" or args.inexact_chol),
-            threads=None,
         )
         rep.experiment = name
     elif name == "subgroups":
-        n_columns = _parse_int_list(args.rank, "--rank") if args.rank else [2, 5, 10]
+        n_columns = _parse_list(args.rank, "--rank", int) if args.rank else [2, 5, 10]
         rep = experiments.subgroups(
             n_columns=n_columns,
             seed=args.seed,

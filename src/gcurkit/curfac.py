@@ -13,7 +13,7 @@ import numpy as np
 
 from . import deim, matkit
 from .errors import DimensionError, FullRankError
-from .matkit import RANK_TOL, as_matrix
+from .matkit import _negligible, _require_full_rank, as_matrix
 
 
 class CurFactors(NamedTuple):
@@ -36,12 +36,6 @@ class InterpolativeFactors(NamedTuple):
     rel_error: float
 
 
-def _check_full_rank(block, name):
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-        raise FullRankError(f"{name} is rank deficient")
-
-
 def middle_matrix(a, p, s, name="A"):
     """Middle matrix C^+ A R^+ for C = A[:, p], R = A[s, :] (Frobenius-optimal)."""
     a = as_matrix(a, name)
@@ -49,14 +43,14 @@ def middle_matrix(a, p, s, name="A"):
     s = deim.as_indices(s, a.shape[0], "s")
     c = a[:, p]
     r = a[s, :]
-    _check_full_rank(c, f"column factor {name}[:, p]")
-    _check_full_rank(r, f"row factor {name}[s, :]")
+    _require_full_rank(c, FullRankError, f"column factor {name}[:, p]")
+    _require_full_rank(r, FullRankError, f"row factor {name}[s, :]")
     a_rpinv = matkit.lstsq(r.T, a.T).T  # A R^+
     return matkit.lstsq(c, a_rpinv)  # C^+ (A R^+)
 
 
 def _warn_if_degenerate(psi, k):
-    if k < psi.size and psi[k - 1] - psi[k] <= RANK_TOL * max(1.0, psi[0]):
+    if k < psi.size and _negligible(psi[k - 1] - psi[k], psi[0]):
         warnings.warn(
             f"singular values {k} and {k + 1} coincide to working precision; "
             "index selection is still deterministic but not unique",
@@ -93,6 +87,29 @@ def reconstruct(a, factors):
     return a[:, factors.p] @ factors.M @ a[factors.s, :]
 
 
+def cur_error(a, p, m, s):
+    """Absolute 2-norm error ||A - A[:, p] @ M @ A[s, :]|| of a CUR approximation."""
+    a = as_matrix(a, "A")
+    return matkit.spectral_norm(a - a[:, p] @ m @ a[s, :])
+
+
+def projection_error(a, indices, mode):
+    """One-sided projection of A onto actual columns or rows, and its error.
+
+    mode="column" takes C = A[:, indices] and returns (C^+ A, ||A - C C^+ A||);
+    mode="row" takes R = A[indices, :] and returns (A R^+, ||A - (A R^+) R||).
+    The error is absolute, in the 2-norm; callers pick the normaliser.
+    """
+    a = as_matrix(a, "A")
+    if mode == "column":
+        c = a[:, indices]
+        factor = matkit.lstsq(c, a)
+        return factor, matkit.spectral_norm(a - c @ factor)
+    r = a[indices, :]
+    factor = matkit.lstsq(r.T, a.T).T
+    return factor, matkit.spectral_norm(a - factor @ r)
+
+
 def interpolative(a, k, mode="column"):
     """One-sided decomposition: A ~= C @ (C^+ A) or A ~= (A R^+) @ R.
 
@@ -110,15 +127,10 @@ def interpolative(a, k, mode="column"):
     _warn_if_degenerate(f.psi, k)
     scale = max(f.psi[0], np.finfo(float).tiny)
     if mode == "column":
-        p = deim.deim_select(f.Z[:, :k], k)
-        c = a[:, p]
-        _check_full_rank(c, "column factor A[:, p]")
-        factor = matkit.lstsq(c, a)
-        err = matkit.spectral_norm(a - c @ factor) / scale
-        return InterpolativeFactors(p, factor, float(err))
-    s = deim.deim_select(f.W[:, :k], k)
-    r = a[s, :]
-    _check_full_rank(r, "row factor A[s, :]")
-    factor = matkit.lstsq(r.T, a.T).T
-    err = matkit.spectral_norm(a - factor @ r) / scale
-    return InterpolativeFactors(s, factor, float(err))
+        idx = deim.deim_select(f.Z[:, :k], k)
+        _require_full_rank(a[:, idx], FullRankError, "column factor A[:, p]")
+    else:
+        idx = deim.deim_select(f.W[:, :k], k)
+        _require_full_rank(a[idx, :], FullRankError, "row factor A[s, :]")
+    factor, err = projection_error(a, idx, mode)
+    return InterpolativeFactors(idx, factor, float(err / scale))

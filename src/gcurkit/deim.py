@@ -7,10 +7,7 @@ Selection matrices are never materialized: every "S^T X" is a row gather.
 import numpy as np
 
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
-from .matkit import RANK_TOL, as_matrix
-
-# Condition-number ceiling for the per-step selected submatrix.
-COND_LIMIT = 1e12
+from .matkit import _require_full_rank, as_matrix
 
 
 def as_indices(indices, extent, name="indices"):
@@ -36,8 +33,9 @@ def deim_select(basis, k):
     the interpolant from the next column, and takes the argmax of the residual
     magnitude. Ties resolve to the smallest index (forward argmax scan).
 
-    Raises DependentBasisError when the selected submatrix's condition number
-    exceeds 1e12, and DimensionError when k exceeds the column count.
+    Raises DependentBasisError when a selected submatrix is rank deficient
+    (``matkit.RANK_TOL`` rule), and DimensionError when k exceeds the column
+    count.
     """
     u = as_matrix(basis, "basis")
     m, r = u.shape
@@ -49,10 +47,9 @@ def deim_select(basis, k):
     s[0] = int(np.argmax(np.abs(u[:, 0])))
     for j in range(1, k):
         sub = u[s[:j], :j]
-        if np.linalg.cond(sub) > COND_LIMIT:
-            raise DependentBasisError(
-                f"selected {j}x{j} submatrix numerically singular at step {j + 1}"
-            )
+        _require_full_rank(
+            sub, DependentBasisError, f"selected {j}x{j} submatrix at step {j + 1}"
+        )
         c = np.linalg.solve(sub, u[s[:j], j])
         resid = u[:, j] - u[:, :j] @ c
         s[j] = int(np.argmax(np.abs(resid)))
@@ -67,9 +64,7 @@ def _selected_block(basis, indices):
             f"need a square selected block: {s.size} indices for {u.shape[1]} columns"
         )
     sub = u[s, :]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-        raise SingularMatrixError("selected basis submatrix is singular")
+    _require_full_rank(sub, SingularMatrixError, "selected basis submatrix")
     return u, s, sub
 
 

@@ -2,16 +2,15 @@
 subspace-angle study, and four-subgroup column selection.
 
 Every experiment takes a master seed and derives one child seed per trial
-via ``numpy.random.SeedSequence.spawn``, so results are bit-identical for a
-fixed seed no matter how many worker threads run the trials. Trials are
-aggregated in trial-id order after all complete, making the statistics
-scheduler-independent. The worker count comes from the ``GCURKIT_THREADS``
-environment variable, defaulting to the logical core count.
+via ``numpy.random.SeedSequence.spawn``, so each trial's random stream
+depends only on the master seed and the trial id, and results are
+bit-identical for a fixed seed. Trials run one after another in trial-id
+order in the calling thread; the dense kernels already use every core
+through BLAS. A failed trial is recorded under ``trial_failures`` and left
+out of the statistics; a grid cell that no trial reaches raises.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -29,30 +28,26 @@ INTRO_MATRIX = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
 INTRO_COVARIANCE = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
 
 
-def thread_count(explicit=None):
-    """Worker count: explicit argument, else GCURKIT_THREADS, else cpu count."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("GCURKIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _run_trials(worker, trials, seed_seq):
+    """Run ``worker(trial_id, child_seed)`` for every trial in trial-id order.
 
-
-def _run_trials(worker, trials, seed_seq, threads):
-    """Run ``worker(trial_id, child_seed)`` for every trial, order-stable."""
-    children = seed_seq.spawn(trials)
-
-    def safe(i, child):
+    Returns the results of the trials that succeeded and the messages of
+    those that raised a numerical error, each in trial-id order.
+    """
+    results, failures = [], []
+    for i, child in enumerate(seed_seq.spawn(trials)):
         try:
-            return worker(i, child)
+            results.append(worker(i, child))
         except (GcurkitError, np.linalg.LinAlgError) as exc:
-            return exc
+            failures.append(str(exc))
+    return results, failures
 
-    if threads <= 1:
-        return [safe(i, children[i]) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(safe, range(trials), children))
+
+def _require_success(results, failures, cell):
+    """A grid cell with no successful trial has no statistics: raise instead."""
+    if not results:
+        first = failures[0] if failures else "no trials were run"
+        raise GcurkitError(f"no successful trial for {cell}; first failure: {first}")
 
 
 def _stats(values):
@@ -91,7 +86,7 @@ class ExperimentReport:
         return out
 
 
-def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0, threads=None):
+def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     """Average largest principal angle between the clean fixture's dominant
     left singular subspace and its estimates from noisy data.
 
@@ -101,7 +96,6 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0, threads=Non
     compared against the pair factorization that carries the noise
     covariance's Cholesky factor as its second matrix.
     """
-    threads = thread_count(threads)
     a = INTRO_MATRIX
     rchol = np.linalg.cholesky(INTRO_COVARIANCE).T
     w2 = matkit.svd(a).W[:, :2]
@@ -122,13 +116,13 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0, threads=Non
     master = np.random.SeedSequence(seed)
     per_eps = master.spawn(len(eps_values))
     cells = []
+    failures = []
     timing = {}
     for eps, eps_seq in zip(eps_values, per_eps):
         t0 = time.perf_counter()
-        results = [
-            r for r in _run_trials(worker(eps), trials, eps_seq, threads)
-            if not isinstance(r, Exception)
-        ]
+        results, failed = _run_trials(worker(eps), trials, eps_seq)
+        failures += failed
+        _require_success(results, failed, f"eps={eps:g}")
         svd_angles = [r[0] for r in results]
         gsvd_angles = [r[1] for r in results]
         cells.append(
@@ -140,8 +134,8 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0, threads=Non
         )
         timing[f"eps={eps:g}"] = round(time.perf_counter() - t0, 3)
     params = {"eps_values": list(eps_values), "trials": trials, "seed": seed}
-    timing["threads"] = threads
-    return ExperimentReport("intro-angles", params, cells, timing=timing)
+    extra = {"trial_failures": failures}
+    return ExperimentReport("intro-angles", params, cells, extra=extra, timing=timing)
 
 
 def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
@@ -198,7 +192,6 @@ def noise_recovery(
     rho=0.99,
     seed=0,
     inexact_chol=False,
-    threads=None,
 ):
     """Recover a seeded low-rank matrix from colored-noise-perturbed data.
 
@@ -209,7 +202,6 @@ def noise_recovery(
     built from each. ``inexact_chol=True`` hands the pair factorization a
     perturbed covariance factor while the noise itself stays exact.
     """
-    threads = thread_count(threads)
     if kind == "sparse":
         a_gen = lambda s: synth.lowrank_sparse(m, n, s)
     elif kind == "gapped":
@@ -220,13 +212,12 @@ def noise_recovery(
     worker = _recovery_trial(a_gen, tuple(k_values), tuple(eps_values), rho, inexact_chol)
     master = np.random.SeedSequence(seed)
     t0 = time.perf_counter()
-    raw = _run_trials(worker, trials, master, threads)
-    results = [r for r in raw if not isinstance(r, Exception)]
-    failures = [str(r) for r in raw if isinstance(r, Exception)]
+    results, failures = _run_trials(worker, trials, master)
 
     cells = []
     for eps in eps_values:
         for k in k_values:
+            _require_success(results, failures, f"eps={eps:g}, k={k}")
             per_method = {}
             for method in ("TSVD", "TGSVD", "CUR", "GCUR"):
                 vals = [r[0][eps][k][method] for r in results]
@@ -247,7 +238,7 @@ def noise_recovery(
         "inexact_chol": inexact_chol,
     }
     extra = {"trial_failures": failures}
-    timing = {"total_s": round(time.perf_counter() - t0, 3), "threads": threads}
+    timing = {"total_s": round(time.perf_counter() - t0, 3)}
     return ExperimentReport("noise-recovery", params, cells, extra=extra, timing=timing)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import curfac, deim, matkit
 from .errors import DimensionError
-from .gsvd import gsvd, truncate
+from .gsvd import gsvd, truncate, truncated_pair
 
 
 class GcurFactors(NamedTuple):
@@ -61,6 +61,16 @@ class BoundReport(NamedTuple):
     observed_error: float
     bound: float
     checks: dict
+
+
+class TruncationSandwich(NamedTuple):
+    """gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||, checked."""
+
+    gamma_next: float
+    lower: float
+    observed: float
+    upper: float
+    holds: bool
 
 
 class SubspaceGap(NamedTuple):
@@ -176,11 +186,9 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
     interp_row = matkit.spectral_norm(
         a - deim.interp_project(t.U_k, factors.s_a, a, side="left")
     )
-    c = a[:, factors.p]
-    r = a[factors.s_a, :]
-    proj_col = matkit.spectral_norm(a - c @ matkit.lstsq(c, a))
-    proj_row = matkit.spectral_norm(a - matkit.lstsq(r.T, a.T).T @ r)
-    observed = matkit.spectral_norm(a - c @ factors.M_a @ r)
+    _, proj_col = curfac.projection_error(a, factors.p, "column")
+    _, proj_row = curfac.projection_error(a, factors.s_a, "row")
+    observed = curfac.cur_error(a, factors.p, factors.M_a, factors.s_a)
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
 
     tol = tol_scale * matkit.spectral_norm(a)
@@ -209,6 +217,23 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
         bound=float(bound),
         checks=checks,
     )
+
+
+def truncation_sandwich(a, factors, k, norm_a):
+    """Check the rank-k GSVD truncation error of A against its two-sided bound.
+
+    ``norm_a`` is ||A||; the checks hold to within ``1e-9 * max(1, ||A||)``.
+    """
+    a = matkit.as_matrix(a, "A")
+    y_tail = truncate(factors, k).Y_tail
+    a_k, _ = truncated_pair(factors, k)
+    gamma_next = float(factors.gamma[k])
+    observed = matkit.spectral_norm(a - a_k)
+    lower = gamma_next * matkit.smallest_singular_value(y_tail)
+    upper = gamma_next * matkit.spectral_norm(y_tail)
+    tol = 1e-9 * max(1.0, norm_a)
+    holds = bool(lower <= observed + tol and observed <= upper + tol)
+    return TruncationSandwich(gamma_next, lower, observed, upper, holds)
 
 
 def svd_subspace_gap(a, q_k):

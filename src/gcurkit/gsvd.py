@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matkit
 from .errors import DimensionError, FullRankError
-from .matkit import RANK_TOL, as_matrix
+from .matkit import _require_full_rank, as_matrix
 
 # Below this, a sigma value is treated as exactly zero and the matching
 # V column is filled by orthonormal completion instead of normalization.
@@ -88,12 +88,7 @@ def gsvd(a, b):
         raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
 
     q0, t0 = matkit.thin_qr(np.vstack((a, b)))
-    t0_sv = np.linalg.svd(t0, compute_uv=False)
-    if t0_sv[-1] <= RANK_TOL * t0_sv[0]:
-        raise FullRankError(
-            "stacked pair [A; B] is column-rank deficient; "
-            "B must have full column rank"
-        )
+    _require_full_rank(t0, FullRankError, "stacked pair [A; B]")
 
     q1 = q0[:m]
     q2 = q0[m:]
@@ -114,6 +109,15 @@ def gsvd(a, b):
 
     y = t0.T @ w
     return GsvdFactors(u, v, y, gamma, sigma)
+
+
+def residuals(a, b, factors):
+    """Absolute 2-norm residuals ||A - U diag(gamma) Y^T|| and ||B - V diag(sigma) Y^T||."""
+    a = as_matrix(a, "A")
+    b = as_matrix(b, "B")
+    res_a = matkit.spectral_norm(a - factors.U @ (factors.gamma[:, None] * factors.Y.T))
+    res_b = matkit.spectral_norm(b - factors.V @ (factors.sigma[:, None] * factors.Y.T))
+    return res_a, res_b
 
 
 def truncate(factors, k):

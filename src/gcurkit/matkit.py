@@ -25,6 +25,22 @@ RANK_TOL = 1e-12
 ORTHO_TOL = 1e-8
 
 
+def _negligible(x, psi_max):
+    """The one rank rule: x counts as zero next to psi_max when
+    x <= RANK_TOL * psi_max. Relative, so it does not depend on scale."""
+    return x <= RANK_TOL * psi_max
+
+
+def _require_full_rank(a, error, what):
+    """Raise ``error`` when A is numerically rank deficient (psi_min negligible)."""
+    psi = np.linalg.svd(a, compute_uv=False)
+    if _negligible(psi[-1], psi[0]):
+        raise error(
+            f"{what} is rank deficient "
+            f"(psi_min = {psi[-1]:.3e} <= {RANK_TOL:g} * psi_max)"
+        )
+
+
 def as_matrix(a, name="matrix"):
     """Validate ``a`` as a nonempty 2-D real matrix and return it as float64."""
     out = np.asfortranarray(a, dtype=np.float64)
@@ -112,11 +128,7 @@ def pinv_apply(a, b, side="left"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    psi = np.linalg.svd(a, compute_uv=False)
-    if psi[-1] <= RANK_TOL * psi[0]:
-        raise SingularMatrixError(
-            f"A is rank deficient (psi_min = {psi[-1]:.3e} <= {RANK_TOL:g} * ||A||)"
-        )
+    _require_full_rank(a, SingularMatrixError, "A")
     if side == "left":
         if a.shape[0] != b.shape[0]:
             raise DimensionError(

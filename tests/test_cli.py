@@ -150,9 +150,8 @@ def test_csv_report_format(tmp_path, diag_pair):
     assert out.read_text().splitlines()[1].startswith("eps")
 
 
-def test_determinism_across_runs_and_threads(tmp_path, monkeypatch):
-    def run_with(threads, name):
-        monkeypatch.setenv("GCURKIT_THREADS", str(threads))
+def test_determinism_across_runs(tmp_path):
+    def run_with(name):
         out = tmp_path / name
         rc = main(
             ["experiment", "intro-angles", "--trials", "40", "--seed", "7",
@@ -161,10 +160,14 @@ def test_determinism_across_runs_and_threads(tmp_path, monkeypatch):
         assert rc == 0
         return out.read_bytes()
 
-    first = run_with(1, "a.json")
-    second = run_with(1, "b.json")
-    threaded = run_with(8, "c.json")
-    assert first == second == threaded
+    assert run_with("a.json") == run_with("b.json") == run_with("c.json")
+
+
+def test_cell_without_success_exit_code(capsys):
+    # k = n = 300 leaves no trailing GSVD block, so the only trial fails
+    rc = main(["experiment", "noise-recovery", "--rank", "300", "--trials", "1"])
+    assert rc == EXIT_NUMERIC
+    assert "no successful trial for eps=0.05, k=300" in capsys.readouterr().err
 
 
 def test_gcur_report_deterministic_bytes(tmp_path, diag_pair):

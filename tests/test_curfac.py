@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gcurkit import matkit
+from gcurkit import gcur, matkit
 from gcurkit.curfac import deim_cur, interpolative, middle_matrix, reconstruct
 from gcurkit.errors import DimensionError
 
@@ -75,6 +77,23 @@ def test_rank_bounds_error():
 def test_degenerate_spectrum_warns():
     with pytest.warns(UserWarning, match="coincide"):
         deim_cur(np.eye(5), 2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13])
+def test_rank_and_degeneracy_tests_are_scale_invariant(scale):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((40, 10))
+    b = rng.standard_normal((12, 10))
+    ref = gcur(a, b, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = gcur(scale * a, b, 4)
+        cols = interpolative(scale * a, 4, mode="column")
+        rows = interpolative(scale * a, 4, mode="row")
+    assert f.p.tolist() == ref.p.tolist()
+    assert f.s_a.tolist() == ref.s_a.tolist()
+    assert cols.indices.tolist() == interpolative(a, 4, mode="column").indices.tolist()
+    assert rows.indices.tolist() == interpolative(a, 4, mode="row").indices.tolist()
 
 
 def test_interpolative_column_diag():

@@ -2,22 +2,28 @@ import numpy as np
 import pytest
 
 from gcurkit import experiments
+from gcurkit.errors import DimensionError, GcurkitError
 
 
-def test_thread_count_sources(monkeypatch):
-    assert experiments.thread_count(3) == 3
-    monkeypatch.setenv("GCURKIT_THREADS", "5")
-    assert experiments.thread_count() == 5
-    monkeypatch.delenv("GCURKIT_THREADS")
-    assert experiments.thread_count() >= 1
+def test_run_trials_order_and_failures():
+    def worker(i, child):
+        if i % 2:
+            raise DimensionError(f"odd trial {i}")
+        return i, child.spawn_key[-1]
+
+    results, failures = experiments._run_trials(worker, 6, np.random.SeedSequence(4))
+    # trial i runs with the i-th spawned child seed, results in trial-id order
+    assert results == [(0, 0), (2, 2), (4, 4)]
+    assert failures == ["odd trial 1", "odd trial 3", "odd trial 5"]
 
 
 def test_intro_angles_structure_and_determinism():
-    rep1 = experiments.intro_angles(eps_values=(5e-2,), trials=30, seed=11, threads=1)
-    rep2 = experiments.intro_angles(eps_values=(5e-2,), trials=30, seed=11, threads=4)
+    rep1 = experiments.intro_angles(eps_values=(5e-2,), trials=30, seed=11)
+    rep2 = experiments.intro_angles(eps_values=(5e-2,), trials=30, seed=11)
     d1 = rep1.to_dict(include_timing=False)
     d2 = rep2.to_dict(include_timing=False)
     assert d1 == d2
+    assert d1["trial_failures"] == []
     cell = d1["cells"][0]
     assert cell["stats"]["SVD"]["trials"] == 30
     assert cell["stats"]["GSVD"]["mean"] < cell["stats"]["SVD"]["mean"]
@@ -25,8 +31,8 @@ def test_intro_angles_structure_and_determinism():
 
 
 def test_intro_angles_seed_changes_results():
-    a = experiments.intro_angles(eps_values=(5e-2,), trials=10, seed=0, threads=1)
-    b = experiments.intro_angles(eps_values=(5e-2,), trials=10, seed=1, threads=1)
+    a = experiments.intro_angles(eps_values=(5e-2,), trials=10, seed=0)
+    b = experiments.intro_angles(eps_values=(5e-2,), trials=10, seed=1)
     assert (
         a.cells[0]["stats"]["SVD"]["mean"] != b.cells[0]["stats"]["SVD"]["mean"]
     )
@@ -42,7 +48,6 @@ def tiny_recovery():
         eps_values=(0.1,),
         trials=3,
         seed=5,
-        threads=1,
     )
 
 
@@ -58,13 +63,13 @@ def test_noise_recovery_report_shape(tiny_recovery):
     assert rep.extra["trial_failures"] == []
 
 
-def test_noise_recovery_thread_determinism():
+def test_noise_recovery_rerun_determinism():
     kwargs = dict(
         kind="gapped", m=60, n=50, k_values=(5,), eps_values=(0.1,),
         trials=3, seed=5,
     )
-    a = experiments.noise_recovery(threads=1, **kwargs)
-    b = experiments.noise_recovery(threads=4, **kwargs)
+    a = experiments.noise_recovery(**kwargs)
+    b = experiments.noise_recovery(**kwargs)
     da, db = a.to_dict(include_timing=False), b.to_dict(include_timing=False)
     assert da == db
     # wall-clock fields only appear when timing is requested
@@ -75,9 +80,15 @@ def test_noise_recovery_thread_determinism():
 def test_noise_recovery_sparse_kind_runs():
     rep = experiments.noise_recovery(
         kind="sparse", m=55, n=50, k_values=(4,), eps_values=(0.2,),
-        trials=2, seed=1, threads=1,
+        trials=2, seed=1,
     )
     assert rep.cells[0]["stats"]["TSVD"]["trials"] == 2
+
+
+def test_noise_recovery_cell_without_success_raises():
+    # k = n leaves no trailing GSVD block, so every trial fails
+    with pytest.raises(GcurkitError, match=r"eps=0\.05, k=50.*truncation rank"):
+        experiments.noise_recovery(m=60, n=50, k_values=(50,), trials=2)
 
 
 def test_noise_recovery_rejects_unknown_kind():
@@ -130,6 +141,6 @@ def test_subgroups_determinism():
 def test_report_dict_round_trips_through_json():
     import json
 
-    rep = experiments.intro_angles(eps_values=(5e-3,), trials=5, seed=2, threads=1)
+    rep = experiments.intro_angles(eps_values=(5e-3,), trials=5, seed=2)
     text = json.dumps(rep.to_dict(include_timing=False), sort_keys=True)
     assert json.loads(text)["experiment"] == "intro-angles"
