@@ -2,7 +2,8 @@
 
 A ~= C @ M @ R where C = A[:, p] and R = A[s, :] are actual columns and rows
 of A. The middle matrix M = C^+ A R^+ minimizes ||A - C M R|| over M for the
-given index choice; it is computed by two least-squares passes, never by
+given index choice; it is computed from one thin QR of C and one of R.T,
+as T_c^-1 (Q_c^T A Q_r) T_r^-T with k x k triangular solves, never by
 inverting C.T @ C.
 """
 
@@ -36,17 +37,32 @@ class InterpolativeFactors(NamedTuple):
     rel_error: float
 
 
+def _full_column_rank_qr(x, what):
+    """Thin QR of X, raising FullRankError unless X has full column rank.
+
+    T has X's singular values, so the rank rule runs on the small T.
+    """
+    if x.shape[0] < x.shape[1]:
+        raise FullRankError(
+            f"{what} is rank deficient ({x.shape[1]} vectors in {x.shape[0]} dimensions)"
+        )
+    f = matkit.thin_qr(x)
+    _require_full_rank(f.T, FullRankError, what)
+    return f
+
+
 def middle_matrix(a, p, s, name="A"):
-    """Middle matrix C^+ A R^+ for C = A[:, p], R = A[s, :] (Frobenius-optimal)."""
+    """Middle matrix C^+ A R^+ for C = A[:, p], R = A[s, :] (Frobenius-optimal).
+
+    With C = Q_c T_c and R^T = Q_r T_r, C^+ A R^+ = T_c^-1 (Q_c^T A Q_r) T_r^-T.
+    """
     a = as_matrix(a, name)
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
-    c = a[:, p]
-    r = a[s, :]
-    _require_full_rank(c, FullRankError, f"column factor {name}[:, p]")
-    _require_full_rank(r, FullRankError, f"row factor {name}[s, :]")
-    a_rpinv = matkit.lstsq(r.T, a.T).T  # A R^+
-    return matkit.lstsq(c, a_rpinv)  # C^+ (A R^+)
+    q_c, t_c = _full_column_rank_qr(a[:, p], f"column factor {name}[:, p]")
+    q_r, t_r = _full_column_rank_qr(a[s, :].T, f"row factor {name}[s, :]")
+    core = np.linalg.solve(t_c, (q_c.T @ a) @ q_r)  # T_c^-1 Q_c^T A Q_r
+    return np.linalg.solve(t_r, core.T).T
 
 
 def _warn_if_degenerate(psi, k):

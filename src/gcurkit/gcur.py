@@ -10,7 +10,8 @@ from greedy interpolation-index selection on the generalized singular vector
 matrices: p from Y, s_A from U, s_B from V, ordered by nonincreasing
 generalized singular value ratios. Middle matrices are the pseudoinverse
 products that minimize the Frobenius reconstruction error for the chosen
-indices, realized as least-squares solves.
+indices, computed from one thin QR of the column factor and one of the
+transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
 """
 
 from typing import NamedTuple, Optional

@@ -5,7 +5,7 @@ import pytest
 
 from gcurkit import gcur, matkit
 from gcurkit.curfac import deim_cur, interpolative, middle_matrix, reconstruct
-from gcurkit.errors import DimensionError
+from gcurkit.errors import DimensionError, FullRankError
 
 
 def test_diagonal_case():
@@ -57,6 +57,37 @@ def test_middle_matrix_reproducible():
     f = deim_cur(a, 3)
     again = middle_matrix(a, f.p, f.s)
     assert np.max(np.abs(again - f.M)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+def test_middle_matrix_matches_pseudoinverse_product(shape):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape)
+    m, n = shape
+    for k in (1, 5, min(m, n) - 1):
+        p = rng.choice(n, k, replace=False)
+        s = rng.choice(m, k, replace=False)
+        ref = np.linalg.pinv(a[:, p]) @ a @ np.linalg.pinv(a[s, :])
+        got = middle_matrix(a, p, s)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_middle_matrix_rejects_duplicated_column_or_row():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((20, 10))
+    a[:, 3] = a[:, 0]
+    with pytest.raises(FullRankError, match=r"^column factor A\[:, p\]"):
+        middle_matrix(a, [0, 3], [1, 2])
+    a = rng.standard_normal((20, 10))
+    a[5, :] = a[2, :]
+    with pytest.raises(FullRankError, match=r"^row factor A\[s, :\]"):
+        middle_matrix(a, [0, 3], [2, 5])
+
+
+def test_middle_matrix_rejects_more_columns_than_rows():
+    a = np.random.default_rng(4).standard_normal((3, 10))
+    with pytest.raises(FullRankError, match=r"^column factor A\[:, p\]"):
+        middle_matrix(a, [0, 1, 2, 4], [0, 1])
 
 
 def test_distinct_row_and_column_counts():

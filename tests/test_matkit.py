@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gcurkit import matkit
 from gcurkit.errors import (
     ContractViolationError,
+    ConvergenceError,
     DimensionError,
     SingularMatrixError,
 )
@@ -154,6 +157,33 @@ def test_spectral_and_smallest():
     assert matkit.smallest_singular_value(np.diag([3.0, 1.0])) == pytest.approx(1.0)
     row = np.array([[0.2, -0.9, 0.1]])
     assert matkit.spectral_norm(row) == pytest.approx(np.sqrt(0.86), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("scale", [1e-160, 1e-13, 1.0, 1e150, 1e160])
+@pytest.mark.parametrize("shape", [(2000, 300), (300, 2000), (40, 40), (1, 7), (7, 1), (3, 3)])
+def test_spectral_norm_matches_svd(shape, scale, order):
+    # the Gram eigenvalue route must keep sigma_max's relative accuracy at
+    # scales where an unscaled Gram matrix underflows or overflows
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    x = np.asarray(scale * x, order=order)
+    ref = np.linalg.svd(x, compute_uv=False)[0]
+    assert abs(matkit.spectral_norm(x) - ref) <= 1e-13 * ref
+
+
+def test_spectral_norm_of_zeros_is_zero():
+    for shape in [(5, 3), (3, 5), (1, 1)]:
+        assert matkit.spectral_norm(np.zeros(shape)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_norm_rejects_non_finite(bad):
+    x = np.ones((6, 4))
+    x[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            matkit.spectral_norm(x)
 
 
 @pytest.mark.parametrize("seed", range(12))
