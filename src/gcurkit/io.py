@@ -1,16 +1,32 @@
 """Matrix file ingestion and report emission for the command-line harness.
 
-Supported inputs are Matrix Market (array and coordinate formats) and CSV.
+Supported inputs are Matrix Market (array and coordinate formats, ASCII text)
+and CSV (UTF-8 text). Both readers parse block-wise: Matrix Market data is
+read about 1 MB of whole lines at a time and CSV about 64k fields at a time,
+and each block's tokens become float64 in one numpy call, which parses every
+string with Python's ``float``. Only a block whose call fails is parsed again
+token by token, so that the ``ParseError`` names the bad token and its line.
+Working memory is one block of text plus the parsed values, held twice
+while the blocks are joined. No buffer is sized from a size line before the
+entries are counted, except the m×n result of a coordinate file. Coordinate
+entries are summed in file order, so duplicates add up exactly as a per-line
+loop would. An undecodable byte, or a coordinate size line too large to
+allocate, is a ``ParseError``.
+
 The array writer emits values at 17 significant digits, which round-trips
-IEEE doubles exactly; its data section is column-major, matching the
-package's canonical storage order. Reports serialize to JSON (sorted keys,
-so byte-identical for identical content) or flat CSV; plot data can also be
-rendered as a minimal SVG.
+IEEE doubles exactly. Its data section is column-major, matching the
+package's canonical storage order, and is formatted a few thousand values per
+``write`` call. Reports serialize to JSON (sorted keys, so byte-identical for
+identical content) or flat CSV; plot data can also be rendered as a minimal
+SVG.
 """
 
 import csv
 import io as _io
+import itertools
 import json
+from functools import partial
+
 import numpy as np
 
 from .errors import DimensionError, ParseError
@@ -18,6 +34,13 @@ from .matkit import as_matrix, require_finite
 
 MM_ARRAY_HEADER = "%%MatrixMarket matrix array real general"
 MM_COORD_HEADER = "%%MatrixMarket matrix coordinate real general"
+
+_BLOCK_CHARS = 1 << 20  # Matrix Market text per block
+_BLOCK_FIELDS = 1 << 16  # CSV fields per block
+_WRITE_VALUES = 1 << 12  # values formatted per write in write_matrix_market
+# Line breaks of str.splitlines, besides "\n", that ASCII text read with
+# universal newlines can hold. Line numbers count them as breaks as well.
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 
 def _parse_float(token, path, lineno):
@@ -34,15 +57,70 @@ def _parse_int(token, path, lineno):
         raise ParseError(f"invalid integer token {token!r}", path, lineno) from None
 
 
-def read_matrix_market(path):
-    """Parse a Matrix Market file (array or coordinate, real, general)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", path, 1)
-    header = lines[0].split()
+def _floats(tokens, reparse):
+    """Convert a block of tokens to a float64 array with one numpy call.
+
+    numpy parses each string with Python's ``float``. If the call fails,
+    ``reparse()`` parses the block again one token at a time and raises a
+    ``ParseError`` naming the first bad token and its line.
+    """
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return reparse()
+
+
+def _parse_each(numbered, path):
+    """Parse ``(line number, tokens)`` pairs one token at a time."""
+    return np.array(
+        [_parse_float(tok, path, lineno) for lineno, toks in numbered for tok in toks],
+        dtype=np.float64,
+    )
+
+
+def _decoded(chunks, path, encoding):
+    """Pass text through, turning an undecodable byte into a ParseError."""
+    try:
+        yield from chunks
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"not {encoding} text (byte 0x{byte:02x})", path) from None
+
+
+def _line_blocks(chunks):
+    """Regroup text chunks into blocks that end at a line break."""
+    tail = ""
+    for chunk in chunks:
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        if cut:
+            yield text[:cut]
+    if tail:
+        yield tail
+
+
+def _line_count(block):
+    """``len(block.splitlines())``, without building the lines in the usual case."""
+    if any(brk in block for brk in _OTHER_BREAKS):
+        return len(block.splitlines())
+    return block.count("\n") + (not block.endswith("\n"))
+
+
+def _data_lines(block, lineno):
+    """``(line number, stripped line)`` of each line of ``block`` that is not
+    blank or a comment; ``lineno`` is the number of its first line."""
+    for off, line in enumerate(block.splitlines(), start=lineno):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("%"):
+            yield off, stripped
+
+
+def _mm_banner(line, path):
+    """Validate the ``%%MatrixMarket`` line and return its format."""
+    header = line.split()
     if len(header) != 5 or not header[0].startswith("%%MatrixMarket"):
-        raise ParseError(f"not a MatrixMarket header: {lines[0]!r}", path, 1)
+        raise ParseError(f"not a MatrixMarket header: {line!r}", path, 1)
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
     if obj != "matrix":
         raise ParseError(f"unsupported object {obj!r}", path, 1)
@@ -52,52 +130,34 @@ def read_matrix_market(path):
         raise ParseError(f"unsupported field {field!r}", path, 1)
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}", path, 1)
+    return fmt
 
-    # Skip comments; find the size line.
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos >= len(lines):
-        raise ParseError("missing size line", path, len(lines))
-    size = lines[pos].split()
-    lineno = pos + 1
 
-    if fmt == "array":
-        if len(size) != 2:
-            raise ParseError(f"array size line needs 'rows cols', got {lines[pos]!r}", path, lineno)
-        m = _parse_int(size[0], path, lineno)
-        n = _parse_int(size[1], path, lineno)
-        if m < 1 or n < 1:
-            raise ParseError(f"dimensions must be positive, got {m} x {n}", path, lineno)
-        values = []
-        for off, line in enumerate(lines[pos + 1 :], start=lineno + 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            for token in stripped.split():
-                values.append(_parse_float(token, path, off))
-        if len(values) != m * n:
-            raise ParseError(
-                f"expected {m * n} entries, found {len(values)}", path, len(lines)
-            )
-        a = np.asfortranarray(np.array(values).reshape((m, n), order="F"))
-        return require_finite(a, "matrix")
+def _mm_preamble(blocks, path):
+    """Read up to the size line: return the format, the size line, its number
+    and the rest of its block."""
+    fmt = None
+    lineno = 0
+    for block in blocks:
+        lines = block.splitlines()
+        for pos, line in enumerate(lines):
+            if fmt is None:
+                fmt = _mm_banner(line, path)
+            elif not line.startswith("%") and line.strip():
+                # Every line break is one character after newline translation.
+                rest = block[sum(map(len, lines[: pos + 1])) + pos + 1 :]
+                return fmt, line, lineno + pos + 1, rest
+        lineno += len(lines)
+    if fmt is None:
+        raise ParseError("empty file", path, 1)
+    raise ParseError("missing size line", path, lineno)
 
-    if len(size) != 3:
-        raise ParseError(
-            f"coordinate size line needs 'rows cols nnz', got {lines[pos]!r}", path, lineno
-        )
-    m = _parse_int(size[0], path, lineno)
-    n = _parse_int(size[1], path, lineno)
-    nnz = _parse_int(size[2], path, lineno)
-    if m < 1 or n < 1:
-        raise ParseError(f"dimensions must be positive, got {m} x {n}", path, lineno)
-    a = np.zeros((m, n), order="F")
-    seen = 0
-    for off, line in enumerate(lines[pos + 1 :], start=lineno + 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+
+def _coordinate_lines(block, lineno, path, m, n):
+    """Parse a block of coordinate entries line by line, raising on the first
+    bad line; the reference that the block-wise check must agree with."""
+    entries = []
+    for off, stripped in _data_lines(block, lineno):
         parts = stripped.split()
         if len(parts) != 3:
             raise ParseError(f"coordinate entry needs 'i j value', got {stripped!r}", path, off)
@@ -105,37 +165,132 @@ def read_matrix_market(path):
         j = _parse_int(parts[1], path, off)
         v = _parse_float(parts[2], path, off)
         if not 1 <= i <= m or not 1 <= j <= n:
-            raise ParseError(
-                f"index ({i}, {j}) out of bounds for {m} x {n}", path, off
+            raise ParseError(f"index ({i}, {j}) out of bounds for {m} x {n}", path, off)
+        entries.append((i, j, v))
+    return np.array(entries, dtype=np.float64).reshape(-1, 3)
+
+
+def _coordinate_block(text, tokens, reparse, m, n):
+    """``(i, j, value)`` rows of one block. The block-wise path needs three
+    tokens on every line of ``text`` and indices written as plain digits that
+    are in bounds; otherwise ``reparse()`` parses the block line by line."""
+    if (
+        set(map(len, map(str.split, text.splitlines()))) <= {0, 3}
+        and ("".join(tokens[0::3]) + "".join(tokens[1::3])).isdigit()
+    ):
+        entries = _floats(tokens, reparse).reshape(-1, 3)
+        i, j = entries[:, 0], entries[:, 1]
+        if ((i >= 1) & (i <= m) & (j >= 1) & (j <= n)).all():
+            return entries
+    return reparse()
+
+
+def _mm_values(blocks, lineno, path, shape=None):
+    """All values of a data section in file order, and the number of the
+    file's last line; ``lineno`` is the number of the section's first line.
+
+    For a coordinate section, ``shape`` is ``(m, n)`` and the values come as
+    ``(i, j, value)`` rows.
+    """
+    parts = [np.empty(0 if shape is None else (0, 3))]
+    for block in blocks:
+        text = block
+        if "%" in block:
+            text = "\n".join(
+                line for line in block.splitlines() if not line.lstrip().startswith("%")
             )
-        a[i - 1, j - 1] += v  # duplicates assemble additively
-        seen += 1
-    if seen != nnz:
-        raise ParseError(f"expected {nnz} entries, found {seen}", path, len(lines))
+        tokens = text.split()
+        if shape is None:
+            numbered = ((off, s.split()) for off, s in _data_lines(block, lineno))
+            parts.append(_floats(tokens, partial(_parse_each, numbered, path)))
+        else:
+            reparse = partial(_coordinate_lines, block, lineno, path, *shape)
+            parts.append(_coordinate_block(text, tokens, reparse, *shape))
+        lineno += _line_count(block)
+    return np.concatenate(parts), lineno - 1
+
+
+def read_matrix_market(path):
+    """Parse a Matrix Market file (array or coordinate, real, general)."""
+    with open(path, "r", encoding="ascii") as fh:
+        chunks = _decoded(iter(partial(fh.read, _BLOCK_CHARS), ""), path, "ASCII")
+        blocks = _line_blocks(chunks)
+        fmt, size_line, lineno, rest = _mm_preamble(blocks, path)
+        data = itertools.chain((rest,) if rest else (), blocks)
+        size = size_line.split()
+
+        if fmt == "array":
+            if len(size) != 2:
+                raise ParseError(
+                    f"array size line needs 'rows cols', got {size_line!r}", path, lineno
+                )
+            m = _parse_int(size[0], path, lineno)
+            n = _parse_int(size[1], path, lineno)
+            if m < 1 or n < 1:
+                raise ParseError(f"dimensions must be positive, got {m} x {n}", path, lineno)
+            values, last = _mm_values(data, lineno + 1, path)
+            if values.size != m * n:
+                raise ParseError(f"expected {m * n} entries, found {values.size}", path, last)
+            return require_finite(values.reshape((m, n), order="F"), "matrix")
+
+        if len(size) != 3:
+            raise ParseError(
+                f"coordinate size line needs 'rows cols nnz', got {size_line!r}", path, lineno
+            )
+        m = _parse_int(size[0], path, lineno)
+        n = _parse_int(size[1], path, lineno)
+        nnz = _parse_int(size[2], path, lineno)
+        if m < 1 or n < 1:
+            raise ParseError(f"dimensions must be positive, got {m} x {n}", path, lineno)
+        try:
+            a = np.zeros((m, n), order="F")
+        except (MemoryError, ValueError):
+            raise ParseError(f"a {m} x {n} matrix is too large to allocate", path, lineno) from None
+        entries, last = _mm_values(data, lineno + 1, path, (m, n))
+    if len(entries) != nnz:
+        raise ParseError(f"expected {nnz} entries, found {len(entries)}", path, last)
+    rows = entries[:, 0].astype(np.intp) - 1
+    cols = entries[:, 1].astype(np.intp) - 1
+    np.add.at(a, (rows, cols), entries[:, 2])  # in file order: duplicates sum as a loop would
     return require_finite(a, "matrix")
+
+
+def _csv_block(rows, path):
+    """Values of the pending CSV ``(line number, record)`` rows, flattened."""
+    tokens = list(itertools.chain.from_iterable(record for _, record in rows))
+    numbered = ((lineno, [tok.strip() for tok in record]) for lineno, record in rows)
+    return _floats(tokens, partial(_parse_each, numbered, path))
 
 
 def read_csv_matrix(path, header=False):
     """Parse a dense CSV matrix; ``header=True`` skips the first row."""
-    rows = []
+    parts = []
+    pending = []
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        records = csv.reader(_decoded(fh, path, "UTF-8"))
+        for lineno, record in enumerate(records, start=1):
             if header and lineno == 1:
                 continue
             if not record or all(not tok.strip() for tok in record):
                 continue
-            vals = [_parse_float(tok.strip(), path, lineno) for tok in record]
+            pending.append((lineno, record))
             if width is None:
-                width = len(vals)
-            elif len(vals) != width:
+                width = len(record)
+            elif len(record) != width:
+                _csv_block(pending, path)  # a bad token up to this row comes first
                 raise ParseError(
-                    f"row has {len(vals)} fields, expected {width}", path, lineno
+                    f"row has {len(record)} fields, expected {width}", path, lineno
                 )
-            rows.append(vals)
-    if not rows:
+            if len(pending) * width >= _BLOCK_FIELDS:
+                parts.append(_csv_block(pending, path))
+                pending = []
+    if pending:
+        parts.append(_csv_block(pending, path))
+    if not parts:
         raise ParseError("no data rows", path, 1)
-    return require_finite(np.asfortranarray(np.array(rows)), "matrix")
+    values = np.concatenate(parts).reshape(-1, width)
+    return require_finite(np.asfortranarray(values), "matrix")
 
 
 def read_matrix(path, fmt=None, csv_header=False):
@@ -165,12 +320,13 @@ def write_matrix_market(path, a):
     """Write a dense matrix in Matrix Market array format, lossless round-trip."""
     a = as_matrix(a, "matrix")
     m, n = a.shape
+    flat = a.ravel(order="F")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MM_ARRAY_HEADER + "\n")
         fh.write(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                fh.write(f"{a[i, j]:.17g}\n")
+        for start in range(0, flat.size, _WRITE_VALUES):
+            run = flat[start : start + _WRITE_VALUES].tolist()
+            fh.write(("%.17g\n" * len(run)) % tuple(run))
 
 
 def report_json(report):

@@ -194,3 +194,27 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "gcurkit" in capsys.readouterr().out
+
+
+def test_non_ascii_matrix_market_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.mtx"
+    bad.write_bytes(b"%%MatrixMarket matrix array real general\n1 1\n1.0\xc3\xa9\n")
+    rc = main(["cur", str(bad), "-k", "1"])
+    assert rc == EXIT_PARSE
+    assert "not ASCII text" in capsys.readouterr().err
+
+
+def test_non_utf8_csv_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.0,2.0\n3.0,\xff\n")
+    rc = main(["cur", str(bad), "-k", "1"])
+    assert rc == EXIT_PARSE
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_oversized_coordinate_header_exit_code(tmp_path, capsys):
+    big = tmp_path / "big.mtx"
+    big.write_text("%%MatrixMarket matrix coordinate real general\n100000000 100000000 1\n1 1 1.0\n")
+    rc = main(["cur", str(big), "-k", "1"])
+    assert rc == EXIT_PARSE
+    assert "100000000 x 100000000 matrix is too large" in capsys.readouterr().err
