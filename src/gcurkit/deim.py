@@ -33,9 +33,13 @@ def deim_select(basis, k):
     the interpolant from the next column, and takes the argmax of the residual
     magnitude. Ties resolve to the smallest index (forward argmax scan).
 
-    Raises DependentBasisError when a selected submatrix is rank deficient
-    (``matkit.RANK_TOL`` rule), and DimensionError when k exceeds the column
-    count.
+    The rank rule (``matkit.RANK_TOL``) runs once, on the final k x k block
+    ``basis[s, :k]``: its determinant is, up to sign, the product of the
+    pivots |residual[s_j]|, so a rank-deficient intermediate block shows up
+    there. Raises DependentBasisError when that block fails the rule or a
+    solve meets an exactly singular block; the message names the first step
+    whose selected block fails the rule. Raises DimensionError when k
+    exceeds the column count.
     """
     u = as_matrix(basis, "basis")
     m, r = u.shape
@@ -46,14 +50,33 @@ def deim_select(basis, k):
     s = np.empty(k, dtype=np.int64)
     s[0] = int(np.argmax(np.abs(u[:, 0])))
     for j in range(1, k):
-        sub = u[s[:j], :j]
-        _require_full_rank(
-            sub, DependentBasisError, f"selected {j}x{j} submatrix at step {j + 1}"
-        )
-        c = np.linalg.solve(sub, u[s[:j], j])
+        try:
+            c = np.linalg.solve(u[s[:j], :j], u[s[:j], j])
+        except np.linalg.LinAlgError:
+            _name_dependent_step(u, s[:j], k)
         resid = u[:, j] - u[:, :j] @ c
         s[j] = int(np.argmax(np.abs(resid)))
+    try:
+        _require_full_rank(u[s, :k], DependentBasisError, f"selected {k}x{k} block")
+    except DependentBasisError:
+        _name_dependent_step(u, s, k)
     return s
+
+
+def _name_dependent_step(u, s, k):
+    """Raise DependentBasisError naming the first step whose block fails the rule.
+
+    Runs only on the error path. The j x j block is used at step j + 1; the
+    k x k block is the final selection.
+    """
+    for j in range(1, s.size + 1):
+        where = f"at step {j + 1}" if j < k else f"after step {j}, the last"
+        _require_full_rank(
+            u[s[:j], :j], DependentBasisError, f"selected {j}x{j} submatrix {where}"
+        )
+    raise DependentBasisError(
+        f"selected {s.size}x{s.size} submatrix at step {s.size + 1} is singular"
+    )
 
 
 def _selected_block(basis, indices):

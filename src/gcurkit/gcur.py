@@ -28,6 +28,12 @@ class GcurFactors(NamedTuple):
 
     ``ratio_gap`` records gamma_k/sigma_k - gamma_{k+1}/sigma_{k+1} at the
     truncation cut, surfacing near-degeneracy of the selection.
+
+    ``U_k``, ``Y`` and ``gamma`` are the parts of the pair's GSVD that
+    :func:`evaluate_bounds` reads, so it need not compute the GSVD again:
+    ``U_k`` is an owned copy of the leading ``s_a.size`` columns of U
+    (m x k), ``Y`` the full n x n factor and ``gamma`` all n values. They
+    take m*k + n*n + n floats; the m x n U and d x n V are not kept.
     """
 
     p: np.ndarray
@@ -37,6 +43,9 @@ class GcurFactors(NamedTuple):
     M_b: Optional[np.ndarray]
     k: int
     ratio_gap: float
+    U_k: np.ndarray
+    Y: np.ndarray
+    gamma: np.ndarray
 
 
 class BoundReport(NamedTuple):
@@ -100,14 +109,17 @@ def _gcur(a, b, k, k_rows, k_cols, with_b):
     if not 1 <= kmax < n:
         raise DimensionError(f"rank must satisfy 1 <= k < n = {n}, got {kmax}")
     f = gsvd(a, b)
+    u_k = np.array(f.U[:, :k_rows], order="F")
     p = deim.deim_select(f.Y[:, :k_cols], k_cols)
-    s_a = deim.deim_select(f.U[:, :k_rows], k_rows)
+    s_a = deim.deim_select(u_k, k_rows)
     m_a = curfac.middle_matrix(a, p, s_a, "A")
     s_b = m_b = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k_rows], k_rows)
         m_b = curfac.middle_matrix(b, p, s_b, "B")
-    return GcurFactors(p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax))
+    return GcurFactors(
+        p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma
+    )
 
 
 def gcur(a, b, k, *, k_rows=None, k_cols=None):
@@ -145,9 +157,13 @@ def reconstruct_b(b, factors):
 def evaluate_bounds(a, b, factors, tol_scale=1e-9):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
-    Recomputes the GSVD, takes the thin QR of Y to get the orthonormal column
-    basis Q_k and the triangular blocks T22 (trailing square block) and T_hat
-    (trailing column block), and checks each inequality to within
+    Does not compute the GSVD: it reads U_k, Y and gamma from ``factors``,
+    which must come from :func:`gcur` or :func:`gcur_only_a` on this same
+    pair. Factors whose U_k or Y do not match A's row count or the column
+    count n raise DimensionError; factors of another pair with the same
+    shapes give wrong bounds. Takes the thin QR of Y to get the orthonormal
+    column basis Q_k and the triangular blocks T22 (trailing square block)
+    and T_hat (trailing column block), and checks each inequality to within
     ``tol_scale * ||A||``.
 
     The interpolatory errors are sandwiched as
@@ -166,16 +182,27 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
         raise DimensionError(
             "bound evaluation needs equal numbers of selected rows and columns"
         )
-    f = gsvd(a, b)
-    t = truncate(f, k)
-    q, t_full = matkit.thin_qr(f.Y)
+    m, n = a.shape
+    if b.shape[1] != n:
+        raise DimensionError(
+            f"A and B must share column counts, got {n} and {b.shape[1]}"
+        )
+    u_k, y = factors.U_k, factors.Y
+    if u_k.shape != (m, k) or y.shape != (n, n) or factors.gamma.shape != (n,):
+        raise DimensionError(
+            f"carried GSVD factors (U_k {u_k.shape}, Y {y.shape}) do not match "
+            f"A ({m}x{n}) at k={k}; compute the factors with gcur on this pair"
+        )
+    if not 1 <= k < n:
+        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
+    q, t_full = matkit.thin_qr(y)
     q_k = q[:, :k]
     t22 = t_full[k:, k:]
     t_hat = t_full[:, k:]
 
     eta_p = deim.eta(q_k, factors.p)
-    eta_s = deim.eta(t.U_k, factors.s_a)
-    gamma_next = float(f.gamma[k])
+    eta_s = deim.eta(u_k, factors.s_a)
+    gamma_next = float(factors.gamma[k])
     norm_t22 = matkit.spectral_norm(t22)
     psi_min_t22 = matkit.smallest_singular_value(t22)
     norm_t_hat = matkit.spectral_norm(t_hat)
@@ -185,7 +212,7 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
         a - deim.interp_project(q_k, factors.p, a, side="right")
     )
     interp_row = matkit.spectral_norm(
-        a - deim.interp_project(t.U_k, factors.s_a, a, side="left")
+        a - deim.interp_project(u_k, factors.s_a, a, side="left")
     )
     _, proj_col = curfac.projection_error(a, factors.p, "column")
     _, proj_row = curfac.projection_error(a, factors.s_a, "row")

@@ -87,7 +87,11 @@ def gsvd(a, b):
     if d < n:
         raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
 
-    q0, t0 = matkit.thin_qr(np.vstack((a, b)))
+    stack = np.empty((m + d, n), order="F")
+    stack[:m] = a
+    stack[m:] = b
+    q0, t0 = matkit.thin_qr(stack)
+    del stack  # (m + d) x n floats the SVD below does not need
     _require_full_rank(t0, FullRankError, "stacked pair [A; B]")
 
     q1 = q0[:m]

@@ -101,7 +101,9 @@ def thin_qr(a):
     q, t = np.linalg.qr(a)
     d = np.sign(np.diag(t))
     d[d == 0] = 1.0
-    return QrFactors(q * d, t * d[:, None])
+    q *= d
+    t *= d[:, None]
+    return QrFactors(q, t)
 
 
 def lstsq(a, b):

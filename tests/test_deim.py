@@ -1,9 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
-from gcurkit import matkit
+from gcurkit import matkit, synth
 from gcurkit.deim import deim_select, eta, interp_project
 from gcurkit.errors import DependentBasisError, DimensionError, SingularMatrixError
+from gcurkit.gsvd import gsvd
+
+
+def deim_select_per_step(basis, k):
+    """Reference: the rank rule on every selected j x j block before its solve."""
+    u = matkit.as_matrix(basis, "basis")
+    s = np.empty(k, dtype=np.int64)
+    s[0] = int(np.argmax(np.abs(u[:, 0])))
+    for j in range(1, k):
+        sub = u[s[:j], :j]
+        matkit._require_full_rank(
+            sub, DependentBasisError, f"selected {j}x{j} submatrix at step {j + 1}"
+        )
+        c = np.linalg.solve(sub, u[s[:j], j])
+        resid = u[:, j] - u[:, :j] @ c
+        s[j] = int(np.argmax(np.abs(resid)))
+    return s
 
 
 def test_identity_columns_select_in_order():
@@ -43,6 +62,71 @@ def test_dependent_basis_errors_with_step_number():
     )
     with pytest.raises(DependentBasisError, match="step 3"):
         deim_select(u, 3)
+
+
+def test_dependent_last_column_errors():
+    # the third column is 2*e0 + 3*e1 on every row: the per-step rule never
+    # sees the final 3x3 block and returns a duplicate index
+    u = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 0.0], [0.5, 0.5, 2.5]])
+    assert deim_select_per_step(u, 3).tolist() == [0, 1, 0]
+    with pytest.raises(DependentBasisError, match="3x3 submatrix after step 3"):
+        deim_select(u, 3)
+
+
+def test_zero_column_errors():
+    with pytest.raises(DependentBasisError, match="1x1 submatrix"):
+        deim_select(np.zeros((4, 1)), 1)
+    u = np.eye(5)[:, :3].copy()
+    u[:, 1] = 0.0
+    with pytest.raises(DependentBasisError, match="step 3"):
+        deim_select(u, 3)
+
+
+@pytest.mark.parametrize("k", [1, 5, 30, 100])
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_per_step_reference_on_orthonormal_bases(seed, k):
+    rng = np.random.default_rng(900 + seed)
+    u = np.linalg.qr(rng.standard_normal((300, k)))[0]
+    assert np.array_equal(deim_select(u, k), deim_select_per_step(u, k))
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def gsvd_bases(request):
+    seed = request.param
+    a = synth.lowrank_gapped(600, 150, 40 + seed)
+    noisy, _, rchol = synth.colored_noise(
+        a, synth.NoiseModel(epsilon=0.1, seed=50 + seed, rho=0.99)
+    )
+    f = gsvd(noisy, rchol)
+    return {"U": f.U, "V": f.V, "Y": f.Y}
+
+
+@pytest.mark.parametrize("k", [1, 5, 30, 100])
+@pytest.mark.parametrize("name", ["U", "V", "Y"])
+def test_matches_per_step_reference_on_gsvd_bases(gsvd_bases, name, k):
+    basis = gsvd_bases[name][:, :k]
+    assert np.array_equal(deim_select(basis, k), deim_select_per_step(basis, k))
+
+
+def _step_of(call):
+    with pytest.raises(DependentBasisError) as info:
+        call()
+    return re.search(r"step (\d+)", str(info.value)).group(1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("j", [1, 3, 6])
+def test_dependent_bases_error_at_reference_step(j, exact):
+    # column j is a combination of the columns before it (exactly, or up to
+    # a 1e-15 perturbation), so the (j+1)x(j+1) block fails the rule
+    rng = np.random.default_rng(60 + j)
+    u = np.linalg.qr(rng.standard_normal((40, 10)))[0]
+    u[:, j] = u[:, :j] @ rng.standard_normal(j)
+    if not exact:
+        u[:, j] += 1e-15 * rng.standard_normal(40)
+    expected = _step_of(lambda: deim_select_per_step(u, 10))
+    assert expected == str(j + 2)
+    assert _step_of(lambda: deim_select(u, 10)) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from gcurkit import matkit
+from gcurkit import curfac, deim, matkit
 from gcurkit.curfac import deim_cur, middle_matrix
 from gcurkit.errors import DimensionError
 from gcurkit.gcur import (
@@ -133,6 +133,81 @@ def test_bound_checks_pass_on_random_pairs(seed):
     rep = evaluate_bounds(a, b, f)
     assert all(rep.checks.values()), rep.checks
     assert rep.observed_error <= rep.bound + 1e-9 * matkit.spectral_norm(a)
+
+
+def evaluate_bounds_fresh_gsvd(a, b, factors, tol_scale=1e-9):
+    """Reference: every bound quantity from a GSVD computed again from (A, B)."""
+    k = factors.p.size
+    f = gsvd(a, b)
+    u_k = f.U[:, :k]
+    q, t_full = matkit.thin_qr(f.Y)
+    q_k, t22, t_hat = q[:, :k], t_full[k:, k:], t_full[:, k:]
+    eta_p = deim.eta(q_k, factors.p)
+    eta_s = deim.eta(u_k, factors.s_a)
+    gamma_next = float(f.gamma[k])
+    norm_t22 = matkit.spectral_norm(t22)
+    psi_min_t22 = matkit.smallest_singular_value(t22)
+    norm_t_hat = matkit.spectral_norm(t_hat)
+    psi_min_t_hat = matkit.smallest_singular_value(t_hat)
+    interp_col = matkit.spectral_norm(
+        a - deim.interp_project(q_k, factors.p, a, side="right")
+    )
+    interp_row = matkit.spectral_norm(a - deim.interp_project(u_k, factors.s_a, a))
+    _, proj_col = curfac.projection_error(a, factors.p, "column")
+    _, proj_row = curfac.projection_error(a, factors.s_a, "row")
+    observed = curfac.cur_error(a, factors.p, factors.M_a, factors.s_a)
+    bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
+    tol = tol_scale * matkit.spectral_norm(a)
+    checks = {
+        "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,
+        "interp_cols_lower": gamma_next * psi_min_t22 <= interp_col + tol,
+        "interp_rows_upper": interp_row <= gamma_next * norm_t_hat * eta_s + tol,
+        "interp_rows_lower": gamma_next * psi_min_t_hat <= interp_row + tol,
+        "proj_cols_upper": proj_col <= gamma_next * norm_t22 * eta_p + tol,
+        "proj_rows_upper": proj_row <= gamma_next * norm_t_hat * eta_s + tol,
+        "cur_upper": observed <= bound + tol,
+    }
+    values = (
+        gamma_next, eta_p, eta_s, norm_t22, norm_t_hat, psi_min_t22, psi_min_t_hat,
+        interp_col, interp_row, proj_col, proj_row, observed, bound,
+    )
+    return [float(v).hex() for v in values], checks
+
+
+@pytest.mark.parametrize("only_a", [False, True])
+@pytest.mark.parametrize(
+    "seed,m,d,n,k", [(0, 30, 30, 8, 3), (1, 200, 60, 40, 1), (2, 400, 120, 120, 30)]
+)
+def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
+    rng = np.random.default_rng(1500 + seed)
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal((d, n))
+    f = (gcur_only_a if only_a else gcur)(a, b, k)
+    rep = evaluate_bounds(a, b, f)
+    values, checks = evaluate_bounds_fresh_gsvd(a, b, f)
+    assert [float(v).hex() for v in rep[:-1]] == values
+    assert rep.checks == checks
+
+
+def test_carried_u_k_owns_its_data():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((50, 12))
+    f = gcur(a, rng.standard_normal((20, 12)), 4)
+    assert f.U_k.base is None and f.U_k.flags.owndata
+    assert f.U_k.shape == (50, 4) and f.Y.shape == (12, 12) and f.gamma.shape == (12,)
+
+
+def test_bounds_reject_factors_of_another_shape():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((30, 8))
+    b = rng.standard_normal((20, 8))
+    f = gcur(a, b, 3)
+    with pytest.raises(DimensionError, match="carried GSVD factors"):
+        evaluate_bounds(rng.standard_normal((31, 8)), b, f)  # other row count
+    with pytest.raises(DimensionError, match="carried GSVD factors"):
+        evaluate_bounds(rng.standard_normal((30, 9)), rng.standard_normal((20, 9)), f)
+    with pytest.raises(DimensionError, match="share column counts"):
+        evaluate_bounds(a, rng.standard_normal((20, 9)), f)
 
 
 def test_bounds_exact_rank_case():

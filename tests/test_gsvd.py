@@ -167,3 +167,31 @@ def test_invariants_rectangular(m, d, n):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal((d, n))
     check_invariants(a, b, gsvd(a, b))
+
+
+def gsvd_vstack_reference(a, b):
+    """Reference for pairs with full-rank B: [A; B] built by np.vstack and
+    signs flipped into new arrays."""
+    m = a.shape[0]
+    q, t = np.linalg.qr(np.asfortranarray(np.vstack((a, b))))
+    dg = np.sign(np.diag(t))
+    dg[dg == 0] = 1.0
+    q, t = q * dg, t * dg[:, None]
+    u, gamma, wt = np.linalg.svd(q[:m], full_matrices=False)
+    vs = q[m:] @ wt.T
+    sigma = np.linalg.norm(vs, axis=0)
+    return u, vs / sigma, t.T @ wt.T, np.clip(gamma, 0.0, 1.0), sigma
+
+
+@pytest.mark.parametrize("order_b", ["C", "F"])
+@pytest.mark.parametrize("order_a", ["C", "F"])
+@pytest.mark.parametrize("m,d,n", [(12, 9, 6), (500, 150, 120)])
+def test_stack_matches_vstack_reference_bitwise(m, d, n, order_a, order_b):
+    rng = np.random.default_rng(m + d + n)
+    a = np.array(rng.standard_normal((m, n)), order=order_a)
+    b = np.array(rng.standard_normal((d, n)), order=order_b)
+    a_in, b_in = a.copy(), b.copy()
+    f = gsvd(a, b)
+    for got, want in zip(f, gsvd_vstack_reference(a, b)):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
