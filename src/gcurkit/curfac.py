@@ -37,18 +37,39 @@ class InterpolativeFactors(NamedTuple):
     rel_error: float
 
 
-def _full_column_rank_qr(x, what):
-    """Thin QR of X, raising FullRankError unless X has full column rank.
-
-    T has X's singular values, so the rank rule runs on the small T.
-    """
-    if x.shape[0] < x.shape[1]:
+def _require_enough_rows(rows, vectors, what):
+    """More selected vectors than their dimension cannot have full rank."""
+    if rows < vectors:
         raise FullRankError(
-            f"{what} is rank deficient ({x.shape[1]} vectors in {x.shape[0]} dimensions)"
+            f"{what} is rank deficient ({vectors} vectors in {rows} dimensions)"
         )
-    f = matkit.thin_qr(x)
-    _require_full_rank(f.T, FullRankError, what)
-    return f
+
+
+def _nested_middle_matrices(a, p, s, sizes, name="A"):
+    """Middle matrices for nested index prefixes, from one QR per side.
+
+    Returns C^+ A R^+ for C = A[:, p[:kc]], R = A[s[:kr], :] for every
+    (kc, kr) in ``sizes``. The leading kc columns of Q_c and the leading
+    kc x kc block of T_c are a thin QR of C, so one factorization of
+    A[:, p] and one of A[s, :].T, plus one core Q_c^T A Q_r, serve every
+    prefix: M = T_c^-1 (Q_c^T A Q_r) T_r^-T on the leading blocks. The rank
+    rule runs on each leading block. A must be a float64 matrix and p, s
+    valid index vectors.
+    """
+    col, row = f"column factor {name}[:, p]", f"row factor {name}[s, :]"
+    _require_enough_rows(a.shape[0], p.size, col)
+    _require_enough_rows(a.shape[1], s.size, row)
+    q_c, t_c = matkit.thin_qr(a[:, p])
+    q_r, t_r = matkit.thin_qr(a[s, :].T)
+    core = (q_c.T @ a) @ q_r
+    out = []
+    for kc, kr in sizes:
+        tc, tr = t_c[:kc, :kc], t_r[:kr, :kr]
+        _require_full_rank(tc, FullRankError, col)
+        _require_full_rank(tr, FullRankError, row)
+        m = np.linalg.solve(tc, core[:kc, :kr])  # T_c^-1 Q_c^T A Q_r
+        out.append(np.linalg.solve(tr, m.T).T)
+    return out
 
 
 def middle_matrix(a, p, s, name="A"):
@@ -59,10 +80,7 @@ def middle_matrix(a, p, s, name="A"):
     a = as_matrix(a, name)
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
-    q_c, t_c = _full_column_rank_qr(a[:, p], f"column factor {name}[:, p]")
-    q_r, t_r = _full_column_rank_qr(a[s, :].T, f"row factor {name}[s, :]")
-    core = np.linalg.solve(t_c, (q_c.T @ a) @ q_r)  # T_c^-1 Q_c^T A Q_r
-    return np.linalg.solve(t_r, core.T).T
+    return _nested_middle_matrices(a, p, s, [(p.size, s.size)], name)[0]
 
 
 def _warn_if_degenerate(psi, k):

@@ -8,6 +8,9 @@ bit-identical for a fixed seed. Trials run one after another in trial-id
 order in the calling thread; the dense kernels already use every core
 through BLAS. A failed trial is recorded under ``trial_failures`` and left
 out of the statistics; a grid cell that no trial reaches raises.
+
+Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
+serves both the SVD and the GSVD, which act on the n x n triangle R.
 """
 
 import time
@@ -17,9 +20,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, curfac, deim, matkit, synth
-from .errors import GcurkitError
+from .errors import ContractViolationError, GcurkitError
 from .gcur import gcur_only_a
-from .gsvd import gsvd, truncated_pair
+from .gsvd import _require_truncation_rank, gsvd
 
 REPORT_SCHEMA = "gcurkit-report/1"
 
@@ -138,38 +141,61 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     return ExperimentReport("intro-angles", params, cells, extra=extra, timing=timing)
 
 
+def _factor_once(noisy, rchol, kmax):
+    """SVD and GSVD of a noisy matrix from one thin QR, noisy = Q R.
+
+    Both factor the n x n triangle R; only the leading kmax left vectors
+    are lifted to m rows: returns (svd of R, gsvd of (R, rchol), W_k, U_k).
+    """
+    q, r = matkit.thin_qr(noisy)
+    f = matkit.svd(r)
+    g = gsvd(r, rchol)
+    return f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
+
+
 def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
-    """Build the per-trial worker for noise recovery; returns nested errors."""
+    """Build the per-trial worker for noise recovery; returns nested errors.
+
+    The noise is drawn once per trial at unit level and scaled by each eps.
+    Each noisy matrix is factored once (:func:`_factor_once`), and the
+    middle matrices of every k come from one QR per side of the kmax
+    selection, since DEIM prefixes nest.
+    """
     kmax = max(k_values)
+    sizes = [(k, k) for k in k_values]
 
     def run(_i, child):
         seeds = child.spawn(3)
         a = a_gen(seeds[0])
         norm_a = matkit.spectral_norm(a)
+        t0 = time.perf_counter()
+        _, e_unit, rchol = synth.colored_noise(
+            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho)
+        )
+        rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
+        noise_s = (time.perf_counter() - t0) / max(1, len(eps_values))
+        for k in k_values:
+            _require_truncation_rank(k, a.shape[1])
         out = {}
         cell_s = {}
         for eps in eps_values:
             t0 = time.perf_counter()
-            noisy, _, rchol = synth.colored_noise(
-                a, synth.NoiseModel(epsilon=eps, seed=seeds[1], rho=rho)
-            )
-            rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-            f = matkit.svd(noisy)
+            noisy = a + eps * e_unit
+            f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
-            s_cur = deim.deim_select(f.W[:, :kmax], kmax)
-            g = gsvd(noisy, rchol_used)
+            s_cur = deim.deim_select(w_k, kmax)
             p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
-            s_gc = deim.deim_select(g.U[:, :kmax], kmax)
-            shared_s = time.perf_counter() - t0
+            s_gc = deim.deim_select(u_k, kmax)
+            m_cur = curfac._nested_middle_matrices(noisy, p_cur, s_cur, sizes)
+            m_gc = curfac._nested_middle_matrices(noisy, p_gc, s_gc, sizes)
+            shared_s = time.perf_counter() - t0 + noise_s
             out[eps] = {}
-            for k in k_values:
+            for k, mc, mg in zip(k_values, m_cur, m_gc):
                 t1 = time.perf_counter()
-                tsvd = f.W[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T)
-                m_cur = curfac.middle_matrix(noisy, p_cur[:k], s_cur[:k])
-                cur = noisy[:, p_cur[:k]] @ m_cur @ noisy[s_cur[:k], :]
-                tg, _ = truncated_pair(g, k)
-                m_gc = curfac.middle_matrix(noisy, p_gc[:k], s_gc[:k])
-                gc = noisy[:, p_gc[:k]] @ m_gc @ noisy[s_gc[:k], :]
+                tsvd = w_k[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T)
+                tg = u_k[:, :k] @ (g.gamma[:k, None] * g.Y[:, :k].T)
+                cur = noisy[:, p_cur[:k]] @ mc @ noisy[s_cur[:k], :]
+                gc = noisy[:, p_gc[:k]] @ mg @ noisy[s_gc[:k], :]
                 out[eps][k] = {
                     "TSVD": matkit.spectral_norm(a - tsvd) / norm_a,
                     "TGSVD": matkit.spectral_norm(a - tg) / norm_a,
@@ -200,7 +226,8 @@ def noise_recovery(
     the noisy matrix's SVD, rank truncation of the pair factorization
     carrying the noise covariance factor, and the index-based reconstructions
     built from each. ``inexact_chol=True`` hands the pair factorization a
-    perturbed covariance factor while the noise itself stays exact.
+    perturbed covariance factor while the noise itself stays exact. A
+    negative eps raises ContractViolationError before any trial runs.
     """
     if kind == "sparse":
         a_gen = lambda s: synth.lowrank_sparse(m, n, s)
@@ -208,6 +235,9 @@ def noise_recovery(
         a_gen = lambda s: synth.lowrank_gapped(m, n, s)
     else:
         raise ValueError(f"kind must be 'sparse' or 'gapped', got {kind!r}")
+    for eps in eps_values:
+        if eps < 0:
+            raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
 
     worker = _recovery_trial(a_gen, tuple(k_values), tuple(eps_values), rho, inexact_chol)
     master = np.random.SeedSequence(seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import curfac, deim, matkit
 from .errors import DimensionError
-from .gsvd import gsvd, truncate, truncated_pair
+from .gsvd import _require_truncation_rank, gsvd, truncate, truncated_pair
 
 
 class GcurFactors(NamedTuple):
@@ -193,8 +193,7 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
             f"carried GSVD factors (U_k {u_k.shape}, Y {y.shape}) do not match "
             f"A ({m}x{n}) at k={k}; compute the factors with gcur on this pair"
         )
-    if not 1 <= k < n:
-        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
+    _require_truncation_rank(k, n)
     q, t_full = matkit.thin_qr(y)
     q_k = q[:, :k]
     t22 = t_full[k:, k:]

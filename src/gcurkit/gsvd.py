@@ -10,7 +10,10 @@ are nonincreasing; directions with sigma_i = 0 (ratio +inf) come first.
 
 The computation stacks [A; B], takes a thin QR, and reads both factor sets
 off an SVD of the top block, so the cross products A.T @ A and B.T @ B are
-never formed.
+never formed. A taller than wide (m > n) is first reduced to its n x n
+triangle, A = Q_A R_A: the steps above run on [R_A; B], whose top block is
+n x n instead of m x n, and U is lifted as Q_A U' at the end (the QR
+preprocessing of LAPACK's xGGSVP3). A square A skips the reduction.
 """
 
 from typing import NamedTuple
@@ -87,16 +90,23 @@ def gsvd(a, b):
     if d < n:
         raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
 
-    stack = np.empty((m + d, n), order="F")
-    stack[:m] = a
-    stack[m:] = b
+    q_a = None
+    if m > n:
+        # [A; B] = diag(Q_A, I) [R_A; B], so both share the triangle T0
+        q_a, a = matkit.thin_qr(a)
+    top = a.shape[0]
+    stack = np.empty((top + d, n), order="F")
+    stack[:top] = a
+    stack[top:] = b
     q0, t0 = matkit.thin_qr(stack)
-    del stack  # (m + d) x n floats the SVD below does not need
+    del stack  # (top + d) x n floats the SVD below does not need
     _require_full_rank(t0, FullRankError, "stacked pair [A; B]")
 
-    q1 = q0[:m]
-    q2 = q0[m:]
+    q1 = q0[:top]
+    q2 = q0[top:]
     u, gamma, wt = np.linalg.svd(q1, full_matrices=False)
+    if q_a is not None:
+        u = q_a @ u
     w = wt.T
     gamma = np.clip(gamma, 0.0, 1.0)
 
@@ -124,6 +134,12 @@ def residuals(a, b, factors):
     return res_a, res_b
 
 
+def _require_truncation_rank(k, n):
+    """A rank-k truncation of n GSVD directions needs a nonempty tail."""
+    if not 1 <= k < n:
+        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
+
+
 def truncate(factors, k):
     """Split GSVD factors into the leading-k part and the trailing complement.
 
@@ -131,9 +147,7 @@ def truncate(factors, k):
     A_k = U_k @ diag(gamma_k) @ Y_k.T, and A - A_k equals the product of the
     trailing factors exactly.
     """
-    n = factors.Y.shape[0]
-    if not 1 <= k < n:
-        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
+    _require_truncation_rank(k, factors.Y.shape[0])
     return TruncatedGsvd(
         U_k=factors.U[:, :k],
         V_k=factors.V[:, :k],

@@ -170,6 +170,25 @@ def test_cell_without_success_exit_code(capsys):
     assert "no successful trial for eps=0.05, k=300" in capsys.readouterr().err
 
 
+def test_noise_recovery_report_deterministic_bytes(tmp_path):
+    def run_with(name):
+        out = tmp_path / name
+        rc = main(
+            ["experiment", "noise-recovery", "--trials", "1", "--rank", "5,10",
+             "--eps", "0.1", "--no-timestamp", "--out", str(out)]
+        )
+        assert rc == 0
+        return out.read_bytes()
+
+    assert run_with("a.json") == run_with("b.json")
+
+
+def test_negative_eps_exit_code(capsys):
+    rc = main(["experiment", "noise-recovery", "--trials", "1", "--eps=0.1,-0.1"])
+    assert rc == EXIT_NUMERIC
+    assert "epsilon must be >= 0, got -0.1" in capsys.readouterr().err
+
+
 def test_gcur_report_deterministic_bytes(tmp_path, diag_pair):
     out1 = tmp_path / "g1.json"
     out2 = tmp_path / "g2.json"

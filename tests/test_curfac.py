@@ -1,9 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from gcurkit import gcur, matkit
+from gcurkit import curfac, deim, gcur, matkit
 from gcurkit.curfac import deim_cur, interpolative, middle_matrix, reconstruct
 from gcurkit.errors import DimensionError, FullRankError
 
@@ -82,6 +83,44 @@ def test_middle_matrix_rejects_duplicated_column_or_row():
     a[5, :] = a[2, :]
     with pytest.raises(FullRankError, match=r"^row factor A\[s, :\]"):
         middle_matrix(a, [0, 3], [2, 5])
+
+
+def _deim_prefixes(a, kmax):
+    f = matkit.svd(a)
+    return deim.deim_select(f.Z[:, :kmax], kmax), deim.deim_select(f.W[:, :kmax], kmax)
+
+
+def test_nested_middle_matrices_match_each_prefix():
+    a = np.random.default_rng(11).standard_normal((80, 50))
+    p, s = _deim_prefixes(a, 12)
+    ks = (1, 3, 7, 12)
+    got = curfac._nested_middle_matrices(a, p, s, [(k, k) for k in ks])
+    for k, m in zip(ks, got):
+        want = middle_matrix(a, p[:k], s[:k])
+        assert m.shape == (k, k)
+        assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
+    # the full-length case is middle_matrix itself, bit for bit
+    assert got[-1].tobytes() == middle_matrix(a, p, s).tobytes()
+
+
+@pytest.mark.parametrize(
+    "side,what", [("column", "column factor A[:, p]"), ("row", "row factor A[s, :]")]
+)
+def test_nested_middle_matrices_reject_dependent_prefix(side, what):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((40, 30))
+    p, s = np.array([4, 9, 17, 21, 2]), np.array([8, 1, 30, 12, 5])
+    if side == "column":
+        a[:, 17] = a[:, 4]  # p[:3] is dependent
+    else:
+        a[30, :] = 2.0 * a[8, :]  # s[:3] is dependent
+    curfac._nested_middle_matrices(a, p, s, [(2, 2)])  # shorter prefixes stay valid
+    for call in (
+        lambda: middle_matrix(a, p[:3], s[:3]),
+        lambda: curfac._nested_middle_matrices(a, p, s, [(2, 2), (3, 3), (5, 5)]),
+    ):
+        with pytest.raises(FullRankError, match=rf"^{re.escape(what)} is rank deficient"):
+            call()
 
 
 def test_middle_matrix_rejects_more_columns_than_rows():

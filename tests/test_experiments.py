@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gcurkit import experiments
-from gcurkit.errors import DimensionError, GcurkitError
+from gcurkit import experiments, matkit, synth
+from gcurkit.errors import ContractViolationError, DimensionError, GcurkitError
+from gcurkit.gsvd import gsvd
 
 
 def test_run_trials_order_and_failures():
@@ -89,6 +90,34 @@ def test_noise_recovery_cell_without_success_raises():
     # k = n leaves no trailing GSVD block, so every trial fails
     with pytest.raises(GcurkitError, match=r"eps=0\.05, k=50.*truncation rank"):
         experiments.noise_recovery(m=60, n=50, k_values=(50,), trials=2)
+
+
+def _align_signs(got, want):
+    return got * np.sign(np.sum(got * want, axis=0))
+
+
+@pytest.mark.parametrize("m", [300, 40])
+def test_factor_once_matches_direct_factorizations(m):
+    # one QR of the noisy matrix feeds both factorizations; the lifted left
+    # vectors match those of the m x n matrix, square or tall
+    rng = np.random.default_rng(m)
+    noisy = rng.standard_normal((m, 40))
+    rchol = synth.toeplitz_chol(40, 0.9)
+    f, g, w_k, u_k = experiments._factor_once(noisy, rchol, 10)
+    f_ref = matkit.svd(noisy)
+    g_ref = gsvd(noisy, rchol)
+    assert w_k.shape == u_k.shape == (m, 10)
+    assert np.allclose(f.psi, f_ref.psi, rtol=1e-12, atol=0.0)
+    assert np.allclose(g.gamma, g_ref.gamma, rtol=1e-12, atol=0.0)
+    assert np.allclose(_align_signs(w_k, f_ref.W[:, :10]), f_ref.W[:, :10], atol=1e-10)
+    assert np.allclose(_align_signs(u_k, g_ref.U[:, :10]), g_ref.U[:, :10], atol=1e-10)
+    assert np.allclose(_align_signs(f.Z, f_ref.Z), f_ref.Z, atol=1e-10)
+    assert np.allclose(_align_signs(g.Y, g_ref.Y), g_ref.Y, atol=1e-10)
+
+
+def test_noise_recovery_rejects_negative_eps_before_trials():
+    with pytest.raises(ContractViolationError, match="epsilon must be >= 0, got -0.1"):
+        experiments.noise_recovery(m=60, n=50, k_values=(5,), eps_values=(0.1, -0.1))
 
 
 def test_noise_recovery_rejects_unknown_kind():

@@ -169,18 +169,31 @@ def test_invariants_rectangular(m, d, n):
     check_invariants(a, b, gsvd(a, b))
 
 
-def gsvd_vstack_reference(a, b):
-    """Reference for pairs with full-rank B: [A; B] built by np.vstack and
-    signs flipped into new arrays."""
-    m = a.shape[0]
-    q, t = np.linalg.qr(np.asfortranarray(np.vstack((a, b))))
+def _signed_qr(x):
+    """np.linalg.qr with diag(T) >= 0, signs flipped into new arrays."""
+    q, t = np.linalg.qr(np.asfortranarray(x))
     dg = np.sign(np.diag(t))
     dg[dg == 0] = 1.0
-    q, t = q * dg, t * dg[:, None]
+    return q * dg, t * dg[:, None]
+
+
+def gsvd_vstack_reference(a, b):
+    """The unreduced algorithm for pairs with full-rank B: [A; B] built whole
+    by np.vstack, one QR, and the SVD of its m x n top block."""
+    m = a.shape[0]
+    q, t = _signed_qr(np.vstack((a, b)))
     u, gamma, wt = np.linalg.svd(q[:m], full_matrices=False)
     vs = q[m:] @ wt.T
     sigma = np.linalg.norm(vs, axis=0)
     return u, vs / sigma, t.T @ wt.T, np.clip(gamma, 0.0, 1.0), sigma
+
+
+def gsvd_reduced_reference(a, b):
+    """Reduce-then-stack reference: A = Q_A R_A, the unreduced algorithm on
+    [R_A; B], then U lifted as Q_A U'."""
+    q_a, r_a = _signed_qr(a)
+    u, v, y, gamma, sigma = gsvd_vstack_reference(r_a, b)
+    return q_a @ u, v, y, gamma, sigma
 
 
 @pytest.mark.parametrize("order_b", ["C", "F"])
@@ -192,6 +205,40 @@ def test_stack_matches_vstack_reference_bitwise(m, d, n, order_a, order_b):
     b = np.array(rng.standard_normal((d, n)), order=order_b)
     a_in, b_in = a.copy(), b.copy()
     f = gsvd(a, b)
-    for got, want in zip(f, gsvd_vstack_reference(a, b)):
+    for got, want in zip(f, gsvd_reduced_reference(a, b)):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
+
+def test_square_a_skips_reduction_bitwise():
+    # square A is not reduced: the unreduced algorithm's bits exactly
+    intro_a = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
+    intro_cov = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
+    rng = np.random.default_rng(120)
+    pairs = [
+        (intro_a, np.linalg.cholesky(intro_cov).T),
+        (rng.standard_normal((120, 120)), rng.standard_normal((150, 120))),
+    ]
+    for a, b in pairs:
+        for got, want in zip(gsvd(a, b), gsvd_vstack_reference(a, b)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m,d,n,rank_b", [(200, 40, 40, 40), (200, 90, 40, 40), (150, 60, 40, 35)]
+)
+def test_reduction_matches_unreduced_values(m, d, n, rank_b):
+    # d = n, d > n, and a rank-deficient B whose sigma = 0 columns sort first
+    rng = np.random.default_rng(m + d + n + rank_b)
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal((d, rank_b)) @ rng.standard_normal((rank_b, n))
+    f = gsvd(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, _, gamma, sigma = gsvd_vstack_reference(a, b)
+        ratios = gamma / sigma
+    ok = sigma > 1e-6
+    assert int((~ok).sum()) == n - rank_b
+    assert np.all(f.sigma[~ok] <= 1e-12)
+    assert np.all(np.isinf(f.ratios[: n - rank_b]))
+    for got, want in ((f.gamma, gamma), (f.sigma, sigma), (f.ratios, ratios)):
+        assert np.allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
