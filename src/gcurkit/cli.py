@@ -203,7 +203,7 @@ def cmd_gcur(args):
         report["M_b"] = f.M_b
         report["rel_error_b"] = curfac.cur_error(b, f.p, f.M_b, f.s_b) / norm_b
     if args.bounds:
-        rep = evaluate_bounds(a, b, f)
+        rep = evaluate_bounds(a, b, f, norm_a=norm_a)
         bound_dict = rep._asdict()
         bound_dict["checks"] = dict(rep.checks)
         bound_dict["all_pass"] = all(rep.checks.values())

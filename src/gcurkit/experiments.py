@@ -11,8 +11,20 @@ out of the statistics; a grid cell that no trial reaches raises.
 
 Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
 serves both the SVD and the GSVD, which act on the n x n triangle R.
+The same Q scores the reconstructions. Each of the four lies in range(Q),
+X = Q X_c (TSVD and TGSVD through the left vectors of R's factorizations,
+CUR and GCUR through the column factor noisy[:, p] = Q R[:, p]). With
+C = Q^T A and P = (I - Q Q^T) A, the residual A - X = Q (C - X_c) + P has
+Gram (C - X_c)^T (C - X_c) + P^T P, since Q^T P = 0, so
+
+    ||A - X||^2 = lambda_max((C - X_c)^T (C - X_c) + P^T P).
+
+The identity assumes only X in range(Q), which holds by construction for
+all four. C and P^T P are formed once per noisy matrix, and each
+reconstruction costs n x n work; no m x n residual is built.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -145,12 +157,32 @@ def _factor_once(noisy, rchol, kmax):
     """SVD and GSVD of a noisy matrix from one thin QR, noisy = Q R.
 
     Both factor the n x n triangle R; only the leading kmax left vectors
-    are lifted to m rows: returns (svd of R, gsvd of (R, rchol), W_k, U_k).
+    are lifted to m rows: returns (Q, R, svd of R, gsvd of (R, rchol), W_k,
+    U_k).
     """
     q, r = matkit.thin_qr(noisy)
     f = matkit.svd(r)
     g = gsvd(r, rchol)
-    return f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
+    return q, r, f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
+
+
+def _relative_error_in_basis(a_rel, q, norm_a):
+    """Score reconstructions X = Q @ left @ right that lie in range(Q).
+
+    ``a_rel`` is A / ||A||, so the Grams stay near unit scale and the score
+    is the relative error ||A - X|| / ||A|| directly. Forms C = Q^T A_rel and
+    the n x n Gram of P = A_rel - Q C once; each call then needs one n x n
+    product, one n x n Gram and one symmetric eigenvalue.
+    """
+    c = q.T @ a_rel
+    p = a_rel - q @ c
+    ptp = p.T @ p
+
+    def score(left, right):
+        d = c - left @ (right / norm_a)
+        return math.sqrt(matkit._lambda_max(d.T @ d + ptp))
+
+    return score
 
 
 def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
@@ -178,29 +210,27 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
             _require_truncation_rank(k, a.shape[1])
         out = {}
         cell_s = {}
+        a_rel = a / norm_a
         for eps in eps_values:
             t0 = time.perf_counter()
             noisy = a + eps * e_unit
-            f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
+            q, r, f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
             s_cur = deim.deim_select(w_k, kmax)
             p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
             s_gc = deim.deim_select(u_k, kmax)
             m_cur = curfac._nested_middle_matrices(noisy, p_cur, s_cur, sizes)
             m_gc = curfac._nested_middle_matrices(noisy, p_gc, s_gc, sizes)
+            score = _relative_error_in_basis(a_rel, q, norm_a)
             shared_s = time.perf_counter() - t0 + noise_s
             out[eps] = {}
             for k, mc, mg in zip(k_values, m_cur, m_gc):
                 t1 = time.perf_counter()
-                tsvd = w_k[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T)
-                tg = u_k[:, :k] @ (g.gamma[:k, None] * g.Y[:, :k].T)
-                cur = noisy[:, p_cur[:k]] @ mc @ noisy[s_cur[:k], :]
-                gc = noisy[:, p_gc[:k]] @ mg @ noisy[s_gc[:k], :]
                 out[eps][k] = {
-                    "TSVD": matkit.spectral_norm(a - tsvd) / norm_a,
-                    "TGSVD": matkit.spectral_norm(a - tg) / norm_a,
-                    "CUR": matkit.spectral_norm(a - cur) / norm_a,
-                    "GCUR": matkit.spectral_norm(a - gc) / norm_a,
+                    "TSVD": score(f.W[:, :k], f.psi[:k, None] * f.Z[:, :k].T),
+                    "TGSVD": score(g.U[:, :k], g.gamma[:k, None] * g.Y[:, :k].T),
+                    "CUR": score(r[:, p_cur[:k]], mc @ noisy[s_cur[:k], :]),
+                    "GCUR": score(r[:, p_gc[:k]], mg @ noisy[s_gc[:k], :]),
                 }
                 cell_s[(eps, k)] = time.perf_counter() - t1 + shared_s / len(k_values)
         return out, cell_s

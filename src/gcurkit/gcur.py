@@ -154,7 +154,7 @@ def reconstruct_b(b, factors):
     return b[:, factors.p] @ factors.M_b @ b[factors.s_b, :]
 
 
-def evaluate_bounds(a, b, factors, tol_scale=1e-9):
+def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
     Does not compute the GSVD: it reads U_k, Y and gamma from ``factors``,
@@ -164,7 +164,8 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
     shapes give wrong bounds. Takes the thin QR of Y to get the orthonormal
     column basis Q_k and the triangular blocks T22 (trailing square block)
     and T_hat (trailing column block), and checks each inequality to within
-    ``tol_scale * ||A||``.
+    ``tol_scale * ||A||``. A caller that already holds ||A|| passes it as
+    ``norm_a``; otherwise it is computed here.
 
     The interpolatory errors are sandwiched as
 
@@ -218,7 +219,9 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9):
     observed = curfac.cur_error(a, factors.p, factors.M_a, factors.s_a)
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
 
-    tol = tol_scale * matkit.spectral_norm(a)
+    if norm_a is None:
+        norm_a = matkit.spectral_norm(a)
+    tol = tol_scale * norm_a
     checks = {
         "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,
         "interp_cols_lower": gamma_next * psi_min_t22 <= interp_col + tol,

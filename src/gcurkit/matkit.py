@@ -176,6 +176,25 @@ def max_principal_angle(u1, u2):
     return float(np.arcsin(min(1.0, float(s[0]))))
 
 
+def _lambda_max(gram):
+    """Largest eigenvalue of a symmetric positive semidefinite Gram matrix.
+
+    Raises ConvergenceError on a non-finite Gram (the symmetric eigensolver
+    returns finite garbage on NaN input instead of failing) or when the
+    eigensolver does not converge.
+    """
+    if not np.isfinite(gram).all():
+        raise ConvergenceError(
+            f"{gram.shape[0]}x{gram.shape[0]} Gram matrix has non-finite entries"
+        )
+    try:
+        return float(np.linalg.eigvalsh(gram)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigenvalue iteration did not converge for {gram.shape[0]}x{gram.shape[0]} Gram"
+        ) from exc
+
+
 def spectral_norm(a):
     """2-norm of a matrix: its largest singular value.
 
@@ -191,7 +210,8 @@ def spectral_norm(a):
     smallest_singular_value need, so those keep the SVD.
     """
     a = as_matrix(a, "A")
-    scale = float(abs(a).max())
+    # max|a_ij| without an |A| temporary; NaN anywhere makes both ends NaN
+    scale = max(float(a.max()), -float(a.min()))
     if not math.isfinite(scale):
         raise ConvergenceError(
             f"spectral norm of a {a.shape[0]}x{a.shape[1]} matrix with non-finite entries"
@@ -200,13 +220,7 @@ def spectral_norm(a):
         return 0.0
     x = a / scale
     gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
-    try:
-        lam = np.linalg.eigvalsh(gram)[-1]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigenvalue iteration did not converge for {gram.shape[0]}x{gram.shape[0]} Gram"
-        ) from exc
-    return scale * math.sqrt(lam)
+    return scale * math.sqrt(_lambda_max(gram))
 
 
 def smallest_singular_value(a):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcurkit import experiments, matkit, synth
+from gcurkit import curfac, deim, experiments, matkit, synth
 from gcurkit.errors import ContractViolationError, DimensionError, GcurkitError
 from gcurkit.gsvd import gsvd
 
@@ -103,16 +103,98 @@ def test_factor_once_matches_direct_factorizations(m):
     rng = np.random.default_rng(m)
     noisy = rng.standard_normal((m, 40))
     rchol = synth.toeplitz_chol(40, 0.9)
-    f, g, w_k, u_k = experiments._factor_once(noisy, rchol, 10)
+    q, r, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, 10)
     f_ref = matkit.svd(noisy)
     g_ref = gsvd(noisy, rchol)
     assert w_k.shape == u_k.shape == (m, 10)
+    assert np.allclose(q @ r, noisy, rtol=0.0, atol=1e-12)
     assert np.allclose(f.psi, f_ref.psi, rtol=1e-12, atol=0.0)
     assert np.allclose(g.gamma, g_ref.gamma, rtol=1e-12, atol=0.0)
     assert np.allclose(_align_signs(w_k, f_ref.W[:, :10]), f_ref.W[:, :10], atol=1e-10)
     assert np.allclose(_align_signs(u_k, g_ref.U[:, :10]), g_ref.U[:, :10], atol=1e-10)
     assert np.allclose(_align_signs(f.Z, f_ref.Z), f_ref.Z, atol=1e-10)
     assert np.allclose(_align_signs(g.Y, g_ref.Y), g_ref.Y, atol=1e-10)
+
+
+def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact):
+    """Reference: one recovery trial on the same factors and selections that
+    builds every m x n reconstruction and residual and takes its norm with
+    matkit.spectral_norm."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    seeds = child.spawn(3)
+    gen = synth.lowrank_gapped if kind == "gapped" else synth.lowrank_sparse
+    a = gen(m, n, seeds[0])
+    norm_a = matkit.spectral_norm(a)
+    _, e_unit, rchol = synth.colored_noise(
+        a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=0.99)
+    )
+    if inexact:
+        rchol = synth.perturb_chol(rchol, seeds[2])
+    kmax = max(k_values)
+    sizes = [(k, k) for k in k_values]
+    out = {}
+    for eps in eps_values:
+        noisy = a + eps * e_unit
+        _, _, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, kmax)
+        p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
+        s_cur = deim.deim_select(w_k, kmax)
+        p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
+        s_gc = deim.deim_select(u_k, kmax)
+        m_cur = curfac._nested_middle_matrices(noisy, p_cur, s_cur, sizes)
+        m_gc = curfac._nested_middle_matrices(noisy, p_gc, s_gc, sizes)
+        for k, mc, mg in zip(k_values, m_cur, m_gc):
+            recon = {
+                "TSVD": w_k[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T),
+                "TGSVD": u_k[:, :k] @ (g.gamma[:k, None] * g.Y[:, :k].T),
+                "CUR": noisy[:, p_cur[:k]] @ mc @ noisy[s_cur[:k], :],
+                "GCUR": noisy[:, p_gc[:k]] @ mg @ noisy[s_gc[:k], :],
+            }
+            out[eps, k] = {
+                method: matkit.spectral_norm(a - x) / norm_a for method, x in recon.items()
+            }
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,m,n,inexact",
+    [
+        ("gapped", 120, 60, False),
+        ("gapped", 120, 60, True),
+        ("sparse", 120, 60, False),
+        ("sparse", 120, 60, True),
+        ("gapped", 60, 60, False),  # square: P is zero up to rounding
+    ],
+)
+def test_recovery_errors_match_explicit_residual_norms(kind, m, n, inexact):
+    # the errors scored in the noisy matrix's QR basis equal the 2-norms of
+    # the explicit m x n residuals for every method at every k
+    k_values, eps_values, seed = (5, 10, 20), (0.05, 0.2), 23
+    rep = experiments.noise_recovery(
+        kind=kind, m=m, n=n, k_values=k_values, eps_values=eps_values,
+        trials=1, seed=seed, inexact_chol=inexact,
+    )
+    assert rep.extra["trial_failures"] == []
+    ref = _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact)
+    for cell in rep.cells:
+        want = ref[cell["eps"], cell["k"]]
+        for method, st in cell["stats"].items():
+            assert st["mean"] == pytest.approx(want[method], rel=1e-12, abs=0.0), (
+                cell["eps"], cell["k"], method,
+            )
+
+
+def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):
+    # a NaN middle matrix must fail the trial with a message, never score
+    nested = curfac._nested_middle_matrices
+
+    def poisoned(*args):
+        return [np.full_like(m, np.nan) for m in nested(*args)]
+
+    monkeypatch.setattr(curfac, "_nested_middle_matrices", poisoned)
+    with pytest.raises(GcurkitError, match="no successful trial.*non-finite"):
+        experiments.noise_recovery(
+            m=60, n=50, k_values=(5,), eps_values=(0.1,), trials=2, seed=5
+        )
 
 
 def test_noise_recovery_rejects_negative_eps_before_trials():

@@ -187,6 +187,8 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
     values, checks = evaluate_bounds_fresh_gsvd(a, b, f)
     assert [float(v).hex() for v in rep[:-1]] == values
     assert rep.checks == checks
+    # a caller that holds ||A|| passes it in and gets the same report
+    assert evaluate_bounds(a, b, f, norm_a=matkit.spectral_norm(a)) == rep
 
 
 def test_carried_u_k_owns_its_data():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -176,6 +177,21 @@ def test_spectral_norm_of_zeros_is_zero():
         assert matkit.spectral_norm(np.zeros(shape)) == 0.0
 
 
+@pytest.mark.parametrize("signs", ["mixed", "positive", "negative"])
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9), (1, 4)])
+def test_spectral_norm_bits_match_abs_scale_reference(shape, signs):
+    # scale = max(max a, -min a) must equal max|a| bit for bit, whichever
+    # sign the largest magnitude has
+    x = np.random.default_rng(shape[0]).standard_normal(shape)
+    if signs != "mixed":
+        x = (1.0 if signs == "positive" else -1.0) * np.abs(x)
+    scale = float(np.abs(x).max())
+    y = x / scale
+    gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+    want = scale * math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    assert matkit.spectral_norm(x) == want
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectral_norm_rejects_non_finite(bad):
     x = np.ones((6, 4))
@@ -184,6 +200,31 @@ def test_spectral_norm_rejects_non_finite(bad):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
             matkit.spectral_norm(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf), (np.nan, -np.inf)])
+@pytest.mark.parametrize("pos", [(0, 0), (5, 3), (0, 3), (5, 0)])
+@pytest.mark.parametrize("fill", [1.0, -1.0])
+def test_spectral_norm_rejects_non_finite_anywhere(bad, pos, fill):
+    # the scale reads max(a) and min(a): a non-finite entry at either end of
+    # the storage, among entries of either sign, must still be refused
+    x = np.full((6, 4), fill)
+    if isinstance(bad, tuple):
+        x[pos], x[5 - pos[0], 3 - pos[1]] = bad
+    else:
+        x[pos] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            matkit.spectral_norm(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lambda_max_rejects_non_finite_gram(bad):
+    # eigvalsh alone returns finite values for diag(nan, 1, 1)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        matkit._lambda_max(np.diag([bad, 1.0, 1.0]))
+    assert matkit._lambda_max(np.diag([0.5, 2.0, 1.0])) == 2.0
 
 
 @pytest.mark.parametrize("seed", range(12))
