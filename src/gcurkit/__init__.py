@@ -29,9 +29,7 @@ from .gsvd import GsvdFactors, TruncatedGsvd, gsvd, truncate, truncated_pair
 from .matkit import (
     QrFactors,
     SvdFactors,
-    lstsq,
     max_principal_angle,
-    pinv_apply,
     smallest_singular_value,
     spectral_norm,
     svd,
@@ -82,10 +80,8 @@ __all__ = [
     "interpolative",
     "lowrank_gapped",
     "lowrank_sparse",
-    "lstsq",
     "max_principal_angle",
     "perturb_chol",
-    "pinv_apply",
     "reconstruct_a",
     "reconstruct_b",
     "smallest_singular_value",

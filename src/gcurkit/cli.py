@@ -188,7 +188,7 @@ def cmd_gcur(args):
         _, err_a = curfac.projection_error(a, idx_a, args.id_mode)
         report["rel_error_a"] = err_a / norm_a
         if not args.only_a:
-            _, err_b = curfac.projection_error(b, idx_b, args.id_mode)
+            _, err_b = curfac.projection_error(b, idx_b, args.id_mode, "B")
             report["rel_error_b"] = err_b / norm_b
         _emit(report, args)
         return EXIT_OK

@@ -127,21 +127,39 @@ def cur_error(a, p, m, s):
     return matkit.spectral_norm(a - a[:, p] @ m @ a[s, :])
 
 
-def projection_error(a, indices, mode):
+def _projection(x, factor, mode, what):
+    """Orthogonal projection of X onto a column or row factor, and its error.
+
+    mode="column": C = ``factor`` shares X's rows; returns (C^+ X,
+    ||X - C C^+ X||). mode="row": R = ``factor`` shares X's columns; returns
+    (X R^+, ||X - X R^+ R||). One thin QR, C = Q T (or R^T = Q T), gives
+    C^+ X = T^-1 Q^T X and C C^+ = Q Q^T (X R^+ = X Q T^-T, R^+ R = Q Q^T).
+    The rank rule runs once, on T, and names the factor ``what``.
+    """
+    basis = factor if mode == "column" else factor.T
+    _require_enough_rows(basis.shape[0], basis.shape[1], what)
+    q, t = matkit.thin_qr(basis)
+    _require_full_rank(t, FullRankError, what)
+    if mode == "column":
+        qx = q.T @ x
+        return np.linalg.solve(t, qx), matkit.spectral_norm(x - q @ qx)
+    xq = x @ q
+    return np.linalg.solve(t, xq.T).T, matkit.spectral_norm(x - xq @ q.T)
+
+
+def projection_error(a, indices, mode, name="A"):
     """One-sided projection of A onto actual columns or rows, and its error.
 
     mode="column" takes C = A[:, indices] and returns (C^+ A, ||A - C C^+ A||);
     mode="row" takes R = A[indices, :] and returns (A R^+, ||A - (A R^+) R||).
-    The error is absolute, in the 2-norm; callers pick the normaliser.
+    The error is absolute, in the 2-norm; callers pick the normaliser. Both
+    come from one thin QR of C (or R^T); a factor that fails the rank rule
+    raises FullRankError.
     """
-    a = as_matrix(a, "A")
+    a = as_matrix(a, name)
     if mode == "column":
-        c = a[:, indices]
-        factor = matkit.lstsq(c, a)
-        return factor, matkit.spectral_norm(a - c @ factor)
-    r = a[indices, :]
-    factor = matkit.lstsq(r.T, a.T).T
-    return factor, matkit.spectral_norm(a - factor @ r)
+        return _projection(a, a[:, indices], mode, f"column factor {name}[:, p]")
+    return _projection(a, a[indices, :], mode, f"row factor {name}[s, :]")
 
 
 def interpolative(a, k, mode="column"):
@@ -160,11 +178,7 @@ def interpolative(a, k, mode="column"):
     f = matkit.svd(a)
     _warn_if_degenerate(f.psi, k)
     scale = max(f.psi[0], np.finfo(float).tiny)
-    if mode == "column":
-        idx = deim.deim_select(f.Z[:, :k], k)
-        _require_full_rank(a[:, idx], FullRankError, "column factor A[:, p]")
-    else:
-        idx = deim.deim_select(f.W[:, :k], k)
-        _require_full_rank(a[idx, :], FullRankError, "row factor A[s, :]")
+    basis = f.Z if mode == "column" else f.W
+    idx = deim.deim_select(basis[:, :k], k)
     factor, err = projection_error(a, idx, mode)
     return InterpolativeFactors(idx, factor, float(err / scale))

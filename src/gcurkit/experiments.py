@@ -213,7 +213,9 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
         a_rel = a / norm_a
         for eps in eps_values:
             t0 = time.perf_counter()
-            noisy = a + eps * e_unit
+            # E * eps + A has the bits of A + eps * E, in the order thin_qr wants
+            noisy = np.multiply(e_unit, eps, order="F")
+            noisy += a
             q, r, f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
             s_cur = deim.deim_select(w_k, kmax)
@@ -233,6 +235,8 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
                     "GCUR": score(r[:, p_gc[:k]], mg @ noisy[s_gc[:k], :]),
                 }
                 cell_s[(eps, k)] = time.perf_counter() - t1 + shared_s / len(k_values)
+            # the next eps's factorization should not share the peak with these
+            del q, score, w_k, u_k, noisy
         return out, cell_s
 
     return run

@@ -12,6 +12,14 @@ generalized singular value ratios. Middle matrices are the pseudoinverse
 products that minimize the Frobenius reconstruction error for the chosen
 indices, computed from one thin QR of the column factor and one of the
 transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
+
+A taller than wide (m > n) is reduced once to its n x n triangle,
+A = Q_A R_A, and the GSVD runs on (R_A, B), so U = Q_A U' with U' n x n.
+Every residual that :func:`evaluate_bounds` measures lies in range(A):
+with A[:, p] = Q_A R_A[:, p], A[s, :] = A_s and U_k = Q_A U'_k, each is
+Q_A times an n x n matrix built from R_A, U'_k and A_s, and Q_A preserves
+the 2-norm. So the bounds are scored on n x n matrices, and no m x n
+residual is formed.
 """
 
 from typing import NamedTuple, Optional
@@ -19,8 +27,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import curfac, deim, matkit
-from .errors import DimensionError
+from .errors import ContractViolationError, DimensionError
 from .gsvd import _require_truncation_rank, gsvd, truncate, truncated_pair
+
+# evaluate_bounds accepts A when its column norms match the carried R_a's to
+# this fraction of the largest; Householder QR keeps them to a few ulps.
+_COLUMN_NORM_TOL = 1e-10
 
 
 class GcurFactors(NamedTuple):
@@ -29,11 +41,13 @@ class GcurFactors(NamedTuple):
     ``ratio_gap`` records gamma_k/sigma_k - gamma_{k+1}/sigma_{k+1} at the
     truncation cut, surfacing near-degeneracy of the selection.
 
-    ``U_k``, ``Y`` and ``gamma`` are the parts of the pair's GSVD that
-    :func:`evaluate_bounds` reads, so it need not compute the GSVD again:
-    ``U_k`` is an owned copy of the leading ``s_a.size`` columns of U
-    (m x k), ``Y`` the full n x n factor and ``gamma`` all n values. They
-    take m*k + n*n + n floats; the m x n U and d x n V are not kept.
+    The remaining fields are what :func:`evaluate_bounds` reads, so it need
+    not factor A or compute the GSVD again. ``U_k`` holds the leading
+    ``s_a.size`` columns of U (m x k), ``Y`` the full n x n factor and
+    ``gamma`` all n values. ``R_a`` is the n x n triangle of A = Q_A R_A (a
+    copy of A when m = n), and ``Ur_k`` is U_k in its coordinates (n x k),
+    so U_k = Q_A Ur_k. They take m*k + 2*n*n + n*k + n floats, each array
+    owned; the m x n Q_A and U and the d x n V are not kept.
     """
 
     p: np.ndarray
@@ -46,6 +60,8 @@ class GcurFactors(NamedTuple):
     U_k: np.ndarray
     Y: np.ndarray
     gamma: np.ndarray
+    R_a: np.ndarray
+    Ur_k: np.ndarray
 
 
 class BoundReport(NamedTuple):
@@ -105,11 +121,18 @@ def _gcur(a, b, k, k_rows, k_cols, with_b):
     k_rows = k if k_rows is None else k_rows
     k_cols = k if k_cols is None else k_cols
     kmax = max(k_rows, k_cols)
-    n = a.shape[1]
+    m, n = a.shape
     if not 1 <= kmax < n:
         raise DimensionError(f"rank must satisfy 1 <= k < n = {n}, got {kmax}")
-    f = gsvd(a, b)
-    u_k = np.array(f.U[:, :k_rows], order="F")
+    if m > n:
+        # the reduction gsvd would make itself; only U_k is lifted to m rows
+        q_a, r_a = matkit.thin_qr(a)
+    else:
+        q_a, r_a = None, a.copy(order="F")  # gsvd raises for m < n
+    f = gsvd(r_a, b)
+    ur_k = np.array(f.U[:, :k_rows], order="F")
+    u_k = ur_k.copy(order="F") if q_a is None else np.asfortranarray(q_a @ ur_k)
+    del q_a
     p = deim.deim_select(f.Y[:, :k_cols], k_cols)
     s_a = deim.deim_select(u_k, k_rows)
     m_a = curfac.middle_matrix(a, p, s_a, "A")
@@ -118,7 +141,8 @@ def _gcur(a, b, k, k_rows, k_cols, with_b):
         s_b = deim.deim_select(f.V[:, :k_rows], k_rows)
         m_b = curfac.middle_matrix(b, p, s_b, "B")
     return GcurFactors(
-        p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma
+        p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma,
+        r_a, ur_k,
     )
 
 
@@ -154,18 +178,35 @@ def reconstruct_b(b, factors):
     return b[:, factors.p] @ factors.M_b @ b[factors.s_b, :]
 
 
+def _require_columns_of(a, r_a):
+    """R_a of A = Q_A R_A keeps A's column norms; raise when they differ.
+
+    One O(mn) pass with no m x n temporary. A mismatch means the factors
+    were computed from another matrix of the same shape.
+    """
+    norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
+    norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
+    gap = float(np.max(np.abs(norms_a - norms_r)))
+    if gap > _COLUMN_NORM_TOL * float(np.max(norms_a)):
+        raise ContractViolationError(
+            f"column norms of A and of the carried triangle R_a differ by "
+            f"{gap:.3e}; compute the factors with gcur on this pair"
+        )
+
+
 def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
-    Does not compute the GSVD: it reads U_k, Y and gamma from ``factors``,
-    which must come from :func:`gcur` or :func:`gcur_only_a` on this same
-    pair. Factors whose U_k or Y do not match A's row count or the column
-    count n raise DimensionError; factors of another pair with the same
-    shapes give wrong bounds. Takes the thin QR of Y to get the orthonormal
-    column basis Q_k and the triangular blocks T22 (trailing square block)
-    and T_hat (trailing column block), and checks each inequality to within
-    ``tol_scale * ||A||``. A caller that already holds ||A|| passes it as
-    ``norm_a``; otherwise it is computed here.
+    Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, Y and
+    gamma from ``factors``, which must come from :func:`gcur` or
+    :func:`gcur_only_a` on this same pair. Factors whose arrays do not match
+    A's row count or the column count n raise DimensionError, and factors
+    whose R_a does not have A's column norms (to 1e-10 of the largest)
+    raise ContractViolationError. Takes the thin QR of Y to get the
+    orthonormal column basis Q_k and the triangular blocks T22 (trailing
+    square block) and T_hat (trailing column block), and checks each
+    inequality to within ``tol_scale * ||A||``. A caller that already holds
+    ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A|| is used.
 
     The interpolatory errors are sandwiched as
 
@@ -175,6 +216,15 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
     The eta constants appear only on the upper sides: an oblique projector
     can only grow the orthogonal residual (its complement acts as the
     identity on that range), so the lower sides hold without them.
+
+    All five residual norms are taken on n x n matrices (module docstring).
+    With r = R_a, A_s = A[s_a, :], r[:, p] = Q~ T~ and A_s^T = Q_r T_r:
+
+        ||A - A P||           = ||r - r[:, p] Q_k[p, :]^-T Q_k^T||
+        ||A - S A||           = ||r - Ur_k U_k[s_a, :]^-1 A_s||
+        ||A - C C^+ A||       = ||(I - Q~ Q~^T) r||
+        ||A - A R^+ R||       = ||r (I - Q_r Q_r^T)||
+        ||A - C M_a R||       = ||r - r[:, p] M_a A_s||
     """
     a = matkit.as_matrix(a, "A")
     b = matkit.as_matrix(b, "B")
@@ -188,39 +238,46 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
         raise DimensionError(
             f"A and B must share column counts, got {n} and {b.shape[1]}"
         )
-    u_k, y = factors.U_k, factors.Y
-    if u_k.shape != (m, k) or y.shape != (n, n) or factors.gamma.shape != (n,):
+    u_k, ur_k, r, y = factors.U_k, factors.Ur_k, factors.R_a, factors.Y
+    if (
+        u_k.shape != (m, k)
+        or ur_k.shape != (n, k)
+        or r.shape != (n, n)
+        or y.shape != (n, n)
+        or factors.gamma.shape != (n,)
+    ):
         raise DimensionError(
-            f"carried GSVD factors (U_k {u_k.shape}, Y {y.shape}) do not match "
-            f"A ({m}x{n}) at k={k}; compute the factors with gcur on this pair"
+            f"carried GSVD factors (U_k {u_k.shape}, Y {y.shape}, R_a {r.shape}) "
+            f"do not match A ({m}x{n}) at k={k}; compute the factors with gcur "
+            "on this pair"
         )
     _require_truncation_rank(k, n)
+    _require_columns_of(a, r)
     q, t_full = matkit.thin_qr(y)
     q_k = q[:, :k]
     t22 = t_full[k:, k:]
     t_hat = t_full[:, k:]
 
-    eta_p = deim.eta(q_k, factors.p)
-    eta_s = deim.eta(u_k, factors.s_a)
+    p, s = factors.p, factors.s_a
+    eta_p = deim.eta(q_k, p)
+    eta_s = deim.eta(u_k, s)
     gamma_next = float(factors.gamma[k])
     norm_t22 = matkit.spectral_norm(t22)
     psi_min_t22 = matkit.smallest_singular_value(t22)
     norm_t_hat = matkit.spectral_norm(t_hat)
     psi_min_t_hat = matkit.smallest_singular_value(t_hat)
 
-    interp_col = matkit.spectral_norm(
-        a - deim.interp_project(q_k, factors.p, a, side="right")
-    )
-    interp_row = matkit.spectral_norm(
-        a - deim.interp_project(u_k, factors.s_a, a, side="left")
-    )
-    _, proj_col = curfac.projection_error(a, factors.p, "column")
-    _, proj_row = curfac.projection_error(a, factors.s_a, "row")
-    observed = curfac.cur_error(a, factors.p, factors.M_a, factors.s_a)
+    r_p = r[:, p]
+    a_s = a[s, :]
+    interp_col = matkit.spectral_norm(r - r_p @ np.linalg.solve(q_k[p, :].T, q_k.T))
+    interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
+    _, proj_col = curfac._projection(r, r_p, "column", "column factor A[:, p]")
+    _, proj_row = curfac._projection(r, a_s, "row", "row factor A[s, :]")
+    observed = matkit.spectral_norm(r - r_p @ factors.M_a @ a_s)
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
 
     if norm_a is None:
-        norm_a = matkit.spectral_norm(a)
+        norm_a = matkit.spectral_norm(r)
     tol = tol_scale * norm_a
     checks = {
         "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,

@@ -16,7 +16,6 @@ from .errors import (
     ContractViolationError,
     ConvergenceError,
     DimensionError,
-    SingularMatrixError,
 )
 
 # Singular values at or below RANK_TOL * psi_max count as zero, everywhere.
@@ -104,45 +103,6 @@ def thin_qr(a):
     q *= d
     t *= d[:, None]
     return QrFactors(q, t)
-
-
-def lstsq(a, b):
-    """Minimum-norm least-squares solution X of A @ X ~= B, column-wise.
-
-    Uses an orthogonal (SVD-based) solver; never forms normal equations.
-    """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"lstsq needs equal row counts, got {a.shape[0]} and {b.shape[0]}"
-        )
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return x
-
-
-def pinv_apply(a, b, side="left"):
-    """Apply the pseudoinverse of A to B: ``A^+ @ B`` (left) or ``B @ A^+`` (right).
-
-    A must be full rank to working tolerance; realized as least-squares solves
-    on A or A.T rather than by explicit inversion.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    _require_full_rank(a, SingularMatrixError, "A")
-    if side == "left":
-        if a.shape[0] != b.shape[0]:
-            raise DimensionError(
-                f"left apply needs A.rows == B.rows, got {a.shape[0]} and {b.shape[0]}"
-            )
-        return lstsq(a, b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"right apply needs A.cols == B.cols, got {a.shape[1]} and {b.shape[1]}"
-        )
-    return lstsq(a.T, b.T).T
 
 
 def _check_orthonormal(u, name):

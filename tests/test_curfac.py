@@ -33,9 +33,48 @@ def test_projection_error_triangle_bound(seed):
     c = a[:, f.p]
     r = a[f.s, :]
     err = matkit.spectral_norm(a - reconstruct(a, f))
-    col_resid = matkit.spectral_norm(a - c @ matkit.lstsq(c, a))
-    row_resid = matkit.spectral_norm(a - matkit.lstsq(r.T, a.T).T @ r)
+    col_resid = matkit.spectral_norm(a - c @ np.linalg.lstsq(c, a, rcond=None)[0])
+    row_resid = matkit.spectral_norm(a - np.linalg.lstsq(r.T, a.T, rcond=None)[0].T @ r)
     assert err <= col_resid + row_resid + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_projection_factor_residual_optimality(seed):
+    # C^+ A minimizes ||C X - A|| over X, and A R^+ minimizes ||X R - A||
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((12, 7))
+    idx = rng.permutation(7)[:3]
+    x, err = curfac.projection_error(a, idx, "column")
+    c = a[:, idx]
+    assert matkit.spectral_norm(c @ x - a) == pytest.approx(err, rel=1e-12)
+    for _ in range(100):
+        x_pert = x + 1e-3 * rng.standard_normal(x.shape)
+        assert err <= matkit.spectral_norm(c @ x_pert - a) + 1e-12
+    rows = rng.permutation(12)[:3]
+    y, err = curfac.projection_error(a, rows, "row")
+    r = a[rows, :]
+    for _ in range(100):
+        y_pert = y + 1e-3 * rng.standard_normal(y.shape)
+        assert err <= matkit.spectral_norm(y_pert @ r - a) + 1e-12
+
+
+def test_projection_factors_match_pseudoinverse():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((9, 6))
+    x, _ = curfac.projection_error(a, [4, 0, 2], "column")
+    assert np.allclose(x, np.linalg.pinv(a[:, [4, 0, 2]]) @ a, atol=1e-12)
+    y, _ = curfac.projection_error(a, [1, 7], "row")
+    assert np.allclose(y, a @ np.linalg.pinv(a[[1, 7], :]), atol=1e-12)
+
+
+def test_projection_error_rejects_rank_deficient_factor():
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 3.0]])
+    with pytest.raises(FullRankError, match=re.escape("column factor A[:, p] is rank deficient")):
+        curfac.projection_error(a, [0, 1], "column")
+    with pytest.raises(FullRankError, match=re.escape("row factor B[s, :] is rank deficient")):
+        curfac.projection_error(a.T, [0, 1], "row", "B")
+    with pytest.raises(FullRankError, match="rank deficient"):
+        curfac.projection_error(a[:2], [0, 1, 2], "column")  # more columns than rows
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -5,7 +5,7 @@ import pytest
 
 from gcurkit import curfac, deim, matkit
 from gcurkit.curfac import deim_cur, middle_matrix
-from gcurkit.errors import DimensionError
+from gcurkit.errors import ContractViolationError, DimensionError
 from gcurkit.gcur import (
     evaluate_bounds,
     gcur,
@@ -136,28 +136,42 @@ def test_bound_checks_pass_on_random_pairs(seed):
 
 
 def evaluate_bounds_fresh_gsvd(a, b, factors, tol_scale=1e-9):
-    """Reference: every bound quantity from a GSVD computed again from (A, B)."""
+    """Reference: every bound quantity from a fresh factorization of (A, B).
+
+    Takes A = Q_A R_A and the GSVD of (R_A, B) again, then scores the five
+    residuals on R_A with the same n x n formulas as evaluate_bounds.
+    """
     k = factors.p.size
-    f = gsvd(a, b)
-    u_k = f.U[:, :k]
+    p, s = factors.p, factors.s_a
+    m, n = a.shape
+    if m > n:
+        q_a, r = matkit.thin_qr(a)
+    else:
+        q_a, r = np.eye(m), a
+    f = gsvd(r, b)
+    ur_k = f.U[:, :k]
+    u_k = ur_k if m == n else q_a @ ur_k
     q, t_full = matkit.thin_qr(f.Y)
     q_k, t22, t_hat = q[:, :k], t_full[k:, k:], t_full[:, k:]
-    eta_p = deim.eta(q_k, factors.p)
-    eta_s = deim.eta(u_k, factors.s_a)
+    eta_p = deim.eta(q_k, p)
+    eta_s = deim.eta(u_k, s)
     gamma_next = float(f.gamma[k])
     norm_t22 = matkit.spectral_norm(t22)
     psi_min_t22 = matkit.smallest_singular_value(t22)
     norm_t_hat = matkit.spectral_norm(t_hat)
     psi_min_t_hat = matkit.smallest_singular_value(t_hat)
+    a_s = a[s, :]
     interp_col = matkit.spectral_norm(
-        a - deim.interp_project(q_k, factors.p, a, side="right")
+        r - r[:, p] @ np.linalg.solve(q_k[p, :].T, q_k.T)
     )
-    interp_row = matkit.spectral_norm(a - deim.interp_project(u_k, factors.s_a, a))
-    _, proj_col = curfac.projection_error(a, factors.p, "column")
-    _, proj_row = curfac.projection_error(a, factors.s_a, "row")
-    observed = curfac.cur_error(a, factors.p, factors.M_a, factors.s_a)
+    interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
+    q_c = matkit.thin_qr(r[:, p]).Q
+    proj_col = matkit.spectral_norm(r - q_c @ (q_c.T @ r))
+    q_r = matkit.thin_qr(a_s.T).Q
+    proj_row = matkit.spectral_norm(r - (r @ q_r) @ q_r.T)
+    observed = matkit.spectral_norm(r - r[:, p] @ factors.M_a @ a_s)
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
-    tol = tol_scale * matkit.spectral_norm(a)
+    tol = tol_scale * matkit.spectral_norm(r)
     checks = {
         "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,
         "interp_cols_lower": gamma_next * psi_min_t22 <= interp_col + tol,
@@ -191,12 +205,84 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
     assert evaluate_bounds(a, b, f, norm_a=matkit.spectral_norm(a)) == rep
 
 
+def explicit_residual_norms(a, factors):
+    """The five residual norms from m x n residuals of A itself."""
+    k = factors.p.size
+    q_k = matkit.thin_qr(factors.Y).Q[:, :k]
+    c, r = a[:, factors.p], a[factors.s_a, :]
+    return (
+        matkit.spectral_norm(a - deim.interp_project(q_k, factors.p, a, side="right")),
+        matkit.spectral_norm(a - deim.interp_project(factors.U_k, factors.s_a, a)),
+        matkit.spectral_norm(a - c @ np.linalg.lstsq(c, a, rcond=None)[0]),
+        matkit.spectral_norm(a - np.linalg.lstsq(r.T, a.T, rcond=None)[0].T @ r),
+        curfac.cur_error(a, factors.p, factors.M_a, factors.s_a),
+    )
+
+
+def exact_rank(rng, m, n, rank):
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+@pytest.mark.parametrize("only_a", [False, True])
+@pytest.mark.parametrize(
+    "case,m,n,k",
+    [
+        ("tall", 300, 40, 12),
+        ("tall", 120, 30, 1),
+        ("square", 40, 40, 9),
+        ("square", 25, 25, 1),
+        ("exact-rank", 200, 30, 6),
+    ],
+)
+def test_bound_residuals_match_explicit_formulas(case, m, n, k, only_a):
+    rng = np.random.default_rng(len(case) * 1000 + m + n + k)
+    if case == "exact-rank":
+        a = exact_rank(rng, m, n, k) + 1e-6 * exact_rank(rng, m, n, n - 2)
+    else:
+        a = rng.standard_normal((m, n)) * np.logspace(0, -3, n)
+    b = rng.standard_normal((n + 10, n))
+    f = (gcur_only_a if only_a else gcur)(a, b, k)
+    rep = evaluate_bounds(a, b, f)
+    got = (
+        rep.interp_col_error,
+        rep.interp_row_error,
+        rep.proj_col_error,
+        rep.proj_row_error,
+        rep.observed_error,
+    )
+    want = explicit_residual_norms(a, f)
+    tol = 1e-12 * matkit.spectral_norm(a)
+    assert np.max(np.abs(np.subtract(got, want))) <= tol, (got, want)
+    assert all(rep.checks.values()), rep.checks
+
+
 def test_carried_u_k_owns_its_data():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((50, 12))
     f = gcur(a, rng.standard_normal((20, 12)), 4)
-    assert f.U_k.base is None and f.U_k.flags.owndata
+    for x in (f.U_k, f.Ur_k, f.R_a):
+        assert x.base is None and x.flags.owndata
     assert f.U_k.shape == (50, 4) and f.Y.shape == (12, 12) and f.gamma.shape == (12,)
+    assert f.R_a.shape == (12, 12) and f.Ur_k.shape == (12, 4)
+
+
+@pytest.mark.parametrize("m,k", [(50, 4), (50, 1), (12, 4)])
+def test_carried_u_k_is_lifted_from_the_triangle(m, k):
+    rng = np.random.default_rng(16 + m + k)
+    a = rng.standard_normal((m, 12))
+    b = rng.standard_normal((20, 12))
+    f = gcur(a, b, k)
+    if m > 12:
+        q_a, r_a = matkit.thin_qr(a)
+        assert np.array_equal(f.R_a, r_a)
+        assert np.array_equal(q_a @ f.Ur_k, f.U_k)
+    else:
+        assert np.array_equal(f.R_a, a)
+        assert np.array_equal(f.Ur_k, f.U_k)
+        assert not np.shares_memory(f.Ur_k, f.U_k)
+    # the lifted U_k spans the leading directions of the pair's own GSVD
+    u = gsvd(a, b).U[:, :k]
+    assert np.allclose(f.U_k, u, atol=1e-12)
 
 
 def test_bounds_reject_factors_of_another_shape():
@@ -210,6 +296,20 @@ def test_bounds_reject_factors_of_another_shape():
         evaluate_bounds(rng.standard_normal((30, 9)), rng.standard_normal((20, 9)), f)
     with pytest.raises(DimensionError, match="share column counts"):
         evaluate_bounds(a, rng.standard_normal((20, 9)), f)
+
+
+@pytest.mark.parametrize("m", [30, 8])
+def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((m, 8))
+    b = rng.standard_normal((20, 8))
+    f = gcur(a, b, 3)
+    with pytest.raises(ContractViolationError, match="column norms"):
+        evaluate_bounds(rng.standard_normal((m, 8)), b, f)
+    with pytest.raises(ContractViolationError, match="column norms"):
+        evaluate_bounds(2.0 * a, b, f)
+    # the same A in another storage order is the same matrix
+    assert evaluate_bounds(np.ascontiguousarray(a), b, f) == evaluate_bounds(a, b, f)
 
 
 def test_bounds_exact_rank_case():

@@ -9,7 +9,6 @@ from gcurkit.errors import (
     ContractViolationError,
     ConvergenceError,
     DimensionError,
-    SingularMatrixError,
 )
 
 
@@ -69,62 +68,6 @@ def test_thin_qr_orthonormal_input_gives_sign_matrix():
 def test_thin_qr_rejects_wide():
     with pytest.raises(DimensionError):
         matkit.thin_qr(np.ones((2, 3)))
-
-
-def test_lstsq_identity_and_mean():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(matkit.lstsq(np.eye(2), b), b, atol=1e-14)
-    x = matkit.lstsq(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]))
-    assert np.allclose(x, [[1.0]], atol=1e-14)
-
-
-def test_lstsq_orthonormal_columns():
-    rng = np.random.default_rng(5)
-    a = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-    b = rng.standard_normal((8, 4))
-    assert np.allclose(matkit.lstsq(a, b), a.T @ b, atol=1e-12)
-
-
-def test_lstsq_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matkit.lstsq(np.ones((3, 2)), np.ones((4, 1)))
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_lstsq_residual_optimality(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((12, 5))
-    b = rng.standard_normal((12, 3))
-    x = matkit.lstsq(a, b)
-    base = matkit.spectral_norm(a @ x - b)
-    for _ in range(100):
-        x_pert = x + 1e-3 * rng.standard_normal(x.shape)
-        assert base <= matkit.spectral_norm(a @ x_pert - b) + 1e-12
-
-
-def test_pinv_apply_orthogonal():
-    rng = np.random.default_rng(7)
-    a = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    b = rng.standard_normal((4, 2))
-    assert np.allclose(matkit.pinv_apply(a, b, "left"), a.T @ b, atol=1e-12)
-
-
-def test_pinv_apply_scalar_and_ones():
-    assert np.allclose(matkit.pinv_apply([[2.0]], [[6.0]], "left"), [[3.0]])
-    out = matkit.pinv_apply(np.array([[1.0], [1.0]]), np.eye(2), "left")
-    assert np.allclose(out, [[0.5, 0.5]], atol=1e-14)
-
-
-def test_pinv_apply_right_side():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((5, 3))
-    b = rng.standard_normal((2, 3))
-    assert np.allclose(matkit.pinv_apply(a, b, "right"), b @ np.linalg.pinv(a), atol=1e-10)
-
-
-def test_pinv_apply_rank_deficient_errors():
-    with pytest.raises(SingularMatrixError, match="rank deficient"):
-        matkit.pinv_apply(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2), "left")
 
 
 def test_max_principal_angle_examples():
