@@ -4,7 +4,8 @@ A ~= C @ M @ R where C = A[:, p] and R = A[s, :] are actual columns and rows
 of A. The middle matrix M = C^+ A R^+ minimizes ||A - C M R|| over M for the
 given index choice; it is computed from one thin QR of C and one of R.T,
 as T_c^-1 (Q_c^T A Q_r) T_r^-T with k x k triangular solves, never by
-inverting C.T @ C.
+inverting C.T @ C. A caller that holds the triangle of A = Q T passes T in
+place of A for the column side, so C's QR and the core have n rows, not m.
 """
 
 import warnings
@@ -45,29 +46,34 @@ def _require_enough_rows(rows, vectors, what):
         )
 
 
-def _nested_middle_matrices(a, p, s, sizes, name="A"):
+def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     """Middle matrices for nested index prefixes, from one QR per side.
 
-    Returns C^+ A R^+ for C = A[:, p[:kc]], R = A[s[:kr], :] for every
-    (kc, kr) in ``sizes``. The leading kc columns of Q_c and the leading
-    kc x kc block of T_c are a thin QR of C, so one factorization of
-    A[:, p] and one of A[s, :].T, plus one core Q_c^T A Q_r, serve every
-    prefix: M = T_c^-1 (Q_c^T A Q_r) T_r^-T on the leading blocks. The rank
-    rule runs on each leading block. A must be a float64 matrix and p, s
-    valid index vectors.
+    Returns C^+ A R^+ for C = A[:, p[:kc]], R = A_s[:kr, :] for every
+    (kc, kr) in ``sizes``, where A_s = A[s, :] holds the longest row
+    selection. The column factor comes from ``x``: A itself, or a triangle
+    with A = Q x for some orthonormal-column Q (the T of a thin QR of A).
+    Then C = Q x[:, p] and Q^T Q = I give C^+ = x[:, p]^+ Q^T, so
+    C^+ A R^+ = x[:, p]^+ x A_s^+, and a tall A needs no m-row work here.
+    The leading kc columns of Q_c and the leading kc x kc block of T_c are
+    a thin QR of x[:, p[:kc]], so one factorization of x[:, p] and one of
+    A_s^T, plus one core Q_c^T x Q_r, serve every prefix:
+    M = T_c^-1 (Q_c^T x Q_r) T_r^-T on the leading blocks. The rank rule
+    runs on each leading block. x and A_s must be float64 matrices and p a
+    valid index vector.
     """
     col, row = f"column factor {name}[:, p]", f"row factor {name}[s, :]"
-    _require_enough_rows(a.shape[0], p.size, col)
-    _require_enough_rows(a.shape[1], s.size, row)
-    q_c, t_c = matkit.thin_qr(a[:, p])
-    q_r, t_r = matkit.thin_qr(a[s, :].T)
-    core = (q_c.T @ a) @ q_r
+    _require_enough_rows(x.shape[0], p.size, col)
+    _require_enough_rows(a_s.shape[1], a_s.shape[0], row)
+    q_c, t_c = matkit.thin_qr(x[:, p])
+    q_r, t_r = matkit.thin_qr(a_s.T)
+    core = (q_c.T @ x) @ q_r
     out = []
     for kc, kr in sizes:
         tc, tr = t_c[:kc, :kc], t_r[:kr, :kr]
         _require_full_rank(tc, FullRankError, col)
         _require_full_rank(tr, FullRankError, row)
-        m = np.linalg.solve(tc, core[:kc, :kr])  # T_c^-1 Q_c^T A Q_r
+        m = np.linalg.solve(tc, core[:kc, :kr])  # T_c^-1 Q_c^T x Q_r
         out.append(np.linalg.solve(tr, m.T).T)
     return out
 
@@ -80,7 +86,7 @@ def middle_matrix(a, p, s, name="A"):
     a = as_matrix(a, name)
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
-    return _nested_middle_matrices(a, p, s, [(p.size, s.size)], name)[0]
+    return _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)], name)[0]
 
 
 def _warn_if_degenerate(psi, k):

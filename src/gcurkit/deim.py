@@ -87,8 +87,8 @@ def _selected_block(basis, indices):
             f"need a square selected block: {s.size} indices for {u.shape[1]} columns"
         )
     sub = u[s, :]
-    _require_full_rank(sub, SingularMatrixError, "selected basis submatrix")
-    return u, s, sub
+    psi = _require_full_rank(sub, SingularMatrixError, "selected basis submatrix")
+    return u, s, sub, psi
 
 
 def interp_project(basis, indices, x, side="left"):
@@ -101,7 +101,7 @@ def interp_project(basis, indices, x, side="left"):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    u, s, sub = _selected_block(basis, indices)
+    u, s, sub, _ = _selected_block(basis, indices)
     x = as_matrix(x, "X")
     if side == "left":
         if x.shape[0] != u.shape[0]:
@@ -119,7 +119,8 @@ def interp_project(basis, indices, x, side="left"):
 def eta(basis, indices):
     """Error constant of the interpolatory projector: ||basis[s, :]^-1||.
 
-    For an orthonormal basis this equals the projector's norm.
+    For an orthonormal basis this equals the projector's norm. It reads
+    psi_min from the singular values the rank rule already computed.
     """
-    _, _, sub = _selected_block(basis, indices)
-    return float(1.0 / np.linalg.svd(sub, compute_uv=False)[-1])
+    psi = _selected_block(basis, indices)[3]
+    return float(1.0 / psi[-1])

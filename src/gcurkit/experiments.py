@@ -5,8 +5,8 @@ Every experiment takes a master seed and derives one child seed per trial
 via ``numpy.random.SeedSequence.spawn``, so each trial's random stream
 depends only on the master seed and the trial id, and results are
 bit-identical for a fixed seed. Trials run one after another in trial-id
-order in the calling thread; the dense kernels already use every core
-through BLAS. A failed trial is recorded under ``trial_failures`` and left
+order in the calling thread; the dense kernels run on the threads the BLAS
+library is given. A failed trial is recorded under ``trial_failures`` and left
 out of the statistics; a grid cell that no trial reaches raises.
 
 Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
@@ -191,7 +191,8 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
     The noise is drawn once per trial at unit level and scaled by each eps.
     Each noisy matrix is factored once (:func:`_factor_once`), and the
     middle matrices of every k come from one QR per side of the kmax
-    selection, since DEIM prefixes nest.
+    selection, since DEIM prefixes nest. Their column factor and core come
+    from the triangle R of noisy = Q R, so they have n rows instead of m.
     """
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
@@ -202,7 +203,7 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
         norm_a = matkit.spectral_norm(a)
         t0 = time.perf_counter()
         _, e_unit, rchol = synth.colored_noise(
-            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho)
+            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a=norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
         noise_s = (time.perf_counter() - t0) / max(1, len(eps_values))
@@ -221,8 +222,8 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
             s_cur = deim.deim_select(w_k, kmax)
             p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
             s_gc = deim.deim_select(u_k, kmax)
-            m_cur = curfac._nested_middle_matrices(noisy, p_cur, s_cur, sizes)
-            m_gc = curfac._nested_middle_matrices(noisy, p_gc, s_gc, sizes)
+            m_cur = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], sizes)
+            m_gc = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], sizes)
             score = _relative_error_in_basis(a_rel, q, norm_a)
             shared_s = time.perf_counter() - t0 + noise_s
             out[eps] = {}

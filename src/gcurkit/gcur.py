@@ -15,11 +15,15 @@ transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
 
 A taller than wide (m > n) is reduced once to its n x n triangle,
 A = Q_A R_A, and the GSVD runs on (R_A, B), so U = Q_A U' with U' n x n.
-Every residual that :func:`evaluate_bounds` measures lies in range(A):
-with A[:, p] = Q_A R_A[:, p], A[s, :] = A_s and U_k = Q_A U'_k, each is
-Q_A times an n x n matrix built from R_A, U'_k and A_s, and Q_A preserves
-the 2-norm. So the bounds are scored on n x n matrices, and no m x n
-residual is formed.
+Only two steps need A's m rows: the lifted U_k = Q_A U'_k, applied from
+the Householder reflectors without forming Q_A, and the row selection s_A
+that DEIM reads from it. M_A takes its column factor from R_A (since
+A[:, p] = Q_A R_A[:, p], C^+ A R^+ = R_A[:, p]^+ R_A A_s^+ with
+A_s = A[s_A, :]), so its QR and core have n rows. Every residual that
+:func:`evaluate_bounds` measures lies in range(A) too: each is Q_A times
+an n x n matrix built from R_A, U'_k and A_s, and Q_A preserves the
+2-norm. So the bounds are scored on n x n matrices, and no m x n residual
+is formed.
 """
 
 from typing import NamedTuple, Optional
@@ -46,8 +50,9 @@ class GcurFactors(NamedTuple):
     ``s_a.size`` columns of U (m x k), ``Y`` the full n x n factor and
     ``gamma`` all n values. ``R_a`` is the n x n triangle of A = Q_A R_A (a
     copy of A when m = n), and ``Ur_k`` is U_k in its coordinates (n x k),
-    so U_k = Q_A Ur_k. They take m*k + 2*n*n + n*k + n floats, each array
-    owned; the m x n Q_A and U and the d x n V are not kept.
+    so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :] (k x n), the rows M_a was built
+    from. They take m*k + 2*n*n + 2*n*k + n floats, each array owned; Q_A
+    is never formed, and the m x n U and the d x n V are not kept.
     """
 
     p: np.ndarray
@@ -62,6 +67,7 @@ class GcurFactors(NamedTuple):
     gamma: np.ndarray
     R_a: np.ndarray
     Ur_k: np.ndarray
+    A_s: np.ndarray
 
 
 class BoundReport(NamedTuple):
@@ -126,23 +132,24 @@ def _gcur(a, b, k, k_rows, k_cols, with_b):
         raise DimensionError(f"rank must satisfy 1 <= k < n = {n}, got {kmax}")
     if m > n:
         # the reduction gsvd would make itself; only U_k is lifted to m rows
-        q_a, r_a = matkit.thin_qr(a)
+        r_a, lift = matkit._triangle_and_lift(a)
     else:
-        q_a, r_a = None, a.copy(order="F")  # gsvd raises for m < n
+        r_a, lift = a.copy(order="F"), None  # gsvd raises for m < n
     f = gsvd(r_a, b)
     ur_k = np.array(f.U[:, :k_rows], order="F")
-    u_k = ur_k.copy(order="F") if q_a is None else np.asfortranarray(q_a @ ur_k)
-    del q_a
+    u_k = ur_k.copy(order="F") if lift is None else lift(ur_k)
+    del lift  # holds the m x n reflectors
     p = deim.deim_select(f.Y[:, :k_cols], k_cols)
     s_a = deim.deim_select(u_k, k_rows)
-    m_a = curfac.middle_matrix(a, p, s_a, "A")
+    a_s = a[s_a, :]
+    m_a = curfac._nested_middle_matrices(r_a, p, a_s, [(k_cols, k_rows)], "A")[0]
     s_b = m_b = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k_rows], k_rows)
         m_b = curfac.middle_matrix(b, p, s_b, "B")
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma,
-        r_a, ur_k,
+        r_a, ur_k, a_s,
     )
 
 
@@ -181,8 +188,8 @@ def reconstruct_b(b, factors):
 def _require_columns_of(a, r_a):
     """R_a of A = Q_A R_A keeps A's column norms; raise when they differ.
 
-    One O(mn) pass with no m x n temporary. A mismatch means the factors
-    were computed from another matrix of the same shape.
+    One O(mn) pass in A's own layout, with no m x n temporary. A mismatch
+    means the factors were computed from another matrix of the same shape.
     """
     norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
     norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
@@ -194,19 +201,34 @@ def _require_columns_of(a, r_a):
         )
 
 
+def _require_rows_of(a, s, a_s):
+    """The carried A_s must be A[s, :] bit for bit; raise otherwise.
+
+    Catches an A whose rows were permuted: it keeps the column norms and
+    the triangle R_a, yet the bounds would read the wrong rows.
+    """
+    if not np.array_equal(a[s, :].view(np.uint64), a_s.view(np.uint64)):
+        raise ContractViolationError(
+            "rows A[s_a, :] differ from the carried A_s; compute the factors "
+            "with gcur on this pair"
+        )
+
+
 def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
-    Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, Y and
-    gamma from ``factors``, which must come from :func:`gcur` or
-    :func:`gcur_only_a` on this same pair. Factors whose arrays do not match
-    A's row count or the column count n raise DimensionError, and factors
-    whose R_a does not have A's column norms (to 1e-10 of the largest)
-    raise ContractViolationError. Takes the thin QR of Y to get the
-    orthonormal column basis Q_k and the triangular blocks T22 (trailing
-    square block) and T_hat (trailing column block), and checks each
-    inequality to within ``tol_scale * ||A||``. A caller that already holds
-    ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A|| is used.
+    Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s, Y
+    and gamma from ``factors``, which must come from :func:`gcur` or
+    :func:`gcur_only_a` on this same pair. A is read in the caller's
+    layout, never copied. Factors whose arrays do not match A's row count
+    or the column count n raise DimensionError. Factors whose R_a does not
+    have A's column norms (to 1e-10 of the largest), or whose A_s is not
+    A[s_a, :] bit for bit, raise ContractViolationError. Takes the thin QR
+    of Y to get the orthonormal column basis Q_k and the triangular blocks
+    T22 (trailing square block) and T_hat (trailing column block), whose
+    norms and smallest singular values come from one SVD each, and checks
+    each inequality to within ``tol_scale * ||A||``. A caller that already
+    holds ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A|| is used.
 
     The interpolatory errors are sandwiched as
 
@@ -226,8 +248,8 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
         ||A - A R^+ R||       = ||r (I - Q_r Q_r^T)||
         ||A - C M_a R||       = ||r - r[:, p] M_a A_s||
     """
-    a = matkit.as_matrix(a, "A")
-    b = matkit.as_matrix(b, "B")
+    a = matkit._require_matrix(np.asarray(a, dtype=np.float64), "A")
+    b = matkit._require_matrix(np.asarray(b, dtype=np.float64), "B")
     k = int(factors.p.size)
     if factors.s_a.size != k:
         raise DimensionError(
@@ -239,10 +261,12 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
             f"A and B must share column counts, got {n} and {b.shape[1]}"
         )
     u_k, ur_k, r, y = factors.U_k, factors.Ur_k, factors.R_a, factors.Y
+    a_s = factors.A_s
     if (
         u_k.shape != (m, k)
         or ur_k.shape != (n, k)
         or r.shape != (n, n)
+        or a_s.shape != (k, n)
         or y.shape != (n, n)
         or factors.gamma.shape != (n,)
     ):
@@ -253,22 +277,22 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
         )
     _require_truncation_rank(k, n)
     _require_columns_of(a, r)
+    p, s = factors.p, factors.s_a
+    _require_rows_of(a, s, a_s)
     q, t_full = matkit.thin_qr(y)
     q_k = q[:, :k]
     t22 = t_full[k:, k:]
     t_hat = t_full[:, k:]
 
-    p, s = factors.p, factors.s_a
     eta_p = deim.eta(q_k, p)
     eta_s = deim.eta(u_k, s)
     gamma_next = float(factors.gamma[k])
-    norm_t22 = matkit.spectral_norm(t22)
-    psi_min_t22 = matkit.smallest_singular_value(t22)
-    norm_t_hat = matkit.spectral_norm(t_hat)
-    psi_min_t_hat = matkit.smallest_singular_value(t_hat)
+    psi_t22 = np.linalg.svd(t22, compute_uv=False)
+    psi_t_hat = np.linalg.svd(t_hat, compute_uv=False)
+    norm_t22, psi_min_t22 = float(psi_t22[0]), float(psi_t22[-1])
+    norm_t_hat, psi_min_t_hat = float(psi_t_hat[0]), float(psi_t_hat[-1])
 
     r_p = r[:, p]
-    a_s = a[s, :]
     interp_col = matkit.spectral_norm(r - r_p @ np.linalg.solve(q_k[p, :].T, q_k.T))
     interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
     _, proj_col = curfac._projection(r, r_p, "column", "column factor A[:, p]")

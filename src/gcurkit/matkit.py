@@ -5,6 +5,10 @@ the canonical storage layout, matching the column-major data section of the
 Matrix Market array format so that file round-trips are bit-stable. Helpers
 accept any layout and convert on entry; all operations here are pure
 functions of their inputs.
+
+``thin_qr`` forms the whole Q of a thin QR. A caller that needs only the
+triangle and Q applied to a few columns uses ``_triangle_and_lift``, which
+keeps the Householder reflectors in compact WY form instead of forming Q.
 """
 
 import math
@@ -32,23 +36,31 @@ def _negligible(x, psi_max):
 
 
 def _require_full_rank(a, error, what):
-    """Raise ``error`` when A is numerically rank deficient (psi_min negligible)."""
+    """Raise ``error`` when A is numerically rank deficient (psi_min negligible).
+
+    Returns A's singular values, nonincreasing, for callers that need them.
+    """
     psi = np.linalg.svd(a, compute_uv=False)
     if _negligible(psi[-1], psi[0]):
         raise error(
             f"{what} is rank deficient "
             f"(psi_min = {psi[-1]:.3e} <= {RANK_TOL:g} * psi_max)"
         )
+    return psi
+
+
+def _require_matrix(a, name):
+    """Reject anything but a nonempty 2-D array; returns ``a`` unchanged."""
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        raise DimensionError(f"{name} must be nonempty, got shape {a.shape}")
+    return a
 
 
 def as_matrix(a, name="matrix"):
     """Validate ``a`` as a nonempty 2-D real matrix and return it as float64."""
-    out = np.asfortranarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={out.ndim}")
-    if out.shape[0] == 0 or out.shape[1] == 0:
-        raise DimensionError(f"{name} must be nonempty, got shape {out.shape}")
-    return out
+    return _require_matrix(np.asfortranarray(a, dtype=np.float64), name)
 
 
 def require_finite(a, name="matrix"):
@@ -98,11 +110,61 @@ def thin_qr(a):
     if m < n:
         raise DimensionError(f"thin QR needs rows >= cols, got {m}x{n}")
     q, t = np.linalg.qr(a)
-    d = np.sign(np.diag(t))
-    d[d == 0] = 1.0
+    d = _diag_signs(t)
     q *= d
     t *= d[:, None]
     return QrFactors(q, t)
+
+
+def _diag_signs(t):
+    """Signs that make diag(T) nonnegative; a zero diagonal entry keeps +1."""
+    d = np.sign(np.diag(t))
+    d[d == 0] = 1.0
+    return d
+
+
+def _triangle_and_lift(a):
+    """The triangle T of A = Q T and a map X -> Q @ X that never forms Q.
+
+    For a float64 A (m x n, m >= n), returns (T, lift). T has the bits of
+    ``thin_qr(a).T``: both come from the same Householder QR (LAPACK
+    xGEQRF) and the same sign fix T = D T0, so Q = Q0 D. ``lift(x)`` maps
+    an n x k X to Q @ X (m x k, Fortran order), equal to ``thin_qr(a).Q @ x``
+    to rounding. It applies the reflectors H_i = I - tau_i v_i v_i^T in
+    compact WY form (Schreiber & Van Loan 1989), H_1 ... H_n = I - V S V^T
+    with S^-1 = striu(V^T V) + diag(1/tau) (the UT transform, Joffrain et
+    al. 2006), so
+
+        Q @ X = [D X; 0] - V S (V_1^T D X),   V_1 = V[:n, :].
+
+    That is one m x n Gram and two thin products, against forming all of
+    Q (xORGQR, about 4mn^2 flops) and multiplying by it. A reflector with
+    tau = 0 is the identity and is left out. ``thin_qr`` stays the routine
+    for callers that need all of Q.
+    """
+    n = a.shape[1]
+    h, tau = np.linalg.qr(a, mode="raw")
+    v = h.T  # m x n: T0 on and above the diagonal, the reflectors below it
+    t = np.triu(v[:n])
+    d = _diag_signs(t)
+    t *= d[:, None]
+    v[:n][np.triu_indices(n, 1)] = 0.0
+    np.fill_diagonal(v, 1.0)
+    keep = tau != 0.0
+    if not keep.all():
+        v, tau = v[:, keep], tau[keep]
+
+    def lift(x):
+        dx = d[:, None] * x
+        s_inv = np.triu(v.T @ v, 1)
+        s_inv[np.diag_indices_from(s_inv)] = 1.0 / tau
+        w = np.linalg.solve(s_inv, v[:n].T @ dx)
+        out = np.matmul(v, w, order="F")
+        np.negative(out, out=out)
+        out[:n] += dx
+        return out
+
+    return t, lift
 
 
 def _check_orthonormal(u, name):

@@ -117,16 +117,24 @@ def lowrank_gapped(m, n, seed):
     Built from 50 outer products of standard normal vectors; the leading ten
     carry weights 1000/j against 1/j for the rest, producing a drop of at
     least 10x between the 10th and 11th singular values (checked after
-    construction).
+    construction). With the vectors as columns of X and Y,
+    A = X diag(coeff) Y^T = Q_X (T_X diag(coeff) T_Y^T) Q_Y^T, so the check
+    reads A's singular values from that 50 x 50 core instead of an m x n
+    SVD.
     """
     if min(m, n) < 50:
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
     rng = np.random.default_rng(seed)
+    coeff = np.array([1000.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
+    x = np.empty((m, 50), order="F")
+    y = np.empty((n, 50), order="F")
     a = np.zeros((m, n))
-    for j in range(1, 51):
-        coeff = 1000.0 / j if j <= 10 else 1.0 / j
-        a += coeff * np.outer(rng.standard_normal(m), rng.standard_normal(n))
-    psi = np.linalg.svd(a, compute_uv=False)
+    for j in range(50):
+        x[:, j] = rng.standard_normal(m)
+        y[:, j] = rng.standard_normal(n)
+        a += coeff[j] * np.outer(x[:, j], y[:, j])
+    t_x, t_y = matkit.thin_qr(x).T, matkit.thin_qr(y).T
+    psi = np.linalg.svd((t_x * coeff) @ t_y.T, compute_uv=False)
     if psi[9] < 10.0 * psi[10]:
         raise ContractViolationError(
             f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
@@ -149,12 +157,13 @@ def toeplitz_chol(n, rho):
     return lower.T.copy()
 
 
-def colored_noise(a, model):
+def colored_noise(a, model, *, norm_a=None):
     """Perturb A with correlated Gaussian noise of relative 2-norm ``epsilon``.
 
     Draws G with standard normal entries, correlates the rows as F = G @ R
     with R the covariance's Cholesky factor, and scales so that
-    ||E|| = epsilon * ||A||. Returns (A + E, E, R).
+    ||E|| = epsilon * ||A||. A caller that already holds ||A|| passes it as
+    ``norm_a``; otherwise it is computed. Returns (A + E, E, R).
     """
     a = as_matrix(a, "A")
     m, n = a.shape
@@ -164,7 +173,9 @@ def colored_noise(a, model):
     if model.epsilon == 0.0:
         e = np.zeros_like(a)
     else:
-        e = (model.epsilon * matkit.spectral_norm(a) / matkit.spectral_norm(f)) * f
+        if norm_a is None:
+            norm_a = matkit.spectral_norm(a)
+        e = (model.epsilon * norm_a / matkit.spectral_norm(f)) * f
     return a + e, e, rchol
 
 

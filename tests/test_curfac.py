@@ -133,7 +133,7 @@ def test_nested_middle_matrices_match_each_prefix():
     a = np.random.default_rng(11).standard_normal((80, 50))
     p, s = _deim_prefixes(a, 12)
     ks = (1, 3, 7, 12)
-    got = curfac._nested_middle_matrices(a, p, s, [(k, k) for k in ks])
+    got = curfac._nested_middle_matrices(a, p, a[s, :], [(k, k) for k in ks])
     for k, m in zip(ks, got):
         want = middle_matrix(a, p[:k], s[:k])
         assert m.shape == (k, k)
@@ -153,13 +153,42 @@ def test_nested_middle_matrices_reject_dependent_prefix(side, what):
         a[:, 17] = a[:, 4]  # p[:3] is dependent
     else:
         a[30, :] = 2.0 * a[8, :]  # s[:3] is dependent
-    curfac._nested_middle_matrices(a, p, s, [(2, 2)])  # shorter prefixes stay valid
+    curfac._nested_middle_matrices(a, p, a[s, :], [(2, 2)])  # shorter prefixes stay valid
     for call in (
         lambda: middle_matrix(a, p[:3], s[:3]),
-        lambda: curfac._nested_middle_matrices(a, p, s, [(2, 2), (3, 3), (5, 5)]),
+        lambda: curfac._nested_middle_matrices(a, p, a[s, :], [(2, 2), (3, 3), (5, 5)]),
     ):
         with pytest.raises(FullRankError, match=rf"^{re.escape(what)} is rank deficient"):
             call()
+
+
+@pytest.mark.parametrize("m,n,k", [(80, 50, 12), (51, 50, 1), (300, 40, 39)])
+def test_nested_middle_matrices_from_the_triangle(m, n, k):
+    # with A = Q R, the column side on R gives A's middle matrices
+    a = np.random.default_rng(m + n + k).standard_normal((m, n))
+    p, s = _deim_prefixes(a, k)
+    r = matkit.thin_qr(a).T
+    ks = sorted({1, max(1, k // 2), k})
+    got = curfac._nested_middle_matrices(r, p, a[s, :], [(j, j) for j in ks])
+    for j, m_j in zip(ks, got):
+        want = middle_matrix(a, p[:j], s[:j])
+        assert np.linalg.norm(m_j - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "side,what", [("column", "column factor A[:, p]"), ("row", "row factor A[s, :]")]
+)
+def test_nested_middle_matrices_from_the_triangle_name_the_factor(side, what):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((60, 30))
+    p, s = np.array([4, 9, 17, 21, 2]), np.array([8, 1, 50, 12, 5])
+    if side == "column":
+        a[:, 17] = a[:, 4]
+    else:
+        a[50, :] = 2.0 * a[8, :]
+    r = matkit.thin_qr(a).T
+    with pytest.raises(FullRankError, match=rf"^{re.escape(what)} is rank deficient"):
+        curfac._nested_middle_matrices(r, p, a[s, :], [(5, 5)])
 
 
 def test_middle_matrix_rejects_more_columns_than_rows():

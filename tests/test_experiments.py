@@ -140,8 +140,8 @@ def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact):
         s_cur = deim.deim_select(w_k, kmax)
         p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
         s_gc = deim.deim_select(u_k, kmax)
-        m_cur = curfac._nested_middle_matrices(noisy, p_cur, s_cur, sizes)
-        m_gc = curfac._nested_middle_matrices(noisy, p_gc, s_gc, sizes)
+        m_cur = curfac._nested_middle_matrices(noisy, p_cur, noisy[s_cur, :], sizes)
+        m_gc = curfac._nested_middle_matrices(noisy, p_gc, noisy[s_gc, :], sizes)
         for k, mc, mg in zip(k_values, m_cur, m_gc):
             recon = {
                 "TSVD": w_k[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T),

@@ -138,28 +138,30 @@ def test_bound_checks_pass_on_random_pairs(seed):
 def evaluate_bounds_fresh_gsvd(a, b, factors, tol_scale=1e-9):
     """Reference: every bound quantity from a fresh factorization of (A, B).
 
-    Takes A = Q_A R_A and the GSVD of (R_A, B) again, then scores the five
-    residuals on R_A with the same n x n formulas as evaluate_bounds.
+    Takes A = Q_A R_A and the GSVD of (R_A, B) again, lifts U_k with the
+    reflectors of A's QR, then scores the five residuals on R_A with the
+    same n x n formulas as evaluate_bounds. Both ends of T22 and of T_hat
+    come from one SVD each.
     """
     k = factors.p.size
     p, s = factors.p, factors.s_a
     m, n = a.shape
     if m > n:
-        q_a, r = matkit.thin_qr(a)
+        r, lift = matkit._triangle_and_lift(matkit.as_matrix(a))
     else:
-        q_a, r = np.eye(m), a
+        r, lift = a, None
     f = gsvd(r, b)
     ur_k = f.U[:, :k]
-    u_k = ur_k if m == n else q_a @ ur_k
+    u_k = ur_k if lift is None else lift(ur_k)
     q, t_full = matkit.thin_qr(f.Y)
     q_k, t22, t_hat = q[:, :k], t_full[k:, k:], t_full[:, k:]
     eta_p = deim.eta(q_k, p)
     eta_s = deim.eta(u_k, s)
     gamma_next = float(f.gamma[k])
-    norm_t22 = matkit.spectral_norm(t22)
-    psi_min_t22 = matkit.smallest_singular_value(t22)
-    norm_t_hat = matkit.spectral_norm(t_hat)
-    psi_min_t_hat = matkit.smallest_singular_value(t_hat)
+    psi_t22 = np.linalg.svd(t22, compute_uv=False)
+    psi_t_hat = np.linalg.svd(t_hat, compute_uv=False)
+    norm_t22, psi_min_t22 = psi_t22[0], psi_t22[-1]
+    norm_t_hat, psi_min_t_hat = psi_t_hat[0], psi_t_hat[-1]
     a_s = a[s, :]
     interp_col = matkit.spectral_norm(
         r - r[:, p] @ np.linalg.solve(q_k[p, :].T, q_k.T)
@@ -260,10 +262,11 @@ def test_carried_u_k_owns_its_data():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((50, 12))
     f = gcur(a, rng.standard_normal((20, 12)), 4)
-    for x in (f.U_k, f.Ur_k, f.R_a):
+    for x in (f.U_k, f.Ur_k, f.R_a, f.A_s):
         assert x.base is None and x.flags.owndata
     assert f.U_k.shape == (50, 4) and f.Y.shape == (12, 12) and f.gamma.shape == (12,)
     assert f.R_a.shape == (12, 12) and f.Ur_k.shape == (12, 4)
+    assert f.A_s.shape == (4, 12)
 
 
 @pytest.mark.parametrize("m,k", [(50, 4), (50, 1), (12, 4)])
@@ -275,7 +278,8 @@ def test_carried_u_k_is_lifted_from_the_triangle(m, k):
     if m > 12:
         q_a, r_a = matkit.thin_qr(a)
         assert np.array_equal(f.R_a, r_a)
-        assert np.array_equal(q_a @ f.Ur_k, f.U_k)
+        # lifted by the reflectors, without forming Q_A
+        assert np.max(np.abs(q_a @ f.Ur_k - f.U_k)) <= 1e-14
     else:
         assert np.array_equal(f.R_a, a)
         assert np.array_equal(f.Ur_k, f.U_k)
@@ -310,6 +314,32 @@ def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
         evaluate_bounds(2.0 * a, b, f)
     # the same A in another storage order is the same matrix
     assert evaluate_bounds(np.ascontiguousarray(a), b, f) == evaluate_bounds(a, b, f)
+
+
+@pytest.mark.parametrize("only_a", [False, True])
+@pytest.mark.parametrize("m", [30, 8])
+def test_bounds_reject_row_permuted_a(m, only_a):
+    # A[perm] keeps A's column norms and triangle; only the rows tell
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((m, 8))
+    b = rng.standard_normal((20, 8))
+    f = (gcur_only_a if only_a else gcur)(a, b, 3)
+    assert np.array_equal(f.A_s, a[f.s_a, :])
+    with pytest.raises(ContractViolationError, match="carried A_s"):
+        evaluate_bounds(a[::-1], b, f)
+    assert all(evaluate_bounds(a, b, f).checks.values())
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_middle_matrix_of_a_from_the_triangle(m):
+    rng = np.random.default_rng(19 + m)
+    a = rng.standard_normal((m, 12))
+    f = gcur(a, rng.standard_normal((20, 12)), 5)
+    want = middle_matrix(a, f.p, f.s_a)
+    if m == 12:  # a square A is its own triangle: the bits of middle_matrix
+        assert f.M_a.tobytes() == want.tobytes()
+    else:
+        assert np.linalg.norm(f.M_a - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_bounds_exact_rank_case():

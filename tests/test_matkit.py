@@ -70,6 +70,42 @@ def test_thin_qr_rejects_wide():
         matkit.thin_qr(np.ones((2, 3)))
 
 
+def _lift_case(case, rng):
+    if case == "zero-below-n":  # A = [T; 0]: every reflector has tau = 0
+        return np.vstack([np.triu(rng.standard_normal((6, 6))), np.zeros((9, 6))])
+    a = rng.standard_normal((15, 6))
+    if case == "zero-below-diagonal":  # column 0 needs no reflector
+        a[1:, 0] = 0.0
+        a[0, 0] = -2.0
+    elif case == "zero-column":  # rank deficient: diag(T) has a zero
+        a[:, 2] = 0.0
+    elif case == "m-is-n-plus-1":
+        a = a[:7]
+    return a
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize(
+    "case",
+    ["random", "zero-below-n", "zero-below-diagonal", "zero-column", "m-is-n-plus-1"],
+)
+def test_triangle_and_lift_match_thin_qr(case, k, order):
+    rng = np.random.default_rng(len(case) + k)
+    a = np.asarray(_lift_case(case, rng), order=order)
+    n = a.shape[1]
+    x = np.linalg.qr(rng.standard_normal((n, k)))[0]  # orthonormal, like U'_k
+    t, lift = matkit._triangle_and_lift(a)
+    q_ref, t_ref = matkit.thin_qr(a)
+    assert np.array_equal(t, t_ref)  # same Householder QR, same bits
+    qx = lift(x)
+    assert qx.shape == (a.shape[0], k) and qx.flags.f_contiguous and qx.flags.owndata
+    assert np.max(np.abs(qx - q_ref @ x)) <= 1e-14
+    q = lift(np.eye(n))
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(q @ t - a)) <= 1e-14 * np.max(np.abs(a))
+
+
 def test_max_principal_angle_examples():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])

@@ -45,6 +45,31 @@ def test_gapped_spectrum_and_determinism():
     assert np.array_equal(a, lowrank_gapped(120, 60, seed=5))
 
 
+def _gapped_rank_one_loop(m, n, seed):
+    """Reference: the rank-one construction, drawing x_j then y_j."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, n))
+    x, y = np.empty((m, 50)), np.empty((n, 50))
+    for j in range(1, 51):
+        coeff = 1000.0 / j if j <= 10 else 1.0 / j
+        x[:, j - 1], y[:, j - 1] = rng.standard_normal(m), rng.standard_normal(n)
+        a += coeff * np.outer(x[:, j - 1], y[:, j - 1])
+    return a, x, y
+
+
+@pytest.mark.parametrize("m,n,seed", [(120, 60, 5), (60, 130, 6), (50, 50, 7)])
+def test_gapped_bits_and_spectrum_from_its_core(m, n, seed):
+    a_ref, x, y = _gapped_rank_one_loop(m, n, seed)
+    assert np.array_equal(lowrank_gapped(m, n, seed), a_ref)
+    # the 50 x 50 core T_X diag(coeff) T_Y^T has A's nonzero singular values
+    coeff = np.array([1000.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
+    core = (matkit.thin_qr(x).T * coeff) @ matkit.thin_qr(y).T.T
+    psi_core = np.linalg.svd(core, compute_uv=False)
+    psi = np.linalg.svd(a_ref, compute_uv=False)[:50]
+    assert np.max(np.abs(psi_core - psi)) <= 1e-13 * psi[0]
+    assert psi_core[9] / psi_core[10] == pytest.approx(psi[9] / psi[10], rel=1e-10)
+
+
 def test_toeplitz_chol_small_cases():
     assert np.allclose(toeplitz_chol(1, 0.5), [[1.0]])
     r = toeplitz_chol(2, 0.8)
@@ -103,6 +128,15 @@ def test_colored_noise_norm_ratio():
         _, e, _ = colored_noise(a, NoiseModel(epsilon=eps, seed=2, rho=0.8))
         ratio = matkit.spectral_norm(e) / matkit.spectral_norm(a)
         assert ratio == pytest.approx(eps, abs=1e-12)
+
+
+def test_colored_noise_takes_norm_a_from_the_caller():
+    a = lowrank_gapped(120, 60, seed=2)
+    model = NoiseModel(epsilon=0.1, seed=4, rho=0.9)
+    want = colored_noise(a, model)
+    got = colored_noise(a, model, norm_a=matkit.spectral_norm(a))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 def test_colored_noise_covariance_structure():
