@@ -256,42 +256,37 @@ def _experiment_plot_series(report_dict):
 
 
 def cmd_experiment(args):
+    """Run a named experiment, passing on only the options the user set:
+    every default lives in ``gcurkit.experiments``."""
     name = args.name
+    rank = _parse_list(args.rank, "--rank", int) if args.rank else None
+    eps = _parse_list(args.eps, "--eps", float) if args.eps else None
+    opts = {"seed": args.seed}
     if name == "intro-angles":
-        eps = _parse_list(args.eps, "--eps", float) if args.eps else [5e-2, 5e-3, 5e-4]
-        trials = args.trials if args.trials is not None else 1000
-        rep = experiments.intro_angles(eps_values=eps, trials=trials, seed=args.seed)
+        run = experiments.intro_angles
+        opts.update(eps_values=eps, trials=args.trials)
     elif name in ("noise-recovery", "noise-recovery-inexact"):
-        kind = args.matrix_kind
+        run = experiments.noise_recovery
+        trials, m = args.trials, None
         if args.paper_scale:
-            m = 100000 if kind == "sparse" else 10000
-            trials = args.trials if args.trials is not None else 100
-        else:
-            m = 2000
-            trials = args.trials if args.trials is not None else 20
-        k_values = _parse_list(args.rank, "--rank", int) if args.rank else [10, 15, 20, 30]
-        eps = _parse_list(args.eps, "--eps", float) if args.eps else [0.05, 0.1, 0.15, 0.2]
-        rep = experiments.noise_recovery(
-            kind=kind,
+            m = 100000 if args.matrix_kind == "sparse" else 10000
+            trials = 100 if trials is None else trials
+        opts.update(
+            kind=args.matrix_kind,
             m=m,
-            n=300,
-            k_values=k_values,
+            k_values=rank,
             eps_values=eps,
             trials=trials,
             rho=args.rho,
-            seed=args.seed,
-            inexact_chol=(name == "noise-recovery-inexact" or args.inexact_chol),
+            inexact_chol=name == "noise-recovery-inexact" or args.inexact_chol,
         )
-        rep.experiment = name
     elif name == "subgroups":
-        n_columns = _parse_list(args.rank, "--rank", int) if args.rank else [2, 5, 10]
-        rep = experiments.subgroups(
-            n_columns=n_columns,
-            seed=args.seed,
-            points_per_group=args.points_per_group,
-        )
+        run = experiments.subgroups
+        opts.update(n_columns=rank, points_per_group=args.points_per_group)
     else:
         raise UsageError(f"unknown experiment {name!r}")
+    rep = run(**{key: value for key, value in opts.items() if value is not None})
+    rep.experiment = name
 
     report = rep.to_dict(include_timing=not args.no_timestamp)
     if args.plot_out:
@@ -359,14 +354,12 @@ def build_parser():
     p.add_argument("--rank", "-k", default=None, help="comma-separated rank list")
     p.add_argument("--eps", default=None, help="comma-separated noise levels")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=0.99, help="Toeplitz covariance parameter")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--rho", type=float, default=None, help="Toeplitz covariance parameter")
     p.add_argument("--inexact-chol", action="store_true")
-    p.add_argument(
-        "--matrix-kind", choices=("gapped", "sparse"), default="gapped"
-    )
+    p.add_argument("--matrix-kind", choices=("gapped", "sparse"), default=None)
     p.add_argument("--paper-scale", action="store_true", help="full-size experiment dims")
-    p.add_argument("--points-per-group", type=int, default=100)
+    p.add_argument("--points-per-group", type=int, default=None)
     p.add_argument("--plot-out", default=None, help="write plot data to this path")
     p.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
     _add_common(p)

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import deim, matkit
-from .errors import DimensionError, FullRankError
-from .matkit import _negligible, _require_full_rank, as_matrix
+from .errors import FullRankError
+from .matkit import _negligible, _require_full_rank, _require_truncation_rank, as_matrix
 
 
 class CurFactors(NamedTuple):
@@ -110,15 +110,13 @@ def deim_cur(a, k, *, k_rows=None, k_cols=None):
     k_rows = k if k_rows is None else k_rows
     k_cols = k if k_cols is None else k_cols
     kmax = max(k_rows, k_cols)
-    if not 1 <= kmax < min(a.shape):
-        raise DimensionError(
-            f"rank must satisfy 1 <= k < min(m, n) = {min(a.shape)}, got {kmax}"
-        )
+    _require_truncation_rank(kmax, min(a.shape))
     f = matkit.svd(a)
     _warn_if_degenerate(f.psi, kmax)
     p = deim.deim_select(f.Z[:, :k_cols], k_cols)
     s = deim.deim_select(f.W[:, :k_rows], k_rows)
-    return CurFactors(p, s, middle_matrix(a, p, s))
+    middle = _nested_middle_matrices(a, p, a[s, :], [(k_cols, k_rows)])[0]
+    return CurFactors(p, s, middle)
 
 
 def reconstruct(a, factors):
@@ -177,10 +175,7 @@ def interpolative(a, k, mode="column"):
     if mode not in ("column", "row"):
         raise ValueError(f"mode must be 'column' or 'row', got {mode!r}")
     a = as_matrix(a, "A")
-    if not 1 <= k < min(a.shape):
-        raise DimensionError(
-            f"rank must satisfy 1 <= k < min(m, n) = {min(a.shape)}, got {k}"
-        )
+    _require_truncation_rank(k, min(a.shape))
     f = matkit.svd(a)
     _warn_if_degenerate(f.psi, k)
     scale = max(f.psi[0], np.finfo(float).tiny)

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, curfac, deim, matkit, synth
 from .errors import ContractViolationError, GcurkitError
 from .gcur import gcur_only_a
-from .gsvd import _require_truncation_rank, gsvd
+from .gsvd import gsvd
 
 REPORT_SCHEMA = "gcurkit-report/1"
 
@@ -208,14 +208,13 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
         noise_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         for k in k_values:
-            _require_truncation_rank(k, a.shape[1])
+            matkit._require_truncation_rank(k, a.shape[1])
         out = {}
         cell_s = {}
         a_rel = a / norm_a
         for eps in eps_values:
             t0 = time.perf_counter()
-            # E * eps + A has the bits of A + eps * E, in the order thin_qr wants
-            noisy = np.multiply(e_unit, eps, order="F")
+            noisy = e_unit * eps  # A + eps * E, bit for bit, with one m x n temporary
             noisy += a
             q, r, f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)

@@ -32,11 +32,14 @@ import numpy as np
 
 from . import curfac, deim, matkit
 from .errors import ContractViolationError, DimensionError
-from .gsvd import _require_truncation_rank, gsvd, truncate, truncated_pair
+from .gsvd import gsvd, truncate
 
 # evaluate_bounds accepts A when its column norms match the carried R_a's to
 # this fraction of the largest; Householder QR keeps them to a few ulps.
 _COLUMN_NORM_TOL = 1e-10
+
+# evaluate_bounds checks each inequality to within this fraction of ||A||.
+_BOUND_TOL = 1e-9
 
 
 class GcurFactors(NamedTuple):
@@ -128,25 +131,25 @@ def _gcur(a, b, k, k_rows, k_cols, with_b):
     k_cols = k if k_cols is None else k_cols
     kmax = max(k_rows, k_cols)
     m, n = a.shape
-    if not 1 <= kmax < n:
-        raise DimensionError(f"rank must satisfy 1 <= k < n = {n}, got {kmax}")
+    matkit._require_truncation_rank(kmax, n)
     if m > n:
         # the reduction gsvd would make itself; only U_k is lifted to m rows
         r_a, lift = matkit._triangle_and_lift(a)
     else:
-        r_a, lift = a.copy(order="F"), None  # gsvd raises for m < n
+        r_a, lift = a.copy(), None  # gsvd raises for m < n
     f = gsvd(r_a, b)
-    ur_k = np.array(f.U[:, :k_rows], order="F")
-    u_k = ur_k.copy(order="F") if lift is None else lift(ur_k)
+    ur_k = f.U[:, :k_rows].copy()
+    u_k = ur_k.copy() if lift is None else lift(ur_k)
     del lift  # holds the m x n reflectors
     p = deim.deim_select(f.Y[:, :k_cols], k_cols)
     s_a = deim.deim_select(u_k, k_rows)
     a_s = a[s_a, :]
-    m_a = curfac._nested_middle_matrices(r_a, p, a_s, [(k_cols, k_rows)], "A")[0]
+    sizes = [(k_cols, k_rows)]
+    m_a = curfac._nested_middle_matrices(r_a, p, a_s, sizes, "A")[0]
     s_b = m_b = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k_rows], k_rows)
-        m_b = curfac.middle_matrix(b, p, s_b, "B")
+        m_b = curfac._nested_middle_matrices(b, p, b[s_b, :], sizes, "B")[0]
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma,
         r_a, ur_k, a_s,
@@ -214,21 +217,21 @@ def _require_rows_of(a, s, a_s):
         )
 
 
-def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
+def evaluate_bounds(a, b, factors, *, norm_a=None):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
     Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s, Y
     and gamma from ``factors``, which must come from :func:`gcur` or
-    :func:`gcur_only_a` on this same pair. A is read in the caller's
-    layout, never copied. Factors whose arrays do not match A's row count
-    or the column count n raise DimensionError. Factors whose R_a does not
-    have A's column norms (to 1e-10 of the largest), or whose A_s is not
-    A[s_a, :] bit for bit, raise ContractViolationError. Takes the thin QR
-    of Y to get the orthonormal column basis Q_k and the triangular blocks
-    T22 (trailing square block) and T_hat (trailing column block), whose
-    norms and smallest singular values come from one SVD each, and checks
-    each inequality to within ``tol_scale * ||A||``. A caller that already
-    holds ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A|| is used.
+    :func:`gcur_only_a` on this same pair. Factors whose arrays do not
+    match A's row count or the column count n raise DimensionError. Factors
+    whose R_a does not have A's column norms (to 1e-10 of the largest), or
+    whose A_s is not A[s_a, :] bit for bit, raise ContractViolationError.
+    Takes the thin QR of Y to get the orthonormal column basis Q_k and the
+    triangular blocks T22 (trailing square block) and T_hat (trailing column
+    block), whose norms and smallest singular values come from one SVD
+    each, and checks each inequality to within 1e-9 * ||A||. A caller that
+    already holds ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A||
+    is used.
 
     The interpolatory errors are sandwiched as
 
@@ -248,8 +251,8 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
         ||A - A R^+ R||       = ||r (I - Q_r Q_r^T)||
         ||A - C M_a R||       = ||r - r[:, p] M_a A_s||
     """
-    a = matkit._require_matrix(np.asarray(a, dtype=np.float64), "A")
-    b = matkit._require_matrix(np.asarray(b, dtype=np.float64), "B")
+    a = matkit.as_matrix(a, "A")
+    b = matkit.as_matrix(b, "B")
     k = int(factors.p.size)
     if factors.s_a.size != k:
         raise DimensionError(
@@ -275,7 +278,7 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
             f"do not match A ({m}x{n}) at k={k}; compute the factors with gcur "
             "on this pair"
         )
-    _require_truncation_rank(k, n)
+    matkit._require_truncation_rank(k, n)
     _require_columns_of(a, r)
     p, s = factors.p, factors.s_a
     _require_rows_of(a, s, a_s)
@@ -302,7 +305,7 @@ def evaluate_bounds(a, b, factors, tol_scale=1e-9, *, norm_a=None):
 
     if norm_a is None:
         norm_a = matkit.spectral_norm(r)
-    tol = tol_scale * norm_a
+    tol = _BOUND_TOL * norm_a
     checks = {
         "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,
         "interp_cols_lower": gamma_next * psi_min_t22 <= interp_col + tol,
@@ -336,12 +339,12 @@ def truncation_sandwich(a, factors, k, norm_a):
     ``norm_a`` is ||A||; the checks hold to within ``1e-9 * max(1, ||A||)``.
     """
     a = matkit.as_matrix(a, "A")
-    y_tail = truncate(factors, k).Y_tail
-    a_k, _ = truncated_pair(factors, k)
+    t = truncate(factors, k)
+    a_k = t.U_k @ (t.gamma_k[:, None] * t.Y_k.T)
     gamma_next = float(factors.gamma[k])
     observed = matkit.spectral_norm(a - a_k)
-    lower = gamma_next * matkit.smallest_singular_value(y_tail)
-    upper = gamma_next * matkit.spectral_norm(y_tail)
+    lower = gamma_next * matkit.smallest_singular_value(t.Y_tail)
+    upper = gamma_next * matkit.spectral_norm(t.Y_tail)
     tol = 1e-9 * max(1.0, norm_a)
     holds = bool(lower <= observed + tol and observed <= upper + tol)
     return TruncationSandwich(gamma_next, lower, observed, upper, holds)

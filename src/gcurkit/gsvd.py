@@ -22,11 +22,7 @@ import numpy as np
 
 from . import matkit
 from .errors import DimensionError, FullRankError
-from .matkit import _require_full_rank, as_matrix
-
-# Below this, a sigma value is treated as exactly zero and the matching
-# V column is filled by orthonormal completion instead of normalization.
-_SIGMA_TOL = 1e-12
+from .matkit import _negligible, _require_full_rank, _require_truncation_rank, as_matrix
 
 
 class GsvdFactors(NamedTuple):
@@ -42,7 +38,7 @@ class GsvdFactors(NamedTuple):
     def ratios(self):
         """gamma_i / sigma_i with +inf where sigma_i is numerically zero."""
         out = np.full_like(self.gamma, np.inf)
-        ok = self.sigma > _SIGMA_TOL
+        ok = ~_negligible(self.sigma, 1.0)
         out[ok] = self.gamma[ok] / self.sigma[ok]
         return out
 
@@ -111,11 +107,12 @@ def gsvd(a, b):
     gamma = np.clip(gamma, 0.0, 1.0)
 
     # Columns of q2 @ w are sigma_i * v_i; for sigma_i ~ 0 the direction is
-    # meaningless and V is completed orthonormally instead.
+    # meaningless and V is completed orthonormally instead. The rank rule
+    # reads sigma against 1, the scale that gamma^2 + sigma^2 = 1 gives it.
     vs = q2 @ w
     sigma = np.linalg.norm(vs, axis=0)
     v = np.empty((d, n))
-    good = sigma > _SIGMA_TOL
+    good = ~_negligible(sigma, 1.0)
     v[:, good] = vs[:, good] / sigma[good]
     if not good.all():
         fill = _orthonormal_completion(v[:, good], d, int((~good).sum()))
@@ -132,12 +129,6 @@ def residuals(a, b, factors):
     res_a = matkit.spectral_norm(a - factors.U @ (factors.gamma[:, None] * factors.Y.T))
     res_b = matkit.spectral_norm(b - factors.V @ (factors.sigma[:, None] * factors.Y.T))
     return res_a, res_b
-
-
-def _require_truncation_rank(k, n):
-    """A rank-k truncation of n GSVD directions needs a nonempty tail."""
-    if not 1 <= k < n:
-        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
 
 
 def truncate(factors, k):

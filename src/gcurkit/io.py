@@ -14,9 +14,8 @@ loop would. An undecodable byte, or a coordinate size line too large to
 allocate, is a ``ParseError``.
 
 The array writer emits values at 17 significant digits, which round-trips
-IEEE doubles exactly. Its data section is column-major, matching the
-package's canonical storage order, and is formatted a few thousand values per
-``write`` call. Reports serialize to JSON (sorted keys, so byte-identical for
+IEEE doubles exactly. Its data section is column-major, as the format
+prescribes, and is formatted a few thousand values per ``write`` call. Reports serialize to JSON (sorted keys, so byte-identical for
 identical content) or flat CSV; plot data can also be rendered as a minimal
 SVG.
 """

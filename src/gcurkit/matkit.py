@@ -1,10 +1,12 @@
 """Dense-matrix conventions and the factorization primitives everything else uses.
 
-A matrix is a plain 2-D float64 numpy array. Column-major (Fortran) order is
-the canonical storage layout, matching the column-major data section of the
-Matrix Market array format so that file round-trips are bit-stable. Helpers
-accept any layout and convert on entry; all operations here are pure
-functions of their inputs.
+A matrix is a plain 2-D float64 numpy array, and its storage order is the
+caller's: ``as_matrix`` validates without copying a float64 array of either
+order, and every LAPACK routine numpy calls copies its input into its own
+column-major buffer anyway. BLAS products read the layout they are given,
+which can move the last bits of a result. Only Matrix Market files are
+column-major, and ``gcurkit.io`` reads and writes that layout. All
+operations here are pure functions of their inputs.
 
 ``thin_qr`` forms the whole Q of a thin QR. A caller that needs only the
 triangle and Q applied to a few columns uses ``_triangle_and_lift``, which
@@ -49,8 +51,13 @@ def _require_full_rank(a, error, what):
     return psi
 
 
-def _require_matrix(a, name):
-    """Reject anything but a nonempty 2-D array; returns ``a`` unchanged."""
+def as_matrix(a, name="matrix"):
+    """Validate ``a`` as a nonempty 2-D real matrix and return it as float64.
+
+    A float64 array comes back as itself, in its own storage order; anything
+    else is converted once.
+    """
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -58,9 +65,10 @@ def _require_matrix(a, name):
     return a
 
 
-def as_matrix(a, name="matrix"):
-    """Validate ``a`` as a nonempty 2-D real matrix and return it as float64."""
-    return _require_matrix(np.asfortranarray(a, dtype=np.float64), name)
+def _require_truncation_rank(k, n):
+    """A rank-k truncation of n directions needs 1 <= k < n (a nonempty tail)."""
+    if not 1 <= k < n:
+        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
 
 
 def require_finite(a, name="matrix"):
@@ -144,7 +152,10 @@ def _triangle_and_lift(a):
     """
     n = a.shape[1]
     h, tau = np.linalg.qr(a, mode="raw")
-    v = h.T  # m x n: T0 on and above the diagonal, the reflectors below it
+    # m x n: T0 on and above the diagonal, the reflectors below it. h comes
+    # back in A's storage order, and the lift's BLAS products would differ
+    # in the last bits between orders; one order makes them independent of A's.
+    v = np.asfortranarray(h.T)
     t = np.triu(v[:n])
     d = _diag_signs(t)
     t *= d[:, None]

@@ -41,6 +41,20 @@ def test_svd_rejects_empty():
         matkit.svd(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_as_matrix_returns_a_float64_array_itself(order):
+    a = np.asarray(np.arange(12.0).reshape(3, 4), order=order)
+    assert matkit.as_matrix(a) is a
+    got = matkit.as_matrix(np.asarray(a, dtype=np.int32, order=order))
+    assert got.dtype == np.float64 and np.array_equal(got, a)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 3))])
+def test_as_matrix_rejects_all_but_nonempty_2d(bad):
+    with pytest.raises(DimensionError, match="M must be"):
+        matkit.as_matrix(bad, "M")
+
+
 def test_thin_qr_two_vector():
     f = matkit.thin_qr(np.array([[3.0], [4.0]]))
     assert np.allclose(f.Q, [[0.6], [0.8]], atol=1e-14)
