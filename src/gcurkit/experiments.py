@@ -11,17 +11,28 @@ out of the statistics; a grid cell that no trial reaches raises.
 
 Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
 serves both the SVD and the GSVD, which act on the n x n triangle R.
-The same Q scores the reconstructions. Each of the four lies in range(Q),
-X = Q X_c (TSVD and TGSVD through the left vectors of R's factorizations,
-CUR and GCUR through the column factor noisy[:, p] = Q R[:, p]). With
-C = Q^T A and P = (I - Q Q^T) A, the residual A - X = Q (C - X_c) + P has
-Gram (C - X_c)^T (C - X_c) + P^T P, since Q^T P = 0, so
+The same Q scores the reconstructions, in A's numerical row space. Each of
+the four lies in range(Q), X = Q L R' (TSVD and TGSVD through the left
+vectors of R's factorizations, CUR and GCUR through the column factor
+noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. Let V_A hold the r
+leading right singular vectors of A, r counted by the one rank rule
+(``matkit._negligible``), so A = A V_A V_A^T + T with ||T|| = psi_{r+1}.
+Split R' = E V_A^T + F W^T with E = R' V_A and W orthonormal and orthogonal
+to V_A. With G = A V_A, C_V = Q^T G and P_V = G - Q C_V (so Q^T P_V = 0),
 
-    ||A - X||^2 = lambda_max((C - X_c)^T (C - X_c) + P^T P).
+    A V_A V_A^T - X = [Q (C_V - L E) + P_V, -Q L F] [V_A, W]^T,
 
-The identity assumes only X in range(Q), which holds by construction for
-all four. C and P^T P are formed once per noisy matrix, and each
-reconstruction costs n x n work; no m x n residual is built.
+and since [V_A, W] has orthonormal columns,
+
+    ||A V_A V_A^T - X||^2 = lambda_max(M^T M + diag(P_V^T P_V, 0)),
+    M = [C_V - L E, -L F],
+
+an (r + k) x (r + k) eigenproblem. The identity assumes only X in
+range(Q), which holds by construction for all four. Leaving out T moves
+each score by at most ||A - A V_A V_A^T|| / ||A|| = psi_{r+1} / ||A||,
+which the rank rule keeps at or below about 1e-12, plus rounding. Per
+noisy matrix this costs m x n x r work for C_V and P_V, and per score
+(r + k)-sized work; no m x n residual is built.
 """
 
 import math
@@ -166,33 +177,60 @@ def _factor_once(noisy, rchol, kmax):
     return q, r, f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
 
 
-def _relative_error_in_basis(a_rel, q, norm_a):
-    """Score reconstructions X = Q @ left @ right that lie in range(Q).
+def _row_space_scorer(a, norm_a):
+    """Score reconstructions X = Q @ left @ right that lie in range(Q), in
+    A's numerical row space (see the module docstring).
 
-    ``a_rel`` is A / ||A||, so the Grams stay near unit scale and the score
-    is the relative error ||A - X|| / ||A|| directly. Forms C = Q^T A_rel and
-    the n x n Gram of P = A_rel - Q C once; each call then needs one n x n
-    product, one n x n Gram and one symmetric eigenvalue.
+    Once per A: V_A from the SVD of the triangle of A = Q_A T_A (A's right
+    singular vectors are T_A's), and G = A V_A / ||A||, so the Grams stay
+    near unit scale and each score is the relative error ||A - X|| / ||A||.
+    ``in_basis(q)`` forms C_V and the r x r Gram of P_V once per Q; each
+    ``score(left, right)`` then needs one thin QR of an n x k matrix, one
+    (r + k) x (r + k) Gram and its largest eigenvalue. When r + k >= n, W
+    is the complement Z[:, r:] of V_A in the SVD, and F = R' W.
+    |score - ||A - X|| / ||A||| <= ||A - A V_A V_A^T|| / ||A|| plus rounding.
     """
-    c = q.T @ a_rel
-    p = a_rel - q @ c
-    ptp = p.T @ p
+    n = a.shape[1]
+    f = matkit.svd(np.linalg.qr(a, mode="r"))
+    r = int(np.count_nonzero(~matkit._negligible(f.psi, f.psi[0])))
+    v, w_rest = f.Z[:, :r], f.Z[:, r:]
+    g = (a @ v) / norm_a
 
-    def score(left, right):
-        d = c - left @ (right / norm_a)
-        return math.sqrt(matkit._lambda_max(d.T @ d + ptp))
+    def in_basis(q):
+        c = q.T @ g
+        p = g - q @ c
+        ptp = p.T @ p
 
-    return score
+        def score(left, right):
+            right = right / norm_a
+            e = right @ v
+            if r + right.shape[0] < n:
+                f_rest = np.linalg.qr(right.T - v @ e.T, mode="r").T
+            else:
+                f_rest = right @ w_rest
+            mat = np.hstack([c - left @ e, -(left @ f_rest)])
+            gram = mat.T @ mat
+            gram[:r, :r] += ptp
+            return math.sqrt(matkit._lambda_max(gram))
+
+        return score
+
+    return in_basis
 
 
 def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
     """Build the per-trial worker for noise recovery; returns nested errors.
 
-    The noise is drawn once per trial at unit level and scaled by each eps.
-    Each noisy matrix is factored once (:func:`_factor_once`), and the
-    middle matrices of every k come from one QR per side of the kmax
-    selection, since DEIM prefixes nest. Their column factor and core come
-    from the triangle R of noisy = Q R, so they have n rows instead of m.
+    The noise E is drawn once per trial at unit level and scaled by each
+    eps; the trial forms each noisy matrix A + eps E itself. Each noisy
+    matrix is factored once (:func:`_factor_once`), and the middle matrices
+    of every k come from one QR per side of the kmax selection, since DEIM
+    prefixes nest. Their column factor and core come from the triangle R of
+    noisy = Q R, so they have n rows instead of m. The errors are scored in
+    A's row space (:func:`_row_space_scorer`): its m x n work is done once
+    per trial, then m x n x r work per eps, and every score is within
+    ||A - A V_A V_A^T|| / ||A|| (plus rounding) of the relative error of the
+    explicit m x n residual.
     """
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
@@ -202,16 +240,16 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
         a = a_gen(seeds[0])
         norm_a = matkit.spectral_norm(a)
         t0 = time.perf_counter()
-        _, e_unit, rchol = synth.colored_noise(
-            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a=norm_a
+        e_unit, rchol = synth._noise_term(
+            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        noise_s = (time.perf_counter() - t0) / max(1, len(eps_values))
+        in_basis = _row_space_scorer(a, norm_a)
+        trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         for k in k_values:
             matkit._require_truncation_rank(k, a.shape[1])
         out = {}
         cell_s = {}
-        a_rel = a / norm_a
         for eps in eps_values:
             t0 = time.perf_counter()
             noisy = e_unit * eps  # A + eps * E, bit for bit, with one m x n temporary
@@ -223,8 +261,8 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
             s_gc = deim.deim_select(u_k, kmax)
             m_cur = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], sizes)
             m_gc = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], sizes)
-            score = _relative_error_in_basis(a_rel, q, norm_a)
-            shared_s = time.perf_counter() - t0 + noise_s
+            score = in_basis(q)
+            shared_s = time.perf_counter() - t0 + trial_s
             out[eps] = {}
             for k, mc, mg in zip(k_values, m_cur, m_gc):
                 t1 = time.perf_counter()

@@ -166,17 +166,25 @@ def colored_noise(a, model, *, norm_a=None):
     ``norm_a``; otherwise it is computed. Returns (A + E, E, R).
     """
     a = as_matrix(a, "A")
+    e, rchol = _noise_term(a, model, norm_a)
+    return a + e, e, rchol
+
+
+def _noise_term(a, model, norm_a=None):
+    """The (E, R) of :func:`colored_noise` for a validated A, without A + E.
+
+    For a caller that forms its own noisy matrices from E, such as one
+    noise draw scaled by several epsilons.
+    """
     m, n = a.shape
     rchol = model.cholesky_factor(n)
     rng = np.random.default_rng(model.seed)
     f = rng.standard_normal((m, n)) @ rchol
     if model.epsilon == 0.0:
-        e = np.zeros_like(a)
-    else:
-        if norm_a is None:
-            norm_a = matkit.spectral_norm(a)
-        e = (model.epsilon * norm_a / matkit.spectral_norm(f)) * f
-    return a + e, e, rchol
+        return np.zeros_like(a), rchol
+    if norm_a is None:
+        norm_a = matkit.spectral_norm(a)
+    return (model.epsilon * norm_a / matkit.spectral_norm(f)) * f, rchol
 
 
 def perturb_chol(rchol, seed):

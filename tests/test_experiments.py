@@ -163,11 +163,12 @@ def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact):
         ("sparse", 120, 60, False),
         ("sparse", 120, 60, True),
         ("gapped", 60, 60, False),  # square: P is zero up to rounding
+        ("gapped", 400, 120, False),  # r + k < n at every k
     ],
 )
 def test_recovery_errors_match_explicit_residual_norms(kind, m, n, inexact):
-    # the errors scored in the noisy matrix's QR basis equal the 2-norms of
-    # the explicit m x n residuals for every method at every k
+    # the errors scored in A's row space equal the 2-norms of the explicit
+    # m x n residuals for every method at every k
     k_values, eps_values, seed = (5, 10, 20), (0.05, 0.2), 23
     rep = experiments.noise_recovery(
         kind=kind, m=m, n=n, k_values=k_values, eps_values=eps_values,
@@ -183,18 +184,86 @@ def test_recovery_errors_match_explicit_residual_norms(kind, m, n, inexact):
             )
 
 
+def _rank7(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, 7)) @ rng.standard_normal((7, n))
+
+
+def _reconstructions(a, k, seed):
+    """Q of one noisy A and the (left, right) factors of its four rank-k
+    reconstructions Q @ left @ right, built as in a recovery trial."""
+    e, rchol = synth._noise_term(a, synth.NoiseModel(epsilon=0.1, seed=seed))
+    noisy = a + e
+    q, r, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, k)
+    p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(w_k, k)
+    p_gc, s_gc = deim.deim_select(g.Y[:, :k], k), deim.deim_select(u_k, k)
+    (mc,) = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], [(k, k)])
+    (mg,) = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], [(k, k)])
+    return q, {
+        "TSVD": (f.W[:, :k], f.psi[:k, None] * f.Z[:, :k].T),
+        "TGSVD": (g.U[:, :k], g.gamma[:k, None] * g.Y[:, :k].T),
+        "CUR": (r[:, p_cur], mc @ noisy[s_cur, :]),
+        "GCUR": (r[:, p_gc], mg @ noisy[s_gc, :]),
+    }
+
+
+@pytest.mark.parametrize(
+    "gen,m,n,k",
+    [
+        (synth.lowrank_gapped, 400, 120, 10),  # r + k < n: W from a thin QR
+        (synth.lowrank_gapped, 120, 60, 20),  # r + k >= n: W = Z[:, r:]
+        (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, r + k < n
+        (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k >= n
+        (_rank7, 200, 40, 10),
+        (_rank7, 200, 40, 33),
+    ],
+)
+def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
+    # each score is within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the
+    # explicit m x n residual, taken by a direct SVD, plus rounding; the
+    # eigenproblem is (r + k) x (r + k), or n x n once r + k >= n, with r
+    # from the one rank rule
+    a = gen(m, n, 3)
+    psi = np.linalg.svd(a, compute_uv=False)
+    rank = int(np.count_nonzero(~matkit._negligible(psi, psi[0])))
+    if gen is _rank7:
+        assert rank == 7
+    elif gen is synth.lowrank_sparse:
+        assert rank < 50
+    norm_a = matkit.spectral_norm(a)
+    tail = (psi[rank] if rank < n else 0.0) / norm_a
+    sizes = []
+    lambda_max = matkit._lambda_max
+
+    def recording(gram):
+        sizes.append(gram.shape)
+        return lambda_max(gram)
+
+    q, recon = _reconstructions(a, k, 4)
+    monkeypatch.setattr(matkit, "_lambda_max", recording)
+    score = experiments._row_space_scorer(a, norm_a)(q)
+    for method, (left, right) in recon.items():
+        want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
+        got = score(left, right)
+        assert abs(got - want) <= tail + 1e-14, (method, got, want, tail)
+    size = min(rank + k, n)
+    assert sizes == [(size, size)] * 4
+
+
 def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):
-    # a NaN middle matrix must fail the trial with a message, never score
+    # a NaN middle matrix must fail the trial with a message, never score;
+    # at n = 50 the rank-50 A leaves r + k >= n, at n = 60 r + k < n
     nested = curfac._nested_middle_matrices
 
     def poisoned(*args):
         return [np.full_like(m, np.nan) for m in nested(*args)]
 
     monkeypatch.setattr(curfac, "_nested_middle_matrices", poisoned)
-    with pytest.raises(GcurkitError, match="no successful trial.*non-finite"):
-        experiments.noise_recovery(
-            m=60, n=50, k_values=(5,), eps_values=(0.1,), trials=2, seed=5
-        )
+    for n in (50, 60):
+        with pytest.raises(GcurkitError, match="no successful trial.*non-finite"):
+            experiments.noise_recovery(
+                m=60, n=n, k_values=(5,), eps_values=(0.1,), trials=2, seed=5
+            )
 
 
 def test_noise_recovery_rejects_negative_eps_before_trials():
