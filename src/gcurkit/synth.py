@@ -170,11 +170,12 @@ def colored_noise(a, model, *, norm_a=None):
     return a + e, e, rchol
 
 
-def _noise_term(a, model, norm_a=None):
+def _noise_term(a, model, norm_a):
     """The (E, R) of :func:`colored_noise` for a validated A, without A + E.
 
     For a caller that forms its own noisy matrices from E, such as one
-    noise draw scaled by several epsilons.
+    noise draw scaled by several epsilons. ``norm_a`` may be None, as in
+    :func:`colored_noise`.
     """
     m, n = a.shape
     rchol = model.cholesky_factor(n)

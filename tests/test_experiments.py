@@ -192,7 +192,7 @@ def _rank7(m, n, seed):
 def _reconstructions(a, k, seed):
     """Q of one noisy A and the (left, right) factors of its four rank-k
     reconstructions Q @ left @ right, built as in a recovery trial."""
-    e, rchol = synth._noise_term(a, synth.NoiseModel(epsilon=0.1, seed=seed))
+    e, rchol = synth._noise_term(a, synth.NoiseModel(epsilon=0.1, seed=seed), None)
     noisy = a + e
     q, r, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, k)
     p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(w_k, k)
@@ -214,8 +214,8 @@ def _reconstructions(a, k, seed):
         (synth.lowrank_gapped, 120, 60, 20),  # r + k >= n: W = Z[:, r:]
         (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, r + k < n
         (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k >= n
-        (_rank7, 200, 40, 10),
-        (_rank7, 200, 40, 33),
+        (_rank7, 200, 40, 10),  # r = 7, r + k < n
+        (_rank7, 200, 40, 33),  # r = 7, r + k >= n
     ],
 )
 def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
