@@ -23,6 +23,7 @@ from .gcur import (
     gcur_only_a,
     reconstruct_a,
     reconstruct_b,
+    relative_errors,
     svd_subspace_gap,
 )
 from .gsvd import GsvdFactors, TruncatedGsvd, gsvd, truncate, truncated_pair
@@ -84,6 +85,7 @@ __all__ = [
     "perturb_chol",
     "reconstruct_a",
     "reconstruct_b",
+    "relative_errors",
     "smallest_singular_value",
     "spectral_norm",
     "subgroup_data",

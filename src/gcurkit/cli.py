@@ -16,7 +16,9 @@ import numpy as np
 from . import __version__, curfac, experiments, matkit
 from . import io as gio
 from .errors import GcurkitError, ParseError
-from .gcur import evaluate_bounds, gcur, gcur_only_a, truncation_sandwich
+from .gcur import (
+    evaluate_bounds, gcur, gcur_only_a, relative_errors, truncation_sandwich,
+)
 from .gsvd import gsvd, residuals
 
 EXIT_OK = 0
@@ -173,37 +175,23 @@ def cmd_gcur(args):
         args.no_timestamp,
     )
     f = gcur_only_a(a, b, args.rank) if args.only_a else gcur(a, b, args.rank)
-    norm_a = matkit.spectral_norm(a)
-    norm_b = None if args.only_a else matkit.spectral_norm(b)
-
-    if args.id_mode:
-        if args.id_mode == "column":
-            idx_a = idx_b = f.p
-            report["p"] = _one_based(f.p)
-        else:
-            idx_a, idx_b = f.s_a, f.s_b
-            report["s_a"] = _one_based(f.s_a)
-            if not args.only_a:
-                report["s_b"] = _one_based(f.s_b)
-        _, err_a = curfac.projection_error(a, idx_a, args.id_mode)
-        report["rel_error_a"] = err_a / norm_a
-        if not args.only_a:
-            _, err_b = curfac.projection_error(b, idx_b, args.id_mode, "B")
-            report["rel_error_b"] = err_b / norm_b
-        _emit(report, args)
-        return EXIT_OK
-
-    report["p"] = _one_based(f.p)
-    report["s_a"] = _one_based(f.s_a)
-    report["M_a"] = f.M_a
-    report["ratio_gap"] = f.ratio_gap
-    report["rel_error_a"] = curfac.cur_error(a, f.p, f.M_a, f.s_a) / norm_a
+    err_a, err_b = relative_errors(a, b, f, args.id_mode or "cur")
+    if args.id_mode != "row":
+        report["p"] = _one_based(f.p)
+    if args.id_mode != "column":
+        report["s_a"] = _one_based(f.s_a)
+    if not args.id_mode:
+        report["M_a"] = f.M_a
+        report["ratio_gap"] = f.ratio_gap
+    report["rel_error_a"] = err_a
     if not args.only_a:
-        report["s_b"] = _one_based(f.s_b)
-        report["M_b"] = f.M_b
-        report["rel_error_b"] = curfac.cur_error(b, f.p, f.M_b, f.s_b) / norm_b
+        if args.id_mode != "column":
+            report["s_b"] = _one_based(f.s_b)
+        if not args.id_mode:
+            report["M_b"] = f.M_b
+        report["rel_error_b"] = err_b
     if args.bounds:
-        rep = evaluate_bounds(a, b, f, norm_a=norm_a)
+        rep = evaluate_bounds(a, b, f)
         bound_dict = rep._asdict()
         bound_dict["checks"] = dict(rep.checks)
         bound_dict["all_pass"] = all(rep.checks.values())

@@ -409,8 +409,7 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100, include_projec
     cur = curfac.deim_cur(a, kmax)
     gc = gcur_only_a(a, b, kmax)
     f = matkit.svd(a)
-    g = gsvd(a, b)
-    x_right = np.linalg.inv(g.Y).T  # right generalized directions, on demand
+    x_right = np.linalg.inv(gc.Y).T  # right generalized directions, from gcur's Y
 
     cells = []
     for n_cols in n_columns:

@@ -8,7 +8,8 @@ rows and columns,
 where the *same* column indices p are used for both matrices. Indices come
 from greedy interpolation-index selection on the generalized singular vector
 matrices: p from Y, s_A from U, s_B from V, ordered by nonincreasing
-generalized singular value ratios. Middle matrices are the pseudoinverse
+generalized singular value ratios. All three select k indices, one rank k
+for the whole factorization. Middle matrices are the pseudoinverse
 products that minimize the Frobenius reconstruction error for the chosen
 indices, computed from one thin QR of the column factor and one of the
 transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
@@ -20,10 +21,11 @@ the Householder reflectors without forming Q_A, and the row selection s_A
 that DEIM reads from it. M_A takes its column factor from R_A (since
 A[:, p] = Q_A R_A[:, p], C^+ A R^+ = R_A[:, p]^+ R_A A_s^+ with
 A_s = A[s_A, :]), so its QR and core have n rows. Every residual that
-:func:`evaluate_bounds` measures lies in range(A) too: each is Q_A times
-an n x n matrix built from R_A, U'_k and A_s, and Q_A preserves the
-2-norm. So the bounds are scored on n x n matrices, and no m x n residual
-is formed.
+:func:`evaluate_bounds` and :func:`relative_errors` measure for A lies in
+range(A) too: each is Q_A times an n x n matrix built from R_A, U'_k and
+A_s, and Q_A preserves the 2-norm, so ||A|| = ||R_A|| as well. So A's
+errors and bounds are scored on n x n matrices, and no m x n residual is
+formed.
 """
 
 from typing import NamedTuple, Optional
@@ -34,8 +36,9 @@ from . import curfac, deim, matkit
 from .errors import ContractViolationError, DimensionError
 from .gsvd import gsvd, truncate
 
-# evaluate_bounds accepts A when its column norms match the carried R_a's to
-# this fraction of the largest; Householder QR keeps them to a few ulps.
+# evaluate_bounds and relative_errors accept A when its column norms match the
+# carried R_a's to this fraction of the largest; Householder QR keeps them to
+# a few ulps.
 _COLUMN_NORM_TOL = 1e-10
 
 # evaluate_bounds checks each inequality to within this fraction of ||A||.
@@ -45,17 +48,21 @@ _BOUND_TOL = 1e-9
 class GcurFactors(NamedTuple):
     """Coupled index sets and middle matrices of a rank-k generalized CUR.
 
+    ``p``, ``s_a`` and ``s_b`` each hold k indices, so ``M_a`` and ``M_b``
+    are k x k.
+
     ``ratio_gap`` records gamma_k/sigma_k - gamma_{k+1}/sigma_{k+1} at the
     truncation cut, surfacing near-degeneracy of the selection.
 
-    The remaining fields are what :func:`evaluate_bounds` reads, so it need
-    not factor A or compute the GSVD again. ``U_k`` holds the leading
-    ``s_a.size`` columns of U (m x k), ``Y`` the full n x n factor and
-    ``gamma`` all n values. ``R_a`` is the n x n triangle of A = Q_A R_A (a
-    copy of A when m = n), and ``Ur_k`` is U_k in its coordinates (n x k),
-    so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :] (k x n), the rows M_a was built
-    from. They take m*k + 2*n*n + 2*n*k + n floats, each array owned; Q_A
-    is never formed, and the m x n U and the d x n V are not kept.
+    The remaining fields are what :func:`evaluate_bounds` and
+    :func:`relative_errors` read, so they need not factor A or compute the
+    GSVD again. ``U_k`` holds the leading k columns of U (m x k), ``Y`` the
+    full n x n factor and ``gamma`` all n values. ``R_a`` is the n x n
+    triangle of A = Q_A R_A (a copy of A when m = n), and ``Ur_k`` is U_k
+    in its coordinates (n x k), so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :]
+    (k x n), the rows M_a was built from. They take m*k + 2*n*n + 2*n*k + n
+    floats, each array owned; Q_A is never formed, and the m x n U and the
+    d x n V are not kept.
     """
 
     p: np.ndarray
@@ -124,54 +131,49 @@ def _ratio_gap(factors, k):
     return float(ratios[k - 1] - ratios[k])
 
 
-def _gcur(a, b, k, k_rows, k_cols, with_b):
+def _gcur(a, b, k, with_b):
     a = matkit.as_matrix(a, "A")
     b = matkit.as_matrix(b, "B")
-    k_rows = k if k_rows is None else k_rows
-    k_cols = k if k_cols is None else k_cols
-    kmax = max(k_rows, k_cols)
     m, n = a.shape
-    matkit._require_truncation_rank(kmax, n)
+    matkit._require_truncation_rank(k, n)
     if m > n:
         # the reduction gsvd would make itself; only U_k is lifted to m rows
         r_a, lift = matkit._triangle_and_lift(a)
     else:
         r_a, lift = a.copy(), None  # gsvd raises for m < n
     f = gsvd(r_a, b)
-    ur_k = f.U[:, :k_rows].copy()
+    ur_k = f.U[:, :k].copy()
     u_k = ur_k.copy() if lift is None else lift(ur_k)
     del lift  # holds the m x n reflectors
-    p = deim.deim_select(f.Y[:, :k_cols], k_cols)
-    s_a = deim.deim_select(u_k, k_rows)
+    p = deim.deim_select(f.Y[:, :k], k)
+    s_a = deim.deim_select(u_k, k)
     a_s = a[s_a, :]
-    sizes = [(k_cols, k_rows)]
-    m_a = curfac._nested_middle_matrices(r_a, p, a_s, sizes, "A")[0]
+    m_a = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")[0]
     s_b = m_b = None
     if with_b:
-        s_b = deim.deim_select(f.V[:, :k_rows], k_rows)
-        m_b = curfac._nested_middle_matrices(b, p, b[s_b, :], sizes, "B")[0]
+        s_b = deim.deim_select(f.V[:, :k], k)
+        m_b = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")[0]
     return GcurFactors(
-        p, s_a, s_b, m_a, m_b, kmax, _ratio_gap(f, kmax), u_k, f.Y, f.gamma,
-        r_a, ur_k, a_s,
+        p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s
     )
 
 
-def gcur(a, b, k, *, k_rows=None, k_cols=None):
+def gcur(a, b, k):
     """Rank-k generalized CUR of the pair (A, B); see the module docstring.
 
     The three index selections are independent of each other; B's rows share
     nothing with A's beyond the common column index vector p.
     """
-    return _gcur(a, b, k, k_rows, k_cols, with_b=True)
+    return _gcur(a, b, k, with_b=True)
 
 
-def gcur_only_a(a, b, k, *, k_rows=None, k_cols=None):
+def gcur_only_a(a, b, k):
     """Like :func:`gcur` but skips B's row selection and middle matrix.
 
     Saves the V-side work when only the approximation of A is wanted;
     p, s_a and M_a match :func:`gcur` exactly.
     """
-    return _gcur(a, b, k, k_rows, k_cols, with_b=False)
+    return _gcur(a, b, k, with_b=False)
 
 
 def reconstruct_a(a, factors):
@@ -217,21 +219,82 @@ def _require_rows_of(a, s, a_s):
         )
 
 
-def evaluate_bounds(a, b, factors, *, norm_a=None):
+def _require_factors_of(a, b, factors):
+    """Validate (A, B) and check that ``factors`` came from gcur on this pair.
+
+    Returns A and B as float64 matrices. A B of another column count, or
+    carried arrays whose shapes do not fit A (m x n) at k = p.size, raise
+    DimensionError. An R_a without A's column norms, or an A_s that is not
+    A[s_a, :] bit for bit, raises ContractViolationError.
+    """
+    a = matkit.as_matrix(a, "A")
+    b = matkit.as_matrix(b, "B")
+    m, n = a.shape
+    if b.shape[1] != n:
+        raise DimensionError(
+            f"A and B must share column counts, got {n} and {b.shape[1]}"
+        )
+    k = factors.p.size
+    shapes = (factors.s_a, factors.U_k, factors.Ur_k, factors.R_a, factors.A_s,
+              factors.Y, factors.gamma)
+    if [x.shape for x in shapes] != [(k,), (m, k), (n, k), (n, n), (k, n), (n, n), (n,)]:
+        raise DimensionError(
+            f"carried GSVD factors (U_k {factors.U_k.shape}, Y {factors.Y.shape}, "
+            f"R_a {factors.R_a.shape}) do not match A ({m}x{n}) at k={k}; "
+            "compute the factors with gcur on this pair"
+        )
+    matkit._require_truncation_rank(k, n)
+    _require_columns_of(a, factors.R_a)
+    _require_rows_of(a, factors.s_a, factors.A_s)
+    return a, b
+
+
+def _residual_norm(x, p, m, x_s, mode, name):
+    """||X - X[:, p] M X_s|| for mode "cur", or the error of the orthogonal
+    projection of X onto the columns X[:, p] ("column") or the rows X_s ("row")."""
+    if mode == "cur":
+        return matkit.spectral_norm(x - x[:, p] @ m @ x_s)
+    if mode == "column":
+        return curfac._projection(x, x[:, p], mode, f"column factor {name}[:, p]")[1]
+    return curfac._projection(x, x_s, mode, f"row factor {name}[s, :]")[1]
+
+
+def relative_errors(a, b, factors, mode="cur"):
+    """Relative 2-norm errors (err_a, err_b) of GCUR factors of (A, B).
+
+    mode="cur" scores ||A - A[:, p] M_a A[s_a, :]|| / ||A||; "column" and
+    "row" score the one-sided projection of A onto A[:, p] or A[s_a, :].
+    A's side is taken on the carried n x n triangle, as in
+    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||; B's
+    side on B itself, with p and s_b. err_b is None for factors from
+    :func:`gcur_only_a`. The factors must come from this same pair, checked
+    as in :func:`evaluate_bounds`.
+    """
+    if mode not in ("cur", "column", "row"):
+        raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
+    _, b = _require_factors_of(a, b, factors)
+    r, p = factors.R_a, factors.p
+    err_a = _residual_norm(r, p, factors.M_a, factors.A_s, mode, "A") / matkit.spectral_norm(r)
+    if factors.s_b is None:
+        return err_a, None
+    err_b = _residual_norm(b, p, factors.M_b, b[factors.s_b, :], mode, "B")
+    return err_a, err_b / matkit.spectral_norm(b)
+
+
+def evaluate_bounds(a, b, factors):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
     Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s, Y
     and gamma from ``factors``, which must come from :func:`gcur` or
     :func:`gcur_only_a` on this same pair. Factors whose arrays do not
-    match A's row count or the column count n raise DimensionError. Factors
-    whose R_a does not have A's column norms (to 1e-10 of the largest), or
-    whose A_s is not A[s_a, :] bit for bit, raise ContractViolationError.
-    Takes the thin QR of Y to get the orthonormal column basis Q_k and the
-    triangular blocks T22 (trailing square block) and T_hat (trailing column
-    block), whose norms and smallest singular values come from one SVD
-    each, and checks each inequality to within 1e-9 * ||A||. A caller that
-    already holds ||A|| passes it as ``norm_a``; otherwise ||R_a|| = ||A||
-    is used.
+    match A's row count, the column count n or k = p.size raise
+    DimensionError. Factors whose R_a does not have A's column norms (to
+    1e-10 of the largest), or whose A_s is not A[s_a, :] bit for bit, raise
+    ContractViolationError. Takes the thin QR of Y to get the orthonormal
+    column basis Q_k and the triangular blocks T22 (trailing square block)
+    and T_hat (trailing column block), whose norms and smallest singular
+    values come from one SVD each, and checks each inequality to within
+    1e-9 * ||A||, with ||A|| = ||R_a||.
 
     The interpolatory errors are sandwiched as
 
@@ -251,38 +314,11 @@ def evaluate_bounds(a, b, factors, *, norm_a=None):
         ||A - A R^+ R||       = ||r (I - Q_r Q_r^T)||
         ||A - C M_a R||       = ||r - r[:, p] M_a A_s||
     """
-    a = matkit.as_matrix(a, "A")
-    b = matkit.as_matrix(b, "B")
-    k = int(factors.p.size)
-    if factors.s_a.size != k:
-        raise DimensionError(
-            "bound evaluation needs equal numbers of selected rows and columns"
-        )
-    m, n = a.shape
-    if b.shape[1] != n:
-        raise DimensionError(
-            f"A and B must share column counts, got {n} and {b.shape[1]}"
-        )
-    u_k, ur_k, r, y = factors.U_k, factors.Ur_k, factors.R_a, factors.Y
-    a_s = factors.A_s
-    if (
-        u_k.shape != (m, k)
-        or ur_k.shape != (n, k)
-        or r.shape != (n, n)
-        or a_s.shape != (k, n)
-        or y.shape != (n, n)
-        or factors.gamma.shape != (n,)
-    ):
-        raise DimensionError(
-            f"carried GSVD factors (U_k {u_k.shape}, Y {y.shape}, R_a {r.shape}) "
-            f"do not match A ({m}x{n}) at k={k}; compute the factors with gcur "
-            "on this pair"
-        )
-    matkit._require_truncation_rank(k, n)
-    _require_columns_of(a, r)
+    _require_factors_of(a, b, factors)
+    k = factors.p.size
+    u_k, ur_k, r, a_s = factors.U_k, factors.Ur_k, factors.R_a, factors.A_s
     p, s = factors.p, factors.s_a
-    _require_rows_of(a, s, a_s)
-    q, t_full = matkit.thin_qr(y)
+    q, t_full = matkit.thin_qr(factors.Y)
     q_k = q[:, :k]
     t22 = t_full[k:, k:]
     t_hat = t_full[:, k:]
@@ -295,17 +331,13 @@ def evaluate_bounds(a, b, factors, *, norm_a=None):
     norm_t22, psi_min_t22 = float(psi_t22[0]), float(psi_t22[-1])
     norm_t_hat, psi_min_t_hat = float(psi_t_hat[0]), float(psi_t_hat[-1])
 
-    r_p = r[:, p]
-    interp_col = matkit.spectral_norm(r - r_p @ np.linalg.solve(q_k[p, :].T, q_k.T))
+    interp_col = matkit.spectral_norm(r - r[:, p] @ np.linalg.solve(q_k[p, :].T, q_k.T))
     interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
-    _, proj_col = curfac._projection(r, r_p, "column", "column factor A[:, p]")
-    _, proj_row = curfac._projection(r, a_s, "row", "row factor A[s, :]")
-    observed = matkit.spectral_norm(r - r_p @ factors.M_a @ a_s)
+    proj_col, proj_row, observed = (
+        _residual_norm(r, p, factors.M_a, a_s, mode, "A") for mode in ("column", "row", "cur")
+    )
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
-
-    if norm_a is None:
-        norm_a = matkit.spectral_norm(r)
-    tol = _BOUND_TOL * norm_a
+    tol = _BOUND_TOL * matkit.spectral_norm(r)
     checks = {
         "interp_cols_upper": interp_col <= gamma_next * norm_t22 * eta_p + tol,
         "interp_cols_lower": gamma_next * psi_min_t22 <= interp_col + tol,
@@ -343,8 +375,8 @@ def truncation_sandwich(a, factors, k, norm_a):
     a_k = t.U_k @ (t.gamma_k[:, None] * t.Y_k.T)
     gamma_next = float(factors.gamma[k])
     observed = matkit.spectral_norm(a - a_k)
-    lower = gamma_next * matkit.smallest_singular_value(t.Y_tail)
-    upper = gamma_next * matkit.spectral_norm(t.Y_tail)
+    psi_tail = np.linalg.svd(t.Y_tail, compute_uv=False)
+    lower, upper = gamma_next * float(psi_tail[-1]), gamma_next * float(psi_tail[0])
     tol = 1e-9 * max(1.0, norm_a)
     holds = bool(lower <= observed + tol and observed <= upper + tol)
     return TruncationSandwich(gamma_next, lower, observed, upper, holds)

@@ -103,11 +103,13 @@ def lowrank_sparse(m, n, seed):
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
     rng = np.random.default_rng(seed)
     a = np.zeros((m, n))
+    term = np.empty((m, n))  # one buffer for all 50 terms, not 100 m x n temporaries
     for j in range(1, 51):
         coeff = 2.0 / j if j <= 10 else 1.0 / j
         x = _sparse_uniform(rng, m)
         y = _sparse_uniform(rng, n)
-        a += coeff * np.outer(x, y)
+        np.multiply(np.outer(x, y, out=term), coeff, out=term)
+        a += term
     return require_finite(a, "generated matrix")
 
 
@@ -129,10 +131,12 @@ def lowrank_gapped(m, n, seed):
     x = np.empty((m, 50), order="F")
     y = np.empty((n, 50), order="F")
     a = np.zeros((m, n))
+    term = np.empty((m, n))  # one buffer for all 50 terms, not 100 m x n temporaries
     for j in range(50):
         x[:, j] = rng.standard_normal(m)
         y[:, j] = rng.standard_normal(n)
-        a += coeff[j] * np.outer(x[:, j], y[:, j])
+        np.multiply(np.outer(x[:, j], y[:, j], out=term), coeff[j], out=term)
+        a += term
     t_x, t_y = matkit.thin_qr(x).T, matkit.thin_qr(y).T
     psi = np.linalg.svd((t_x * coeff) @ t_y.T, compute_uv=False)
     if psi[9] < 10.0 * psi[10]:

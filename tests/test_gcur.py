@@ -12,6 +12,7 @@ from gcurkit.gcur import (
     gcur_only_a,
     reconstruct_a,
     reconstruct_b,
+    relative_errors,
     svd_subspace_gap,
 )
 from gcurkit.gsvd import gsvd
@@ -204,9 +205,8 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
     values, checks = evaluate_bounds_fresh_gsvd(a, b, f)
     assert [float(v).hex() for v in rep[:-1]] == values
     assert rep.checks == checks
-    # a caller that holds ||A|| passes it in and gets the same report
-    assert evaluate_bounds(a, b, f, norm_a=matkit.spectral_norm(a)) == rep
     # the storage order of A changes no bit
+    err_a = relative_errors(a, b, f)[0]
     for order in ("C", "F"):
         a_o = np.asarray(a, order=order)
         f_o = run(a_o, b, k)
@@ -214,19 +214,30 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
             want, got = getattr(f, name), getattr(f_o, name)
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
         assert evaluate_bounds(a_o, b, f_o) == rep
+        assert float(relative_errors(a_o, b, f_o)[0]).hex() == float(err_a).hex()
+
+
+def explicit_errors(x, p, s, m):
+    """Column and row projection errors and the CUR error, from m x n residuals."""
+    c, r = x[:, p], x[s, :]
+    return {
+        "column": matkit.spectral_norm(x - c @ np.linalg.lstsq(c, x, rcond=None)[0]),
+        "row": matkit.spectral_norm(x - np.linalg.lstsq(r.T, x.T, rcond=None)[0].T @ r),
+        "cur": curfac.cur_error(x, p, m, s),
+    }
 
 
 def explicit_residual_norms(a, factors):
     """The five residual norms from m x n residuals of A itself."""
     k = factors.p.size
     q_k = matkit.thin_qr(factors.Y).Q[:, :k]
-    c, r = a[:, factors.p], a[factors.s_a, :]
+    errors = explicit_errors(a, factors.p, factors.s_a, factors.M_a)
     return (
         matkit.spectral_norm(a - deim.interp_project(q_k, factors.p, a, side="right")),
         matkit.spectral_norm(a - deim.interp_project(factors.U_k, factors.s_a, a)),
-        matkit.spectral_norm(a - c @ np.linalg.lstsq(c, a, rcond=None)[0]),
-        matkit.spectral_norm(a - np.linalg.lstsq(r.T, a.T, rcond=None)[0].T @ r),
-        curfac.cur_error(a, factors.p, factors.M_a, factors.s_a),
+        errors["column"],
+        errors["row"],
+        errors["cur"],
     )
 
 
@@ -262,9 +273,23 @@ def test_bound_residuals_match_explicit_formulas(case, m, n, k, only_a):
         rep.observed_error,
     )
     want = explicit_residual_norms(a, f)
-    tol = 1e-12 * matkit.spectral_norm(a)
-    assert np.max(np.abs(np.subtract(got, want))) <= tol, (got, want)
+    norm_a = matkit.spectral_norm(a)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * norm_a, (got, want)
     assert all(rep.checks.values()), rep.checks
+    # relative_errors scores A on the triangle and B on B itself. Near exact
+    # rank the errors sit near the rounding level of ||A||, so there they
+    # match to 1e-12 of ||A||, like the residuals above, not of themselves.
+    want_a = dict(zip(("column", "row", "cur"), want[2:]))
+    want_b = None if only_a else explicit_errors(b, f.p, f.s_b, f.M_b)
+    norm_b = matkit.spectral_norm(b)
+    abs_a = 1e-12 if case == "exact-rank" else 0
+    for mode in ("cur", "column", "row"):
+        err_a, err_b = relative_errors(a, b, f, mode)
+        assert err_a == pytest.approx(want_a[mode] / norm_a, rel=1e-12, abs=abs_a)
+        if only_a:
+            assert err_b is None
+        else:
+            assert err_b == pytest.approx(want_b[mode] / norm_b, rel=1e-12, abs=0)
 
 
 def test_carried_u_k_owns_its_data():
@@ -309,6 +334,10 @@ def test_bounds_reject_factors_of_another_shape():
         evaluate_bounds(rng.standard_normal((30, 9)), rng.standard_normal((20, 9)), f)
     with pytest.raises(DimensionError, match="share column counts"):
         evaluate_bounds(a, rng.standard_normal((20, 9)), f)
+    with pytest.raises(DimensionError, match="carried GSVD factors"):
+        relative_errors(rng.standard_normal((31, 8)), b, f)
+    with pytest.raises(ValueError, match="mode must be"):
+        relative_errors(a, b, f, "oblique")
 
 
 @pytest.mark.parametrize("m", [30, 8])
@@ -336,6 +365,9 @@ def test_bounds_reject_row_permuted_a(m, only_a):
     assert np.array_equal(f.A_s, a[f.s_a, :])
     with pytest.raises(ContractViolationError, match="carried A_s"):
         evaluate_bounds(a[::-1], b, f)
+    for mode in ("cur", "column", "row"):
+        with pytest.raises(ContractViolationError, match="carried A_s"):
+            relative_errors(a[::-1], b, f, mode)
     assert all(evaluate_bounds(a, b, f).checks.values())
 
 

@@ -28,10 +28,23 @@ def test_sparse_rank_and_nonnegativity():
     assert psi[50] <= 1e-10 * psi[0]
 
 
+def _sparse_rank_one_loop(m, n, seed):
+    """Reference: the rank-one construction, one product per term."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, n))
+    for j in range(1, 51):
+        coeff = 2.0 / j if j <= 10 else 1.0 / j
+        x = synth._sparse_uniform(rng, m)
+        y = synth._sparse_uniform(rng, n)
+        a += coeff * np.outer(x, y)
+    return a
+
+
 def test_sparse_determinism_and_dimension_guard():
     a1 = lowrank_sparse(60, 55, seed=123)
     a2 = lowrank_sparse(60, 55, seed=123)
     assert np.array_equal(a1, a2)
+    assert a1.tobytes() == _sparse_rank_one_loop(60, 55, 123).tobytes()
     assert not np.array_equal(a1, lowrank_sparse(60, 55, seed=124))
     with pytest.raises(DimensionError):
         lowrank_sparse(40, 60, seed=0)
