@@ -95,6 +95,8 @@ def _require_rank(k, n, what="columns"):
 def cmd_gsvd(args):
     a = _read(args.file_a, args)
     b = _read(args.file_b, args)
+    if args.rank is not None:
+        _require_rank(args.rank, a.shape[1])
     f = gsvd(a, b)
     report = _base_report(
         "gsvd",
@@ -117,7 +119,6 @@ def cmd_gsvd(args):
         }
     )
     if args.rank is not None:
-        _require_rank(args.rank, a.shape[1])
         t = truncation_sandwich(a, f, args.rank, norm_a)
         report["truncation"] = {
             "k": args.rank,
@@ -266,7 +267,7 @@ def cmd_experiment(args):
             eps_values=eps,
             trials=trials,
             rho=args.rho,
-            inexact_chol=name == "noise-recovery-inexact" or args.inexact_chol,
+            inexact_chol=name == "noise-recovery-inexact",
         )
     elif name == "subgroups":
         run = experiments.subgroups
@@ -344,7 +345,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rho", type=float, default=None, help="Toeplitz covariance parameter")
-    p.add_argument("--inexact-chol", action="store_true")
     p.add_argument("--matrix-kind", choices=("gapped", "sparse"), default=None)
     p.add_argument("--paper-scale", action="store_true", help="full-size experiment dims")
     p.add_argument("--points-per-group", type=int, default=None)

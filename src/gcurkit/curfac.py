@@ -98,24 +98,20 @@ def _warn_if_degenerate(psi, k):
         )
 
 
-def deim_cur(a, k, *, k_rows=None, k_cols=None):
-    """Rank-k CUR of A with rows from the left and columns from the right
-    singular vectors.
+def deim_cur(a, k):
+    """Rank-k CUR of A with k rows from the left and k columns from the
+    right singular vectors, so M is k x k.
 
-    ``k_rows``/``k_cols`` override the shared default k, in which case M is
-    rectangular (k_cols x k_rows). A degenerate spectrum at either cut emits a
-    warning; selection proceeds deterministically.
+    A degenerate spectrum at the cut emits a warning; selection proceeds
+    deterministically.
     """
     a = as_matrix(a, "A")
-    k_rows = k if k_rows is None else k_rows
-    k_cols = k if k_cols is None else k_cols
-    kmax = max(k_rows, k_cols)
-    _require_truncation_rank(kmax, min(a.shape))
+    _require_truncation_rank(k, min(a.shape))
     f = matkit.svd(a)
-    _warn_if_degenerate(f.psi, kmax)
-    p = deim.deim_select(f.Z[:, :k_cols], k_cols)
-    s = deim.deim_select(f.W[:, :k_rows], k_rows)
-    middle = _nested_middle_matrices(a, p, a[s, :], [(k_cols, k_rows)])[0]
+    _warn_if_degenerate(f.psi, k)
+    p = deim.deim_select(f.Z[:, :k], k)
+    s = deim.deim_select(f.W[:, :k], k)
+    middle = _nested_middle_matrices(a, p, a[s, :], [(k, k)])[0]
     return CurFactors(p, s, middle)
 
 

@@ -191,7 +191,7 @@ def _row_space_scorer(a, norm_a):
     |score - ||A - X|| / ||A||| <= ||A - A V_A V_A^T|| / ||A|| plus rounding.
     """
     n = a.shape[1]
-    f = matkit.svd(np.linalg.qr(a, mode="r"))
+    f = matkit.svd(matkit._triangle_and_lift(a)[0])
     r = int(np.count_nonzero(~matkit._negligible(f.psi, f.psi[0])))
     v, w_rest = f.Z[:, :r], f.Z[:, r:]
     g = (a @ v) / norm_a
@@ -205,7 +205,7 @@ def _row_space_scorer(a, norm_a):
             right = right / norm_a
             e = right @ v
             if r + right.shape[0] < n:
-                f_rest = np.linalg.qr(right.T - v @ e.T, mode="r").T
+                f_rest = matkit._triangle_and_lift(right.T - v @ e.T)[0].T
             else:
                 f_rest = right @ w_rest
             mat = np.hstack([c - left @ e, -(left @ f_rest)])

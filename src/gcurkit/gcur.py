@@ -137,7 +137,7 @@ def _gcur(a, b, k, with_b):
     m, n = a.shape
     matkit._require_truncation_rank(k, n)
     if m > n:
-        # the reduction gsvd would make itself; only U_k is lifted to m rows
+        # the reduction gsvd makes too, but only U_k is lifted to m rows
         r_a, lift = matkit._triangle_and_lift(a)
     else:
         r_a, lift = a.copy(), None  # gsvd raises for m < n

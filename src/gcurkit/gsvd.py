@@ -13,7 +13,9 @@ off an SVD of the top block, so the cross products A.T @ A and B.T @ B are
 never formed. A taller than wide (m > n) is first reduced to its n x n
 triangle, A = Q_A R_A: the steps above run on [R_A; B], whose top block is
 n x n instead of m x n, and U is lifted as Q_A U' at the end (the QR
-preprocessing of LAPACK's xGGSVP3). A square A skips the reduction.
+preprocessing of LAPACK's xGGSVP3). Q_A is never formed: U' is lifted by
+applying A's Householder reflectors (``matkit._triangle_and_lift``), the
+same reduction ``gcur`` makes. A square A skips the reduction.
 """
 
 from typing import NamedTuple
@@ -86,30 +88,33 @@ def gsvd(a, b):
     if d < n:
         raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
 
-    q_a = None
     if m > n:
         # [A; B] = diag(Q_A, I) [R_A; B], so both share the triangle T0
-        q_a, a = matkit.thin_qr(a)
-    top = a.shape[0]
-    stack = np.empty((top + d, n), order="F")
-    stack[:top] = a
-    stack[top:] = b
+        r_a, lift = matkit._triangle_and_lift(a)
+        f = _stacked_gsvd(r_a, b)
+        return f._replace(U=lift(f.U))
+    return _stacked_gsvd(a, b)
+
+
+def _stacked_gsvd(a, b):
+    """GSVD of a validated pair from one thin QR of the stack [A; B], with
+    U read off the SVD of its top block, so U has A's m rows."""
+    (m, n), d = a.shape, b.shape[0]
+    stack = np.empty((m + d, n), order="F")
+    stack[:m] = a
+    stack[m:] = b
     q0, t0 = matkit.thin_qr(stack)
-    del stack  # (top + d) x n floats the SVD below does not need
+    del stack  # (m + d) x n floats the SVD below does not need
     _require_full_rank(t0, FullRankError, "stacked pair [A; B]")
 
-    q1 = q0[:top]
-    q2 = q0[top:]
-    u, gamma, wt = np.linalg.svd(q1, full_matrices=False)
-    if q_a is not None:
-        u = q_a @ u
+    u, gamma, wt = np.linalg.svd(q0[:m], full_matrices=False)
     w = wt.T
     gamma = np.clip(gamma, 0.0, 1.0)
 
-    # Columns of q2 @ w are sigma_i * v_i; for sigma_i ~ 0 the direction is
-    # meaningless and V is completed orthonormally instead. The rank rule
+    # Columns of q0[m:] @ w are sigma_i * v_i; for sigma_i ~ 0 the direction
+    # is meaningless and V is completed orthonormally instead. The rank rule
     # reads sigma against 1, the scale that gamma^2 + sigma^2 = 1 gives it.
-    vs = q2 @ w
+    vs = q0[m:] @ w
     sigma = np.linalg.norm(vs, axis=0)
     v = np.empty((d, n))
     good = ~_negligible(sigma, 1.0)

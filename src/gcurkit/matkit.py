@@ -8,9 +8,15 @@ which can move the last bits of a result. Only Matrix Market files are
 column-major, and ``gcurkit.io`` reads and writes that layout. All
 operations here are pure functions of their inputs.
 
-``thin_qr`` forms the whole Q of a thin QR. A caller that needs only the
-triangle and Q applied to a few columns uses ``_triangle_and_lift``, which
-keeps the Householder reflectors in compact WY form instead of forming Q.
+``thin_qr`` forms the whole Q of a thin QR, and runs only where that Q is
+read: the QR of the stacked pair in ``gsvd``, the column and row factors in
+``curfac._nested_middle_matrices`` and ``curfac._projection``, Y's QR in
+``gcur.evaluate_bounds`` and the noisy matrix's QR in
+``experiments._factor_once``. A caller that needs only the triangle, or Q
+applied to a few columns, uses ``_triangle_and_lift``, which keeps the
+Householder reflectors in compact WY form instead of forming Q: the
+reduction of a tall A in ``gsvd`` and ``gcur``, the gap check of
+``synth.lowrank_gapped`` and the row-space scorer of noise recovery.
 """
 
 import math

@@ -122,7 +122,7 @@ def lowrank_gapped(m, n, seed):
     construction). With the vectors as columns of X and Y,
     A = X diag(coeff) Y^T = Q_X (T_X diag(coeff) T_Y^T) Q_Y^T, so the check
     reads A's singular values from that 50 x 50 core instead of an m x n
-    SVD.
+    SVD, and forms only the triangles T_X and T_Y, not Q_X or Q_Y.
     """
     if min(m, n) < 50:
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
@@ -137,7 +137,7 @@ def lowrank_gapped(m, n, seed):
         y[:, j] = rng.standard_normal(n)
         np.multiply(np.outer(x[:, j], y[:, j], out=term), coeff[j], out=term)
         a += term
-    t_x, t_y = matkit.thin_qr(x).T, matkit.thin_qr(y).T
+    t_x, t_y = matkit._triangle_and_lift(x)[0], matkit._triangle_and_lift(y)[0]
     psi = np.linalg.svd((t_x * coeff) @ t_y.T, compute_uv=False)
     if psi[9] < 10.0 * psi[10]:
         raise ContractViolationError(
@@ -161,16 +161,15 @@ def toeplitz_chol(n, rho):
     return lower.T.copy()
 
 
-def colored_noise(a, model, *, norm_a=None):
+def colored_noise(a, model):
     """Perturb A with correlated Gaussian noise of relative 2-norm ``epsilon``.
 
     Draws G with standard normal entries, correlates the rows as F = G @ R
     with R the covariance's Cholesky factor, and scales so that
-    ||E|| = epsilon * ||A||. A caller that already holds ||A|| passes it as
-    ``norm_a``; otherwise it is computed. Returns (A + E, E, R).
+    ||E|| = epsilon * ||A||. Returns (A + E, E, R).
     """
     a = as_matrix(a, "A")
-    e, rchol = _noise_term(a, model, norm_a)
+    e, rchol = _noise_term(a, model, None)
     return a + e, e, rchol
 
 
@@ -178,8 +177,8 @@ def _noise_term(a, model, norm_a):
     """The (E, R) of :func:`colored_noise` for a validated A, without A + E.
 
     For a caller that forms its own noisy matrices from E, such as one
-    noise draw scaled by several epsilons. ``norm_a`` may be None, as in
-    :func:`colored_noise`.
+    noise draw scaled by several epsilons. ``norm_a`` is ||A||, or None to
+    have it computed.
     """
     m, n = a.shape
     rchol = model.cholesky_factor(n)

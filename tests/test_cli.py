@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcurkit import io as gio
-from gcurkit import matkit
+from gcurkit import cli, matkit
 from gcurkit.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_USAGE, main
 
 
@@ -71,6 +71,16 @@ def test_rank_out_of_range_is_usage_error(diag_pair, capsys):
     rc = main(["gcur", *diag_pair, "-k", "9"])
     assert rc == EXIT_USAGE
     assert "rank" in capsys.readouterr().err
+
+
+def test_gsvd_rank_is_checked_before_the_factorization(diag_pair, monkeypatch, capsys):
+    def no_gsvd(a, b):
+        raise AssertionError("gsvd ran before the rank was checked")
+
+    monkeypatch.setattr(cli, "gsvd", no_gsvd)
+    for k in ("0", "3"):  # n = 3
+        assert main(["gsvd", *diag_pair, "-k", k]) == EXIT_USAGE
+        assert "rank" in capsys.readouterr().err
 
 
 def test_numerical_precondition_exit_code(tmp_path):
@@ -220,6 +230,16 @@ def test_noise_recovery_report_deterministic_bytes(tmp_path):
         return out.read_bytes()
 
     assert run_with("a.json") == run_with("b.json")
+
+
+def test_noise_recovery_inexact_experiment_uses_inexact_factor(tmp_path):
+    rep = run_json(
+        tmp_path,
+        ["experiment", "noise-recovery-inexact", "--trials", "1", "--rank", "2",
+         "--eps", "0.1", "--no-timestamp"],
+    )
+    assert rep["experiment"] == "noise-recovery-inexact"
+    assert rep["params"]["inexact_chol"] is True
 
 
 def test_negative_eps_exit_code(capsys):

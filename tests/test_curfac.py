@@ -197,16 +197,6 @@ def test_middle_matrix_rejects_more_columns_than_rows():
         middle_matrix(a, [0, 1, 2, 4], [0, 1])
 
 
-def test_distinct_row_and_column_counts():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((14, 9))
-    f = deim_cur(a, 3, k_rows=4, k_cols=3)
-    assert f.s.size == 4 and f.p.size == 3
-    assert f.M.shape == (3, 4)
-    recon = a[:, f.p] @ f.M @ a[f.s, :]
-    assert recon.shape == a.shape
-
-
 def test_rank_bounds_error():
     with pytest.raises(DimensionError):
         deim_cur(np.eye(4), 4)

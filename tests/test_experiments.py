@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,23 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
         assert abs(got - want) <= tail + 1e-14, (method, got, want, tail)
     size = min(rank + k, n)
     assert sizes == [(size, size)] * 4
+
+
+def test_noise_recovery_forms_m_row_q_only_for_the_noisy_matrix(monkeypatch):
+    # the generator's gap check and the row-space scorer take triangles
+    # only: an m-row array reaches thin_qr from _factor_once alone, once
+    # per eps, where the scorer reads the noisy matrix's Q
+    m = 2000  # noise_recovery's default
+    calls = []
+    thin_qr = matkit.thin_qr
+
+    def spy(x):
+        calls.append((np.shape(x)[0], sys._getframe(1).f_code.co_name))
+        return thin_qr(x)
+
+    monkeypatch.setattr(matkit, "thin_qr", spy)
+    experiments.noise_recovery(trials=1, eps_values=(0.1, 0.2))
+    assert [c for c in calls if c[0] == m] == [(m, "_factor_once")] * 2
 
 
 def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):

@@ -190,10 +190,10 @@ def gsvd_vstack_reference(a, b):
 
 def gsvd_reduced_reference(a, b):
     """Reduce-then-stack reference: A = Q_A R_A, the unreduced algorithm on
-    [R_A; B], then U lifted as Q_A U'."""
-    q_a, r_a = _signed_qr(a)
+    [R_A; B], then U lifted as Q_A U' from A's Householder reflectors."""
+    r_a, lift = matkit._triangle_and_lift(a)
     u, v, y, gamma, sigma = gsvd_vstack_reference(r_a, b)
-    return q_a @ u, v, y, gamma, sigma
+    return lift(u), v, y, gamma, sigma
 
 
 @pytest.mark.parametrize("order_b", ["C", "F"])
@@ -208,6 +208,29 @@ def test_stack_matches_vstack_reference_bitwise(m, d, n, order_a, order_b):
     for got, want in zip(f, gsvd_reduced_reference(a, b)):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+    # the lift agrees with forming Q_A and multiplying, U = Q_A U', to rounding
+    q_a, r_a = _signed_qr(a)
+    u_formed = q_a @ gsvd_vstack_reference(r_a, b)[0]
+    assert np.max(np.abs(f.U - u_formed)) <= 1e-14 * np.max(np.abs(f.U))
+
+
+def test_tall_a_reaches_no_thin_qr(monkeypatch):
+    # A (m x n, m > n) is reduced by its reflectors: the only thin QR is of
+    # the (n + d) x n stack [R_A; B], and no m-row array reaches thin_qr
+    m, d, n = 90, 50, 30
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((m, n)), rng.standard_normal((d, n))
+    seen = []
+    thin_qr = matkit.thin_qr
+
+    def spy(x):
+        seen.append(np.shape(x))
+        return thin_qr(x)
+
+    monkeypatch.setattr(matkit, "thin_qr", spy)
+    f = gsvd(a, b)
+    assert seen == [(n + d, n)]
+    check_invariants(a, b, f)
 
 
 def test_square_a_skips_reduction_bitwise():

@@ -143,22 +143,13 @@ def test_colored_noise_norm_ratio():
         assert ratio == pytest.approx(eps, abs=1e-12)
 
 
-def test_colored_noise_takes_norm_a_from_the_caller():
-    a = lowrank_gapped(120, 60, seed=2)
-    model = NoiseModel(epsilon=0.1, seed=4, rho=0.9)
-    want = colored_noise(a, model)
-    got = colored_noise(a, model, norm_a=matkit.spectral_norm(a))
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y)
-
-
 def test_noise_term_is_colored_noises_e_and_r():
     # the helper draws the same E and R bit for bit, without forming A + E
     a = lowrank_gapped(120, 60, seed=3)
     norm_a = matkit.spectral_norm(a)
     for eps, given in ((1.0, None), (0.1, norm_a), (0.0, None)):
         model = NoiseModel(epsilon=eps, seed=5, rho=0.99)
-        noisy, e, rchol = colored_noise(a, model, norm_a=given)
+        noisy, e, rchol = colored_noise(a, model)
         e_got, rchol_got = synth._noise_term(a, model, given)
         assert np.array_equal(e_got, e)
         assert np.array_equal(rchol_got, rchol)
