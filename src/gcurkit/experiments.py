@@ -14,25 +14,30 @@ serves both the SVD and the GSVD, which act on the n x n triangle R.
 The same Q scores the reconstructions, in A's numerical row space. Each of
 the four lies in range(Q), X = Q L R' (TSVD and TGSVD through the left
 vectors of R's factorizations, CUR and GCUR through the column factor
-noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. Let V_A hold the r
-leading right singular vectors of A, r counted by the one rank rule
-(``matkit._negligible``), so A = A V_A V_A^T + T with ||T|| = psi_{r+1}.
-Split R' = E V_A^T + F W^T with E = R' V_A and W orthonormal and orthogonal
+noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. The test matrix is
+built from its factors, A = F Y^T with 50 columns each, and V_A is read
+from them: the right singular vectors of the 50 x 50 core of F Y^T, lifted
+by Y's Householder reflectors, r of them by the one rank rule
+(``matkit._negligible``) on the core's singular values. So
+A = A V_A V_A^T + T with ||T|| at most the core's psi_{r+1} plus the
+rounding of A = F Y^T.
+Split R' = E V_A^T + H W^T with E = R' V_A and W orthonormal and orthogonal
 to V_A. With G = A V_A, C_V = Q^T G and P_V = G - Q C_V (so Q^T P_V = 0),
 
-    A V_A V_A^T - X = [Q (C_V - L E) + P_V, -Q L F] [V_A, W]^T,
+    A V_A V_A^T - X = [Q (C_V - L E) + P_V, -Q L H] [V_A, W]^T,
 
 and since [V_A, W] has orthonormal columns,
 
     ||A V_A V_A^T - X||^2 = lambda_max(M^T M + diag(P_V^T P_V, 0)),
-    M = [C_V - L E, -L F],
+    M = [C_V - L E, -L H],
 
 an (r + k) x (r + k) eigenproblem. The identity assumes only X in
 range(Q), which holds by construction for all four. Leaving out T moves
-each score by at most ||A - A V_A V_A^T|| / ||A|| = psi_{r+1} / ||A||,
-which the rank rule keeps at or below about 1e-12, plus rounding. Per
-noisy matrix this costs m x n x r work for C_V and P_V, and per score
-(r + k)-sized work; no m x n residual is built.
+each score by at most ||T|| / ||A||, which the rank rule keeps at or below
+about 1e-12, plus rounding. Per trial V_A costs two QRs of the factors and
+a 50 x 50 SVD, and G m x n x r work; per noisy matrix C_V and P_V cost
+m x n x r work, and per score (r + k)-sized work; no m x n residual, and no
+QR or SVD of A, is formed.
 """
 
 import math
@@ -43,7 +48,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, curfac, deim, matkit, synth
-from .errors import ContractViolationError, GcurkitError
+from .errors import ContractViolationError, DimensionError, GcurkitError
 from .gcur import gcur_only_a
 from .gsvd import gsvd
 
@@ -177,23 +182,28 @@ def _factor_once(noisy, rchol, kmax):
     return q, r, f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
 
 
-def _row_space_scorer(a, norm_a):
+def _row_space_scorer(a, f, y, norm_a):
     """Score reconstructions X = Q @ left @ right that lie in range(Q), in
     A's numerical row space (see the module docstring).
 
-    Once per A: V_A from the SVD of the triangle of A = Q_A T_A (A's right
-    singular vectors are T_A's), and G = A V_A / ||A||, so the Grams stay
-    near unit scale and each score is the relative error ||A - X|| / ||A||.
-    ``in_basis(q)`` forms C_V and the r x r Gram of P_V once per Q; each
-    ``score(left, right)`` then needs one thin QR of an n x k matrix, one
-    (r + k) x (r + k) Gram and its largest eigenvalue. When r + k >= n, W
-    is the complement Z[:, r:] of V_A in the SVD, and F = R' W.
-    |score - ||A - X|| / ||A||| <= ||A - A V_A V_A^T|| / ||A|| plus rounding.
+    Once per A = F Y^T: V_A from the generator's factors, not from A. The
+    50 x 50 core of F Y^T has A's nonzero singular values, and its right
+    vectors Z_c lift to A's as V_A = Q_Y Z_c[:, :r] (``synth._core_svd``),
+    with r from the rank rule on the core's psi; then G = A V_A / ||A||, so
+    the Grams stay near unit scale and each score is the relative error
+    ||A - X|| / ||A||. The factors are not kept. ``in_basis(q)`` forms C_V
+    and the r x r Gram of P_V once per Q; each ``score(left, right)`` then
+    needs one thin QR of an n x k matrix, one (r + k) x (r + k) Gram and its
+    largest eigenvalue. When r + k >= n, which needs a small n, W is an
+    orthonormal complement of V_A from V_A's complete QR, and H = R' W.
+    |score - ||A - X|| / ||A||| <= ||A - A V_A V_A^T|| / ||A|| plus
+    rounding, and ||A - A V_A V_A^T|| <= psi_{r+1} of the core (at most
+    1e-12 ||A|| by the rank rule) plus the rounding of A = F Y^T.
     """
     n = a.shape[1]
-    f = matkit.svd(matkit._triangle_and_lift(a)[0])
-    r = int(np.count_nonzero(~matkit._negligible(f.psi, f.psi[0])))
-    v, w_rest = f.Z[:, :r], f.Z[:, r:]
+    core, lift_y = synth._core_svd(f, y)
+    r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
+    v = lift_y(core.Z[:, :r])
     g = (a @ v) / norm_a
 
     def in_basis(q):
@@ -207,7 +217,7 @@ def _row_space_scorer(a, norm_a):
             if r + right.shape[0] < n:
                 f_rest = matkit._triangle_and_lift(right.T - v @ e.T)[0].T
             else:
-                f_rest = right @ w_rest
+                f_rest = right @ np.linalg.qr(v, mode="complete")[0][:, r:]
             mat = np.hstack([c - left @ e, -(left @ f_rest)])
             gram = mat.T @ mat
             gram[:r, :r] += ptp
@@ -218,17 +228,20 @@ def _row_space_scorer(a, norm_a):
     return in_basis
 
 
-def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
+def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     """Build the per-trial worker for noise recovery; returns nested errors.
 
-    The noise E is drawn once per trial at unit level and scaled by each
-    eps; the trial forms each noisy matrix A + eps E itself. Each noisy
+    A and its factors come from the generators' one builder
+    (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
+    seed)``, and the factors give A's row space. The noise E is drawn once
+    per trial at unit level and scaled by each eps; the trial forms each
+    noisy matrix A + eps E itself. Each noisy
     matrix is factored once (:func:`_factor_once`), and the middle matrices
     of every k come from one QR per side of the kmax selection, since DEIM
     prefixes nest. Their column factor and core come from the triangle R of
     noisy = Q R, so they have n rows instead of m. The errors are scored in
-    A's row space (:func:`_row_space_scorer`): its m x n work is done once
-    per trial, then m x n x r work per eps, and every score is within
+    A's row space (:func:`_row_space_scorer`): its set-up is m x n x r work
+    once per trial, then m x n x r work per eps, and every score is within
     ||A - A V_A V_A^T|| / ||A|| (plus rounding) of the relative error of the
     explicit m x n residual.
     """
@@ -237,17 +250,16 @@ def _recovery_trial(a_gen, k_values, eps_values, rho, inexact):
 
     def run(_i, child):
         seeds = child.spawn(3)
-        a = a_gen(seeds[0])
+        a, f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
         norm_a = matkit.spectral_norm(a)
         t0 = time.perf_counter()
         e_unit, rchol = synth._noise_term(
             a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        in_basis = _row_space_scorer(a, norm_a)
+        in_basis = _row_space_scorer(a, f_a, y_a, norm_a)
+        del f_a, y_a
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
-        for k in k_values:
-            matkit._require_truncation_rank(k, a.shape[1])
         out = {}
         cell_s = {}
         for eps in eps_values:
@@ -299,19 +311,22 @@ def noise_recovery(
     carrying the noise covariance factor, and the index-based reconstructions
     built from each. ``inexact_chol=True`` hands the pair factorization a
     perturbed covariance factor while the noise itself stays exact. A
-    negative eps raises ContractViolationError before any trial runs.
+    negative eps raises ContractViolationError, and m < n or a k outside
+    1 <= k < n raises DimensionError, before any trial runs.
     """
-    if kind == "sparse":
-        a_gen = lambda s: synth.lowrank_sparse(m, n, s)
-    elif kind == "gapped":
-        a_gen = lambda s: synth.lowrank_gapped(m, n, s)
-    else:
+    if kind not in ("sparse", "gapped"):
         raise ValueError(f"kind must be 'sparse' or 'gapped', got {kind!r}")
     for eps in eps_values:
         if eps < 0:
             raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
+    if m < n:
+        raise DimensionError(f"noise recovery needs m >= n, got {m}x{n}")
+    for k in k_values:
+        matkit._require_truncation_rank(k, n)
 
-    worker = _recovery_trial(a_gen, tuple(k_values), tuple(eps_values), rho, inexact_chol)
+    worker = _recovery_trial(
+        kind, m, n, tuple(k_values), tuple(eps_values), rho, inexact_chol
+    )
     master = np.random.SeedSequence(seed)
     t0 = time.perf_counter()
     results, failures = _run_trials(worker, trials, master)

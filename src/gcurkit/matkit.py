@@ -15,8 +15,10 @@ read: the QR of the stacked pair in ``gsvd``, the column and row factors in
 ``experiments._factor_once``. A caller that needs only the triangle, or Q
 applied to a few columns, uses ``_triangle_and_lift``, which keeps the
 Householder reflectors in compact WY form instead of forming Q: the
-reduction of a tall A in ``gsvd`` and ``gcur``, the gap check of
-``synth.lowrank_gapped`` and the row-space scorer of noise recovery.
+reduction of a tall A in ``gsvd`` and ``gcur``, ``synth._core_svd`` (the
+50 x 50 core of the low-rank generators' factors, which ``lowrank_gapped``'s
+gap check reads and whose right vectors Y's reflectors lift to V_A for the
+noise-recovery scorer), and that scorer's per-reconstruction triangle.
 """
 
 import math

@@ -4,6 +4,13 @@ Every generator is a pure function of its parameters and seed: the same seed
 gives a bit-identical result. Seeds are anything ``numpy.random.default_rng``
 accepts, including ``SeedSequence`` children, which is how the experiment
 harness splits streams across trials.
+
+The low-rank test matrices are also independent of the BLAS thread count:
+A = F Y^T is formed by ``np.einsum`` without ``optimize``, which runs
+numpy's own summation loop. ``F @ Y.T`` is about ten times faster, but the
+BLAS splits that product differently on one thread and on two, and A's last
+bits, and with them the GSVD-derived indices of the experiments, would
+change with the thread count.
 """
 
 from dataclasses import dataclass
@@ -93,57 +100,77 @@ def _sparse_uniform(rng, n, density=0.025):
 
 
 def lowrank_sparse(m, n, seed):
-    """Sparse nonnegative rank-<=50 matrix built from 50 scaled outer products.
+    """Sparse nonnegative rank-<=50 matrix X diag(coeff) Y^T.
 
     Leading ten components carry weights 2/j, the remaining forty 1/j; the
     factor vectors have expected density 0.025 with uniform nonnegative
-    nonzeros.
+    nonzeros. Built by one contraction of the factors (:func:`_lowrank`).
     """
-    if min(m, n) < 50:
-        raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
-    rng = np.random.default_rng(seed)
-    a = np.zeros((m, n))
-    term = np.empty((m, n))  # one buffer for all 50 terms, not 100 m x n temporaries
-    for j in range(1, 51):
-        coeff = 2.0 / j if j <= 10 else 1.0 / j
-        x = _sparse_uniform(rng, m)
-        y = _sparse_uniform(rng, n)
-        np.multiply(np.outer(x, y, out=term), coeff, out=term)
-        a += term
-    return require_finite(a, "generated matrix")
+    return _lowrank("sparse", m, n, seed)[0]
 
 
 def lowrank_gapped(m, n, seed):
-    """Dense rank-<=50 matrix with a deliberate spectral gap.
+    """Dense rank-<=50 matrix X diag(coeff) Y^T with a deliberate spectral gap.
 
-    Built from 50 outer products of standard normal vectors; the leading ten
-    carry weights 1000/j against 1/j for the rest, producing a drop of at
-    least 10x between the 10th and 11th singular values (checked after
-    construction). With the vectors as columns of X and Y,
-    A = X diag(coeff) Y^T = Q_X (T_X diag(coeff) T_Y^T) Q_Y^T, so the check
-    reads A's singular values from that 50 x 50 core instead of an m x n
-    SVD, and forms only the triangles T_X and T_Y, not Q_X or Q_Y.
+    X and Y have standard normal columns; the leading ten components carry
+    weights 1000/j against 1/j for the rest, producing a drop of at least
+    10x between the 10th and 11th singular values. The gap is checked on
+    the 50 x 50 core of the factors (:func:`_core_svd`), not on an m x n
+    SVD. Built by one contraction of the factors (:func:`_lowrank`).
+    """
+    return _lowrank("gapped", m, n, seed)[0]
+
+
+def _lowrank(kind, m, n, seed):
+    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y).
+
+    The one builder behind :func:`lowrank_sparse` (``kind="sparse"``) and
+    :func:`lowrank_gapped` (``kind="gapped"``), which return A; the
+    noise-recovery trial also reads A's row space from F and Y. The
+    generator draws x_j, then y_j, for j = 1..50, into the columns of X
+    (m x 50) and Y (n x 50), and F = X diag(coeff). A is the single
+    contraction ``np.einsum("ij,kj->ik", F, Y)``, which sums the 50 terms
+    in numpy's own loop and makes no BLAS call, so A's bits do not depend
+    on the BLAS thread count, as those of ``F @ Y.T`` do. A ``kind="gapped"``
+    build raises ContractViolationError when psi_10 < 10 psi_11.
     """
     if min(m, n) < 50:
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
+    j = np.arange(1, 51)
+    if kind == "sparse":
+        coeff = np.where(j <= 10, 2.0, 1.0) / j
+        draw = _sparse_uniform
+    else:
+        coeff = np.where(j <= 10, 1000.0, 1.0) / j
+        draw = lambda rng, size: rng.standard_normal(size)
     rng = np.random.default_rng(seed)
-    coeff = np.array([1000.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
-    x = np.empty((m, 50), order="F")
-    y = np.empty((n, 50), order="F")
-    a = np.zeros((m, n))
-    term = np.empty((m, n))  # one buffer for all 50 terms, not 100 m x n temporaries
-    for j in range(50):
-        x[:, j] = rng.standard_normal(m)
-        y[:, j] = rng.standard_normal(n)
-        np.multiply(np.outer(x[:, j], y[:, j], out=term), coeff[j], out=term)
-        a += term
-    t_x, t_y = matkit._triangle_and_lift(x)[0], matkit._triangle_and_lift(y)[0]
-    psi = np.linalg.svd((t_x * coeff) @ t_y.T, compute_uv=False)
-    if psi[9] < 10.0 * psi[10]:
-        raise ContractViolationError(
-            f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
-        )
-    return require_finite(a, "generated matrix")
+    f, y = np.empty((m, 50)), np.empty((n, 50))
+    for col in range(50):
+        f[:, col] = draw(rng, m)
+        y[:, col] = draw(rng, n)
+    f *= coeff
+    if kind == "gapped":
+        psi = _core_svd(f, y)[0].psi
+        if psi[9] < 10.0 * psi[10]:
+            raise ContractViolationError(
+                f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
+            )
+    a = np.einsum("ij,kj->ik", f, y)
+    return require_finite(a, "generated matrix"), f, y
+
+
+def _core_svd(f, y):
+    """SVD of the core of A = F Y^T, and the lift of its right vectors.
+
+    With F = Q_F T_F and Y = Q_Y T_Y (``matkit._triangle_and_lift``),
+    A = Q_F (T_F T_Y^T) Q_Y^T, so the j x j core T_F T_Y^T of j-column
+    factors has A's nonzero singular values, and ``lift_y(z)`` = Q_Y z maps
+    the core's right singular vectors to A's. Neither Q is formed, and no
+    m x n work is done. Returns (``matkit.svd`` of the core, lift_y).
+    """
+    t_f = matkit._triangle_and_lift(f)[0]
+    t_y, lift_y = matkit._triangle_and_lift(y)
+    return matkit.svd(t_f @ t_y.T), lift_y
 
 
 def toeplitz_chol(n, rho):

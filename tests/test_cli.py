@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gcurkit import io as gio
-from gcurkit import cli, matkit
+from gcurkit import cli, experiments, matkit, synth
 from gcurkit.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_USAGE, main
+from gcurkit.errors import ConvergenceError
 
 
 @pytest.fixture
@@ -212,11 +213,26 @@ def test_determinism_across_runs(tmp_path):
     assert run_with("a.json") == run_with("b.json") == run_with("c.json")
 
 
-def test_cell_without_success_exit_code(capsys):
-    # k = n = 300 leaves no trailing GSVD block, so the only trial fails
-    rc = main(["experiment", "noise-recovery", "--rank", "300", "--trials", "1"])
+def test_cell_without_success_exit_code(monkeypatch, capsys):
+    # the only trial fails in its factorization, so no cell has statistics
+    def failing(*_args):
+        raise ConvergenceError("SVD iteration did not converge")
+
+    monkeypatch.setattr(experiments, "_factor_once", failing)
+    rc = main(["experiment", "noise-recovery", "--rank", "5", "--trials", "1"])
     assert rc == EXIT_NUMERIC
-    assert "no successful trial for eps=0.05, k=300" in capsys.readouterr().err
+    assert "no successful trial for eps=0.05, k=5" in capsys.readouterr().err
+
+
+def test_noise_recovery_rank_fails_before_any_trial(monkeypatch, capsys):
+    # k = n = 300 leaves no trailing GSVD block: rejected once, up front
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    rc = main(["experiment", "noise-recovery", "--rank", "10,300", "--trials", "1"])
+    assert rc == EXIT_NUMERIC
+    assert "truncation rank must satisfy 1 <= k < 300, got 300" in capsys.readouterr().err
 
 
 def test_noise_recovery_report_deterministic_bytes(tmp_path):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gcurkit import curfac, deim, experiments, matkit, synth
-from gcurkit.errors import ContractViolationError, DimensionError, GcurkitError
+from gcurkit.errors import (
+    ContractViolationError,
+    ConvergenceError,
+    DimensionError,
+    GcurkitError,
+)
 from gcurkit.gsvd import gsvd
 
 
@@ -88,10 +93,57 @@ def test_noise_recovery_sparse_kind_runs():
     assert rep.cells[0]["stats"]["TSVD"]["trials"] == 2
 
 
-def test_noise_recovery_cell_without_success_raises():
-    # k = n leaves no trailing GSVD block, so every trial fails
-    with pytest.raises(GcurkitError, match=r"eps=0\.05, k=50.*truncation rank"):
-        experiments.noise_recovery(m=60, n=50, k_values=(50,), trials=2)
+def test_noise_recovery_cell_without_success_raises(monkeypatch):
+    # every trial fails in its factorization, so no cell has statistics
+    def failing(*_args):
+        raise ConvergenceError("SVD iteration did not converge")
+
+    monkeypatch.setattr(experiments, "_factor_once", failing)
+    with pytest.raises(GcurkitError, match=r"eps=0\.05, k=5.*did not converge"):
+        experiments.noise_recovery(m=60, n=50, k_values=(5,), trials=2)
+
+
+@pytest.mark.parametrize(
+    "m,n,k_values,match",
+    [
+        (60, 50, (5, 50), "1 <= k < 50, got 50"),  # k = n: no trailing GSVD block
+        (60, 50, (0,), "1 <= k < 50, got 0"),
+        (50, 60, (5,), "needs m >= n, got 50x60"),
+    ],
+)
+def test_noise_recovery_rejects_rank_and_shape_before_trials(
+    monkeypatch, m, n, k_values, match
+):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    with pytest.raises(DimensionError, match=match):
+        experiments.noise_recovery(m=m, n=n, k_values=k_values, trials=2)
+
+
+@pytest.mark.parametrize("kind", ["gapped", "sparse"])
+def test_recovery_trial_builds_the_public_generators_a(monkeypatch, kind):
+    # each trial's A is lowrank_<kind>(m, n, seed) bit for bit, with the
+    # trial's first child seed
+    built = []
+    lowrank = synth._lowrank
+
+    def spy(*args):
+        out = lowrank(*args)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(synth, "_lowrank", spy)
+    experiments.noise_recovery(
+        kind=kind, m=120, n=60, k_values=(5,), eps_values=(0.1,), trials=2, seed=9
+    )
+    trial_as = built[:]
+    gen = synth.lowrank_gapped if kind == "gapped" else synth.lowrank_sparse
+    children = np.random.SeedSequence(9).spawn(2)
+    assert len(trial_as) == 2
+    for a, child in zip(trial_as, children):
+        assert np.array_equal(a, gen(120, 60, child.spawn(3)[0]))
 
 
 def _align_signs(got, want):
@@ -187,8 +239,18 @@ def test_recovery_errors_match_explicit_residual_norms(kind, m, n, inexact):
 
 
 def _rank7(m, n, seed):
+    """Factors (F, Y) of a rank-7 m x n matrix A = F Y^T."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((m, 7)) @ rng.standard_normal((7, n))
+    return rng.standard_normal((m, 7)), rng.standard_normal((n, 7))
+
+
+def _test_matrix(gen, m, n, seed):
+    """A and its factors (F, Y), A = F Y^T, as a recovery trial has them."""
+    if gen is _rank7:
+        f, y = _rank7(m, n, seed)
+        return np.einsum("ij,kj->ik", f, y), f, y
+    kind = "gapped" if gen is synth.lowrank_gapped else "sparse"
+    return synth._lowrank(kind, m, n, seed)
 
 
 def _reconstructions(a, k, seed):
@@ -213,7 +275,7 @@ def _reconstructions(a, k, seed):
     "gen,m,n,k",
     [
         (synth.lowrank_gapped, 400, 120, 10),  # r + k < n: W from a thin QR
-        (synth.lowrank_gapped, 120, 60, 20),  # r + k >= n: W = Z[:, r:]
+        (synth.lowrank_gapped, 120, 60, 20),  # r + k >= n: W completes V_A
         (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, r + k < n
         (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k >= n
         (_rank7, 200, 40, 10),  # r = 7, r + k < n
@@ -221,19 +283,26 @@ def _reconstructions(a, k, seed):
     ],
 )
 def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
-    # each score is within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the
-    # explicit m x n residual, taken by a direct SVD, plus rounding; the
-    # eigenproblem is (r + k) x (r + k), or n x n once r + k >= n, with r
-    # from the one rank rule
-    a = gen(m, n, 3)
+    # V_A comes from the factors of A = F Y^T, with r from the rank rule on
+    # their core, and r is the rank rule's r on A's own SVD. Each score is
+    # within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the explicit m x n
+    # residual, taken by a direct SVD, plus rounding, and that distance is
+    # at most the core's psi_{r+1} / ||A|| plus rounding. The eigenproblem
+    # is (r + k) x (r + k), or n x n once r + k >= n
+    a, f, y = _test_matrix(gen, m, n, 3)
     psi = np.linalg.svd(a, compute_uv=False)
     rank = int(np.count_nonzero(~matkit._negligible(psi, psi[0])))
     if gen is _rank7:
         assert rank == 7
     elif gen is synth.lowrank_sparse:
         assert rank < 50
+    core, lift_y = synth._core_svd(f, y)
+    r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
+    assert r == rank
+    v = lift_y(core.Z[:, :r])
     norm_a = matkit.spectral_norm(a)
-    tail = (psi[rank] if rank < n else 0.0) / norm_a
+    tail = np.linalg.svd(a - (a @ v) @ v.T, compute_uv=False)[0] / norm_a
+    assert tail <= (core.psi[r] if r < len(core.psi) else 0.0) / norm_a + 1e-14
     sizes = []
     lambda_max = matkit._lambda_max
 
@@ -243,7 +312,7 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
 
     q, recon = _reconstructions(a, k, 4)
     monkeypatch.setattr(matkit, "_lambda_max", recording)
-    score = experiments._row_space_scorer(a, norm_a)(q)
+    score = experiments._row_space_scorer(a, f, y, norm_a)(q)
     for method, (left, right) in recon.items():
         want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
         got = score(left, right)

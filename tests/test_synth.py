@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,22 +34,36 @@ def test_sparse_rank_and_nonnegativity():
 
 
 def _sparse_rank_one_loop(m, n, seed):
-    """Reference: the rank-one construction, one product per term."""
+    """Reference: the rank-one construction, one product per term, drawing
+    x_j then y_j; returns A and the factor columns X, Y."""
     rng = np.random.default_rng(seed)
     a = np.zeros((m, n))
+    x, y = np.empty((m, 50)), np.empty((n, 50))
     for j in range(1, 51):
         coeff = 2.0 / j if j <= 10 else 1.0 / j
-        x = synth._sparse_uniform(rng, m)
-        y = synth._sparse_uniform(rng, n)
-        a += coeff * np.outer(x, y)
-    return a
+        x[:, j - 1] = synth._sparse_uniform(rng, m)
+        y[:, j - 1] = synth._sparse_uniform(rng, n)
+        a += coeff * np.outer(x[:, j - 1], y[:, j - 1])
+    return a, x, y
+
+
+SPARSE_COEFF = np.array([2.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
+GAPPED_COEFF = np.array([1000.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
+
+
+def _assert_within_rounding_of_loop(a, a_ref, x, y, coeff):
+    # both sum 50 terms in some order: each entry within a few ulps of the
+    # sum of the terms' magnitudes, sum_j |coeff_j x_ij y_kj|
+    tol = 100 * np.finfo(float).eps * (np.abs(x * coeff) @ np.abs(y).T)
+    assert np.all(np.abs(a - a_ref) <= tol)
 
 
 def test_sparse_determinism_and_dimension_guard():
     a1 = lowrank_sparse(60, 55, seed=123)
     a2 = lowrank_sparse(60, 55, seed=123)
     assert np.array_equal(a1, a2)
-    assert a1.tobytes() == _sparse_rank_one_loop(60, 55, 123).tobytes()
+    a_ref, x, y = _sparse_rank_one_loop(60, 55, 123)
+    _assert_within_rounding_of_loop(a1, a_ref, x, y, SPARSE_COEFF)
     assert not np.array_equal(a1, lowrank_sparse(60, 55, seed=124))
     with pytest.raises(DimensionError):
         lowrank_sparse(40, 60, seed=0)
@@ -73,14 +92,62 @@ def _gapped_rank_one_loop(m, n, seed):
 @pytest.mark.parametrize("m,n,seed", [(120, 60, 5), (60, 130, 6), (50, 50, 7)])
 def test_gapped_bits_and_spectrum_from_its_core(m, n, seed):
     a_ref, x, y = _gapped_rank_one_loop(m, n, seed)
-    assert np.array_equal(lowrank_gapped(m, n, seed), a_ref)
+    a = lowrank_gapped(m, n, seed)
+    _assert_within_rounding_of_loop(a, a_ref, x, y, GAPPED_COEFF)
     # the 50 x 50 core T_X diag(coeff) T_Y^T has A's nonzero singular values
-    coeff = np.array([1000.0 / j if j <= 10 else 1.0 / j for j in range(1, 51)])
-    core = (matkit.thin_qr(x).T * coeff) @ matkit.thin_qr(y).T.T
+    core = (matkit.thin_qr(x).T * GAPPED_COEFF) @ matkit.thin_qr(y).T.T
     psi_core = np.linalg.svd(core, compute_uv=False)
-    psi = np.linalg.svd(a_ref, compute_uv=False)[:50]
+    psi = np.linalg.svd(a, compute_uv=False)[:50]
     assert np.max(np.abs(psi_core - psi)) <= 1e-13 * psi[0]
     assert psi_core[9] / psi_core[10] == pytest.approx(psi[9] / psi[10], rel=1e-10)
+    # so does the core of the factors the generator contracts, F = X diag(coeff)
+    got, _ = synth._core_svd(x * GAPPED_COEFF, y)
+    assert np.max(np.abs(got.psi - psi)) <= 1e-13 * psi[0]
+
+
+@pytest.mark.parametrize(
+    "kind,loop,coeff",
+    [("gapped", _gapped_rank_one_loop, GAPPED_COEFF),
+     ("sparse", _sparse_rank_one_loop, SPARSE_COEFF)],
+)
+@pytest.mark.parametrize("m,n,seed", [(120, 60, 5), (60, 130, 6)])
+def test_lowrank_factors_follow_the_draw_sequence(kind, loop, coeff, m, n, seed):
+    # F = X diag(coeff) and Y hold the draws x_1, y_1, ..., x_50, y_50 bit
+    # for bit, A is their one contraction, and the public generator returns
+    # that A
+    a_ref, x, y = loop(m, n, seed)
+    a, f, y_got = synth._lowrank(kind, m, n, seed)
+    assert np.array_equal(f, x * coeff)
+    assert np.array_equal(y_got, y)
+    assert np.array_equal(a, np.einsum("ij,kj->ik", f, y_got))
+    public = lowrank_gapped if kind == "gapped" else lowrank_sparse
+    assert np.array_equal(public(m, n, seed), a)
+    assert a.flags.c_contiguous
+
+
+_SHA_SCRIPT = """
+import hashlib
+from gcurkit import synth
+for gen in (synth.lowrank_gapped, synth.lowrank_sparse):
+    print(hashlib.sha256(gen(2000, 300, 5).tobytes()).hexdigest())
+"""
+
+
+def test_lowrank_bits_do_not_depend_on_blas_threads():
+    # the thread variables are read when numpy loads, so each count runs in
+    # a fresh interpreter
+    src = str(Path(synth.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _SHA_SCRIPT], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 def test_toeplitz_chol_small_cases():
