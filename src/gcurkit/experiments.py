@@ -4,10 +4,17 @@ subspace-angle study, and four-subgroup column selection.
 Every experiment takes a master seed and derives one child seed per trial
 via ``numpy.random.SeedSequence.spawn``, so each trial's random stream
 depends only on the master seed and the trial id, and results are
-bit-identical for a fixed seed. Trials run one after another in trial-id
-order in the calling thread; the dense kernels run on the threads the BLAS
-library is given. A failed trial is recorded under ``trial_failures`` and left
-out of the statistics; a grid cell that no trial reaches raises.
+bit-identical for a fixed seed. Everything runs in the calling thread; the
+dense kernels run on the threads the BLAS library is given. Noise-recovery
+trials run one after another in trial-id order. The 3x3 subspace-angle trials
+run as stacks of ``INTRO_STACK`` trials in trial-id order: each trial still
+draws its own noise from its own child seed, and each stage (the noise
+product, its norm, the SVD, the GSVD and the two angles) is one stacked numpy
+call on the private ``matkit`` and ``gsvd`` cores for the whole stack, which
+gives each trial the bits it gets alone. A failed trial is recorded under
+``trial_failures`` and left out of the statistics; a stack that raises runs
+again one trial at a time, so each failing trial records its own message in
+trial-id order. A grid cell that no trial reaches raises.
 
 Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
 serves both the SVD and the GSVD, which act on the n x n triangle R.
@@ -50,13 +57,20 @@ import numpy as np
 from . import __version__, curfac, deim, matkit, synth
 from .errors import ContractViolationError, DimensionError, GcurkitError
 from .gcur import gcur_only_a
-from .gsvd import gsvd
+from .gsvd import _stacked_gsvd, gsvd
 
 REPORT_SCHEMA = "gcurkit-report/1"
 
 #: The 3x3 rank-2 fixture and its noise covariance for the subspace-angle study.
 INTRO_MATRIX = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
 INTRO_COVARIANCE = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
+
+#: Trials per stack in ``intro_angles``. One stack of 3x3 trials costs one
+#: numpy call per stage; a bounded stack keeps the peak memory flat.
+INTRO_STACK = 256
+
+# A trial that raises one of these is recorded as failed; anything else is a bug.
+_TRIAL_ERRORS = (GcurkitError, np.linalg.LinAlgError)
 
 
 def _run_trials(worker, trials, seed_seq):
@@ -69,8 +83,31 @@ def _run_trials(worker, trials, seed_seq):
     for i, child in enumerate(seed_seq.spawn(trials)):
         try:
             results.append(worker(i, child))
-        except (GcurkitError, np.linalg.LinAlgError) as exc:
+        except _TRIAL_ERRORS as exc:
             failures.append(str(exc))
+    return results, failures
+
+
+def _run_stacked_trials(worker, trials, seed_seq, size):
+    """Run ``worker(child_seeds)`` on stacks of up to ``size`` trials in
+    trial-id order; the worker returns one result per trial of its stack.
+
+    A stack that raises a numerical error runs again one trial at a time,
+    so each failing trial records its own message. Returns the results and
+    the failure messages, each in trial-id order.
+    """
+    results, failures = [], []
+    children = seed_seq.spawn(trials)
+    for lo in range(0, trials, size):
+        stack = children[lo : lo + size]
+        try:
+            results += worker(stack)
+        except _TRIAL_ERRORS:
+            for child in stack:
+                try:
+                    results += worker([child])
+                except _TRIAL_ERRORS as exc:
+                    failures.append(str(exc))
     return results, failures
 
 
@@ -126,21 +163,35 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     as E = eps * (||F|| / ||A||) * F. The plain SVD of the noisy matrix is
     compared against the pair factorization that carries the noise
     covariance's Cholesky factor as its second matrix.
+
+    The trials of each eps run as stacks of ``INTRO_STACK`` (see the module
+    docstring): one stacked call per stage on the private cores of
+    ``matkit.spectral_norm``, ``matkit.svd``, ``gsvd`` and
+    ``matkit.max_principal_angle``, with the results those public functions
+    give trial by trial. The fixture and the clean basis are checked once
+    per call.
     """
     a = INTRO_MATRIX
     rchol = np.linalg.cholesky(INTRO_COVARIANCE).T
     w2 = matkit.svd(a).W[:, :2]
+    matkit._check_orthonormal(w2, "U1")
     norm_a = matkit.spectral_norm(a)
 
+    def angle(u2):
+        matkit._check_orthonormal(u2, "U2")
+        return matkit._max_principal_angle(w2, u2)
+
     def worker(eps):
-        def run(_i, child):
-            rng = np.random.default_rng(child)
-            f = rng.standard_normal((3, 3)) @ rchol
-            e = eps * (matkit.spectral_norm(f) / norm_a) * f
+        def run(children):
+            draws = np.stack(
+                [np.random.default_rng(c).standard_normal((3, 3)) for c in children]
+            )
+            f = draws @ rchol
+            e = (eps * (matkit._spectral_norm(f) / norm_a))[:, None, None] * f
             noisy = a + e
-            svd_angle = matkit.max_principal_angle(w2, matkit.svd(noisy).W[:, :2])
-            gsvd_angle = matkit.max_principal_angle(w2, gsvd(noisy, rchol).U[:, :2])
-            return svd_angle, gsvd_angle
+            svd_angles = angle(matkit._svd(noisy).W[..., :2])
+            gsvd_angles = angle(_stacked_gsvd(noisy, rchol).U[..., :2])
+            return list(zip(svd_angles.tolist(), gsvd_angles.tolist()))
 
         return run
 
@@ -151,7 +202,7 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     timing = {}
     for eps, eps_seq in zip(eps_values, per_eps):
         t0 = time.perf_counter()
-        results, failed = _run_trials(worker(eps), trials, eps_seq)
+        results, failed = _run_stacked_trials(worker(eps), trials, eps_seq, INTRO_STACK)
         failures += failed
         _require_success(results, failed, f"eps={eps:g}")
         svd_angles = [r[0] for r in results]
@@ -182,14 +233,15 @@ def _factor_once(noisy, rchol, kmax):
     return q, r, f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
 
 
-def _row_space_scorer(a, f, y, norm_a):
+def _row_space_scorer(a, core, norm_a):
     """Score reconstructions X = Q @ left @ right that lie in range(Q), in
     A's numerical row space (see the module docstring).
 
-    Once per A = F Y^T: V_A from the generator's factors, not from A. The
-    50 x 50 core of F Y^T has A's nonzero singular values, and its right
-    vectors Z_c lift to A's as V_A = Q_Y Z_c[:, :r] (``synth._core_svd``),
-    with r from the rank rule on the core's psi; then G = A V_A / ||A||, so
+    Once per A = F Y^T: V_A from the generator's factors, not from A.
+    ``core`` is ``synth._core_svd(F, Y)``: the SVD of the 50 x 50 core of
+    F Y^T, which has A's nonzero singular values, and the lift of its right
+    vectors Z_c to A's, V_A = Q_Y Z_c[:, :r], with r from the rank rule on
+    the core's psi; then G = A V_A / ||A||, so
     the Grams stay near unit scale and each score is the relative error
     ||A - X|| / ||A||. The factors are not kept. ``in_basis(q)`` forms C_V
     and the r x r Gram of P_V once per Q; each ``score(left, right)`` then
@@ -201,7 +253,7 @@ def _row_space_scorer(a, f, y, norm_a):
     1e-12 ||A|| by the rank rule) plus the rounding of A = F Y^T.
     """
     n = a.shape[1]
-    core, lift_y = synth._core_svd(f, y)
+    core, lift_y = core
     r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
     v = lift_y(core.Z[:, :r])
     g = (a @ v) / norm_a
@@ -233,7 +285,8 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
 
     A and its factors come from the generators' one builder
     (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
-    seed)``, and the factors give A's row space. The noise E is drawn once
+    seed)``, and the factors' core SVD gives A's row space; a gapped build
+    hands over the core SVD of its gap check. The noise E is drawn once
     per trial at unit level and scaled by each eps; the trial forms each
     noisy matrix A + eps E itself. Each noisy
     matrix is factored once (:func:`_factor_once`), and the middle matrices
@@ -250,15 +303,15 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
 
     def run(_i, child):
         seeds = child.spawn(3)
-        a, f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
+        a, f_a, y_a, core = synth._lowrank(kind, m, n, seeds[0])
         norm_a = matkit.spectral_norm(a)
         t0 = time.perf_counter()
         e_unit, rchol = synth._noise_term(
             a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        in_basis = _row_space_scorer(a, f_a, y_a, norm_a)
-        del f_a, y_a
+        in_basis = _row_space_scorer(a, core or synth._core_svd(f_a, y_a), norm_a)
+        del f_a, y_a, core
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         out = {}
         cell_s = {}
@@ -311,16 +364,21 @@ def noise_recovery(
     carrying the noise covariance factor, and the index-based reconstructions
     built from each. ``inexact_chol=True`` hands the pair factorization a
     perturbed covariance factor while the noise itself stays exact. A
-    negative eps raises ContractViolationError, and m < n or a k outside
-    1 <= k < n raises DimensionError, before any trial runs.
+    negative eps or a rho outside (0, 1) raises ContractViolationError, and
+    m < n, n < 50 (the generators' rank-50 build) or a k outside 1 <= k < n
+    raises DimensionError, before any trial runs.
     """
     if kind not in ("sparse", "gapped"):
         raise ValueError(f"kind must be 'sparse' or 'gapped', got {kind!r}")
     for eps in eps_values:
         if eps < 0:
             raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
+    if not 0.0 < rho < 1.0:
+        raise ContractViolationError(f"rho must be in (0, 1), got {rho}")
     if m < n:
         raise DimensionError(f"noise recovery needs m >= n, got {m}x{n}")
+    if n < 50:
+        raise DimensionError(f"noise recovery needs n >= 50 for a rank-50 build, got {m}x{n}")
     for k in k_values:
         matkit._require_truncation_rank(k, n)
 

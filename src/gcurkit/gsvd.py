@@ -16,6 +16,13 @@ n x n instead of m x n, and U is lifted as Q_A U' at the end (the QR
 preprocessing of LAPACK's xGGSVP3). Q_A is never formed: U' is lifted by
 applying A's Householder reflectors (``matkit._triangle_and_lift``), the
 same reduction ``gcur`` makes. A square A skips the reduction.
+
+``gsvd`` takes one 2-D pair. Its core, ``_stacked_gsvd``, which runs the
+steps above on a square or reduced A, also takes stacks of pairs with leading
+axes (A of shape ``(..., m, n)``, B of shape ``(..., d, n)`` or one 2-D B
+shared by every pair) and factors all of them with one stacked QR and one
+stacked SVD, each pair with the bits it gets alone; the intro-angles
+experiment runs its trials that way.
 """
 
 from typing import NamedTuple
@@ -98,32 +105,36 @@ def gsvd(a, b):
 
 def _stacked_gsvd(a, b):
     """GSVD of a validated pair from one thin QR of the stack [A; B], with
-    U read off the SVD of its top block, so U has A's m rows."""
-    (m, n), d = a.shape, b.shape[0]
-    stack = np.empty((m + d, n), order="F")
-    stack[:m] = a
-    stack[m:] = b
-    q0, t0 = matkit.thin_qr(stack)
-    del stack  # (m + d) x n floats the SVD below does not need
+    U read off the SVD of its top block, so U has A's m rows. A and B may
+    carry leading stack axes (see the module docstring)."""
+    m, n = a.shape[-2:]
+    d = b.shape[-2]
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    stack = np.empty((*batch, n, m + d)).swapaxes(-1, -2)  # column-major pairs
+    stack[..., :m, :] = a
+    stack[..., m:, :] = b
+    q0, t0 = matkit._thin_qr(stack)
+    del stack  # (m + d) x n floats per pair the SVD below does not need
     _require_full_rank(t0, FullRankError, "stacked pair [A; B]")
 
-    u, gamma, wt = np.linalg.svd(q0[:m], full_matrices=False)
-    w = wt.T
+    u, gamma, wt = np.linalg.svd(q0[..., :m, :], full_matrices=False)
+    w = wt.swapaxes(-1, -2)
     gamma = np.clip(gamma, 0.0, 1.0)
 
     # Columns of q0[m:] @ w are sigma_i * v_i; for sigma_i ~ 0 the direction
     # is meaningless and V is completed orthonormally instead. The rank rule
     # reads sigma against 1, the scale that gamma^2 + sigma^2 = 1 gives it.
-    vs = q0[m:] @ w
-    sigma = np.linalg.norm(vs, axis=0)
-    v = np.empty((d, n))
+    vs = q0[..., m:, :] @ w
+    sigma = np.linalg.norm(vs, axis=-2)
     good = ~_negligible(sigma, 1.0)
-    v[:, good] = vs[:, good] / sigma[good]
+    v = vs / np.where(good, sigma, 1.0)[..., None, :]
     if not good.all():
-        fill = _orthonormal_completion(v[:, good], d, int((~good).sum()))
-        v[:, ~good] = fill
+        for v_i, good_i in zip(v.reshape(-1, d, n), good.reshape(-1, n)):
+            if not good_i.all():
+                fill = _orthonormal_completion(v_i[:, good_i], d, int((~good_i).sum()))
+                v_i[:, ~good_i] = fill
 
-    y = t0.T @ w
+    y = t0.swapaxes(-1, -2) @ w
     return GsvdFactors(u, v, y, gamma, sigma)
 
 

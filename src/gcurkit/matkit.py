@@ -19,9 +19,19 @@ reduction of a tall A in ``gsvd`` and ``gcur``, ``synth._core_svd`` (the
 50 x 50 core of the low-rank generators' factors, which ``lowrank_gapped``'s
 gap check reads and whose right vectors Y's reflectors lift to V_A for the
 noise-recovery scorer), and that scorer's per-reconstruction triangle.
+
+The public functions take 2-D matrices only: each validates through
+``as_matrix``, which rejects any other ndim, and then calls a private core.
+The cores ``_svd``, ``_thin_qr`` (with the sign fix ``_diag_signs``),
+``_spectral_norm`` and ``_lambda_max``, ``_max_principal_angle`` and
+``_check_orthonormal``, and ``_require_full_rank`` also take a stack of
+matrices with leading axes (shape ``(..., m, n)``) and factor every matrix
+of the stack in one numpy call. numpy's stacked LAPACK and matmul calls give
+each matrix the bits it gets alone, so a stack changes no result; the
+intro-angles experiment runs its trials that way. A core that rejects its
+input (a rank test, a non-finite scale) raises for the whole stack.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +59,15 @@ def _require_full_rank(a, error, what):
     """Raise ``error`` when A is numerically rank deficient (psi_min negligible).
 
     Returns A's singular values, nonincreasing, for callers that need them.
+    On a stack, raises when any matrix is, naming the first.
     """
     psi = np.linalg.svd(a, compute_uv=False)
-    if _negligible(psi[-1], psi[0]):
+    deficient = _negligible(psi[..., -1], psi[..., 0])
+    if deficient.any():
+        first = psi[deficient][0]
         raise error(
             f"{what} is rank deficient "
-            f"(psi_min = {psi[-1]:.3e} <= {RANK_TOL:g} * psi_max)"
+            f"(psi_min = {first[-1]:.3e} <= {RANK_TOL:g} * psi_max)"
         )
     return psi
 
@@ -106,14 +119,17 @@ def svd(a):
 
     Returns rank r = min(m, n) factors; delegates to the LAPACK dense kernel.
     """
-    a = as_matrix(a, "A")
+    return _svd(as_matrix(a, "A"))
+
+
+def _svd(a):
     try:
         w, psi, zt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"SVD iteration did not converge for {a.shape[0]}x{a.shape[1]} matrix"
+            f"SVD iteration did not converge for {a.shape[-2]}x{a.shape[-1]} matrix"
         ) from exc
-    return SvdFactors(w, psi, zt.T)
+    return SvdFactors(w, psi, zt.swapaxes(-1, -2))
 
 
 def thin_qr(a):
@@ -125,16 +141,20 @@ def thin_qr(a):
     m, n = a.shape
     if m < n:
         raise DimensionError(f"thin QR needs rows >= cols, got {m}x{n}")
+    return _thin_qr(a)
+
+
+def _thin_qr(a):
     q, t = np.linalg.qr(a)
     d = _diag_signs(t)
-    q *= d
-    t *= d[:, None]
+    q *= d[..., None, :]
+    t *= d[..., :, None]
     return QrFactors(q, t)
 
 
 def _diag_signs(t):
     """Signs that make diag(T) nonnegative; a zero diagonal entry keeps +1."""
-    d = np.sign(np.diag(t))
+    d = np.sign(np.diagonal(t, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     return d
 
@@ -187,10 +207,11 @@ def _triangle_and_lift(a):
 
 
 def _check_orthonormal(u, name):
-    g = u.T @ u - np.eye(u.shape[1])
-    if np.max(np.abs(g)) > ORTHO_TOL:
+    g = u.swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+    deviation = np.max(np.abs(g), axis=(-2, -1))
+    if np.any(deviation > ORTHO_TOL):
         raise ContractViolationError(
-            f"{name} does not have orthonormal columns (deviation {np.max(np.abs(g)):.2e})"
+            f"{name} does not have orthonormal columns (deviation {np.max(deviation):.2e})"
         )
 
 
@@ -212,9 +233,13 @@ def max_principal_angle(u1, u2):
         )
     _check_orthonormal(u1, "U1")
     _check_orthonormal(u2, "U2")
-    r = u2 - u1 @ (u1.T @ u2)
-    s = np.linalg.svd(r, compute_uv=False)
-    return float(np.arcsin(min(1.0, float(s[0]))))
+    return float(_max_principal_angle(u1, u2))
+
+
+def _max_principal_angle(u1, u2):
+    r = u2 - u1 @ (u1.swapaxes(-1, -2) @ u2)
+    s = np.linalg.svd(r, compute_uv=False)[..., 0]
+    return np.arcsin(np.minimum(1.0, s))
 
 
 def _lambda_max(gram):
@@ -224,15 +249,14 @@ def _lambda_max(gram):
     returns finite garbage on NaN input instead of failing) or when the
     eigensolver does not converge.
     """
+    n = gram.shape[-1]
     if not np.isfinite(gram).all():
-        raise ConvergenceError(
-            f"{gram.shape[0]}x{gram.shape[0]} Gram matrix has non-finite entries"
-        )
+        raise ConvergenceError(f"{n}x{n} Gram matrix has non-finite entries")
     try:
-        return float(np.linalg.eigvalsh(gram)[-1])
+        return np.linalg.eigvalsh(gram)[..., -1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigenvalue iteration did not converge for {gram.shape[0]}x{gram.shape[0]} Gram"
+            f"eigenvalue iteration did not converge for {n}x{n} Gram"
         ) from exc
 
 
@@ -250,18 +274,22 @@ def spectral_norm(a):
     loses the small singular values, which the rank rule and
     smallest_singular_value need, so those keep the SVD.
     """
-    a = as_matrix(a, "A")
+    return float(_spectral_norm(as_matrix(a, "A")))
+
+
+def _spectral_norm(a):
+    m, n = a.shape[-2:]
     # max|a_ij| without an |A| temporary; NaN anywhere makes both ends NaN
-    scale = max(float(a.max()), -float(a.min()))
-    if not math.isfinite(scale):
+    scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+    if not np.isfinite(scale).all():
         raise ConvergenceError(
-            f"spectral norm of a {a.shape[0]}x{a.shape[1]} matrix with non-finite entries"
+            f"spectral norm of a {m}x{n} matrix with non-finite entries"
         )
-    if scale == 0.0:
-        return 0.0
-    x = a / scale
-    gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
-    return scale * math.sqrt(_lambda_max(gram))
+    zero = scale == 0.0
+    x = a / np.where(zero, 1.0, scale)[..., None, None]
+    xt = x.swapaxes(-1, -2)
+    gram = xt @ x if m >= n else x @ xt
+    return np.where(zero, 0.0, scale * np.sqrt(_lambda_max(gram)))
 
 
 def smallest_singular_value(a):

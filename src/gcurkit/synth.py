@@ -122,11 +122,14 @@ def lowrank_gapped(m, n, seed):
 
 
 def _lowrank(kind, m, n, seed):
-    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y).
+    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y,
+    core), where core is the gap check's :func:`_core_svd` of F and Y for
+    ``kind="gapped"`` and None for ``kind="sparse"``, which takes none.
 
     The one builder behind :func:`lowrank_sparse` (``kind="sparse"``) and
     :func:`lowrank_gapped` (``kind="gapped"``), which return A; the
-    noise-recovery trial also reads A's row space from F and Y. The
+    noise-recovery trial also reads A's row space from the core, so a
+    gapped trial takes the core SVD once. The
     generator draws x_j, then y_j, for j = 1..50, into the columns of X
     (m x 50) and Y (n x 50), and F = X diag(coeff). A is the single
     contraction ``np.einsum("ij,kj->ik", F, Y)``, which sums the 50 terms
@@ -149,14 +152,16 @@ def _lowrank(kind, m, n, seed):
         f[:, col] = draw(rng, m)
         y[:, col] = draw(rng, n)
     f *= coeff
+    core = None
     if kind == "gapped":
-        psi = _core_svd(f, y)[0].psi
+        core = _core_svd(f, y)
+        psi = core[0].psi
         if psi[9] < 10.0 * psi[10]:
             raise ContractViolationError(
                 f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
             )
     a = np.einsum("ij,kj->ik", f, y)
-    return require_finite(a, "generated matrix"), f, y
+    return require_finite(a, "generated matrix"), f, y, core
 
 
 def _core_svd(f, y):

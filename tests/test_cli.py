@@ -235,6 +235,19 @@ def test_noise_recovery_rank_fails_before_any_trial(monkeypatch, capsys):
     assert "truncation rank must satisfy 1 <= k < 300, got 300" in capsys.readouterr().err
 
 
+def test_noise_recovery_rho_fails_before_any_trial(monkeypatch, capsys):
+    # a rho outside (0, 1) is rejected once, up front, not once per trial
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    rc = main(["experiment", "noise-recovery", "--rho", "1.5", "--trials", "3"])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "rho must be in (0, 1), got 1.5" in err
+    assert "no successful trial" not in err
+
+
 def test_noise_recovery_report_deterministic_bytes(tmp_path):
     def run_with(name):
         out = tmp_path / name

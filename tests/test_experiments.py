@@ -46,6 +46,84 @@ def test_intro_angles_seed_changes_results():
     )
 
 
+def _intro_angles_oracle(eps_values, trials, seed):
+    """Reference: the per-trial loop of the intro-angles study, one public
+    call per stage, as the report dict with no timing."""
+    a = experiments.INTRO_MATRIX
+    rchol = np.linalg.cholesky(experiments.INTRO_COVARIANCE).T
+    w2 = matkit.svd(a).W[:, :2]
+    norm_a = matkit.spectral_norm(a)
+    per_eps = np.random.SeedSequence(seed).spawn(len(eps_values))
+    cells, failures = [], []
+    for eps, eps_seq in zip(eps_values, per_eps):
+        angles = {"SVD": [], "GSVD": []}
+        for child in eps_seq.spawn(trials):
+            try:
+                f = np.random.default_rng(child).standard_normal((3, 3)) @ rchol
+                noisy = a + eps * (matkit.spectral_norm(f) / norm_a) * f
+                svd_angle = matkit.max_principal_angle(w2, matkit.svd(noisy).W[:, :2])
+                gsvd_angle = matkit.max_principal_angle(w2, gsvd(noisy, rchol).U[:, :2])
+            except (GcurkitError, np.linalg.LinAlgError) as exc:
+                failures.append(str(exc))
+                continue
+            angles["SVD"].append(svd_angle)
+            angles["GSVD"].append(gsvd_angle)
+        stats = {
+            method: {
+                "mean": float(np.mean(v)),
+                "std": float(np.std(v, ddof=1)) if len(v) > 1 else 0.0,
+                "trials": len(v),
+            }
+            for method, v in angles.items()
+        }
+        cells.append({"eps": eps, "k": 2, "stats": stats})
+    params = {"eps_values": list(eps_values), "trials": trials, "seed": seed}
+    rep = experiments.ExperimentReport(
+        "intro-angles", params, cells, extra={"trial_failures": failures}
+    )
+    return rep.to_dict(include_timing=False)
+
+
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 1000])
+def test_intro_angles_stacks_match_the_per_trial_loop(trials):
+    # stacks of INTRO_STACK trials, the last one partial, give the report of
+    # the per-trial loop exactly
+    assert experiments.INTRO_STACK == 256
+    eps_values = (5e-2, 5e-4) if trials == 1000 else (5e-3,)
+    rep = experiments.intro_angles(eps_values=eps_values, trials=trials, seed=trials)
+    assert rep.to_dict(include_timing=False) == _intro_angles_oracle(
+        eps_values, trials, trials
+    )
+
+
+def test_intro_angles_failed_trials_keep_their_own_messages(monkeypatch):
+    # trials 3 and 300 of the first cell draw NaN noise: their stacks run
+    # again trial by trial, so exactly those two fail, with the per-trial
+    # loop's messages in trial-id order, and every other trial still counts
+    poisoned = {(0, 3), (0, 300)}
+    default_rng = np.random.default_rng
+
+    class PoisonedRng:
+        def standard_normal(self, shape):
+            return np.full(shape, np.nan)
+
+    def rng(seed):
+        if getattr(seed, "spawn_key", None) in poisoned:
+            return PoisonedRng()
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    trials, eps_values = 520, (5e-2, 5e-3)
+    got = experiments.intro_angles(eps_values=eps_values, trials=trials, seed=4)
+    got = got.to_dict(include_timing=False)
+    assert got == _intro_angles_oracle(eps_values, trials, 4)
+    assert got["trial_failures"] == [
+        "spectral norm of a 3x3 matrix with non-finite entries"
+    ] * 2
+    assert [c["stats"]["SVD"]["trials"] for c in got["cells"]] == [trials - 2, trials]
+    assert [c["stats"]["GSVD"]["trials"] for c in got["cells"]] == [trials - 2, trials]
+
+
 @pytest.fixture(scope="module")
 def tiny_recovery():
     return experiments.noise_recovery(
@@ -120,6 +198,43 @@ def test_noise_recovery_rejects_rank_and_shape_before_trials(
     monkeypatch.setattr(synth, "_lowrank", no_trial)
     with pytest.raises(DimensionError, match=match):
         experiments.noise_recovery(m=m, n=n, k_values=k_values, trials=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,match",
+    [
+        (dict(m=60, n=40), DimensionError, "needs n >= 50 .* got 60x40"),
+        (dict(m=60, n=50, rho=1.5), ContractViolationError, r"rho must be in \(0, 1\), got 1.5"),
+        (dict(m=60, n=50, rho=0.0), ContractViolationError, r"rho must be in \(0, 1\), got 0.0"),
+    ],
+)
+def test_noise_recovery_rejects_small_n_and_bad_rho_before_trials(
+    monkeypatch, kwargs, error, match
+):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    with pytest.raises(error, match=match):
+        experiments.noise_recovery(k_values=(5,), trials=3, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["gapped", "sparse"])
+def test_recovery_trial_takes_one_core_svd(monkeypatch, kind):
+    # a gapped trial's scorer reuses the core SVD of the generator's gap
+    # check; a sparse build has no gap check, so its scorer takes the one
+    calls = []
+    core_svd = synth._core_svd
+
+    def spy(f, y):
+        calls.append(f.shape)
+        return core_svd(f, y)
+
+    monkeypatch.setattr(synth, "_core_svd", spy)
+    experiments.noise_recovery(
+        kind=kind, m=120, n=60, k_values=(5,), eps_values=(0.1,), trials=2, seed=9
+    )
+    assert calls == [(120, 50)] * 2
 
 
 @pytest.mark.parametrize("kind", ["gapped", "sparse"])
@@ -250,7 +365,7 @@ def _test_matrix(gen, m, n, seed):
         f, y = _rank7(m, n, seed)
         return np.einsum("ij,kj->ik", f, y), f, y
     kind = "gapped" if gen is synth.lowrank_gapped else "sparse"
-    return synth._lowrank(kind, m, n, seed)
+    return synth._lowrank(kind, m, n, seed)[:3]
 
 
 def _reconstructions(a, k, seed):
@@ -312,7 +427,7 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
 
     q, recon = _reconstructions(a, k, 4)
     monkeypatch.setattr(matkit, "_lambda_max", recording)
-    score = experiments._row_space_scorer(a, f, y, norm_a)(q)
+    score = experiments._row_space_scorer(a, (core, lift_y), norm_a)(q)
     for method, (left, right) in recon.items():
         want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
         got = score(left, right)

@@ -3,7 +3,7 @@ import pytest
 
 from gcurkit import matkit
 from gcurkit.errors import DimensionError, FullRankError
-from gcurkit.gsvd import gsvd, truncate, truncated_pair
+from gcurkit.gsvd import _stacked_gsvd, gsvd, truncate, truncated_pair
 
 
 def check_invariants(a, b, f, recon_tol=1e-9, ortho_tol=1e-10):
@@ -216,18 +216,19 @@ def test_stack_matches_vstack_reference_bitwise(m, d, n, order_a, order_b):
 
 def test_tall_a_reaches_no_thin_qr(monkeypatch):
     # A (m x n, m > n) is reduced by its reflectors: the only thin QR is of
-    # the (n + d) x n stack [R_A; B], and no m-row array reaches thin_qr
+    # the (n + d) x n stack [R_A; B], and no m-row array reaches the thin QR
+    # core that thin_qr and the GSVD core share
     m, d, n = 90, 50, 30
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((m, n)), rng.standard_normal((d, n))
     seen = []
-    thin_qr = matkit.thin_qr
+    thin_qr = matkit._thin_qr
 
     def spy(x):
         seen.append(np.shape(x))
         return thin_qr(x)
 
-    monkeypatch.setattr(matkit, "thin_qr", spy)
+    monkeypatch.setattr(matkit, "_thin_qr", spy)
     f = gsvd(a, b)
     assert seen == [(n + d, n)]
     check_invariants(a, b, f)
@@ -265,3 +266,31 @@ def test_reduction_matches_unreduced_values(m, d, n, rank_b):
     assert np.all(np.isinf(f.ratios[: n - rank_b]))
     for got, want in ((f.gamma, gamma), (f.sigma, sigma), (f.ratios, ratios)):
         assert np.allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shared_b", [True, False])
+def test_stacked_core_matches_each_pair_bitwise(shared_b):
+    # the core factors a stack of square pairs, against one shared B or a
+    # stack of Bs, with the bits gsvd gives each pair; pair 4's B is rank
+    # deficient, so its sigma = 0 column is completed inside the stack
+    rng = np.random.default_rng(40)
+    n, d = 4, 6
+    a = rng.standard_normal((6, n, n))
+    b = rng.standard_normal((d, n)) if shared_b else rng.standard_normal((6, d, n))
+    if not shared_b:
+        b[4] = rng.standard_normal((d, n - 1)) @ rng.standard_normal((n - 1, n))
+    f = _stacked_gsvd(a, b)
+    for i in range(len(a)):
+        for got, want in zip(f, gsvd(a[i], b if shared_b else b[i])):
+            assert got[i].tobytes() == want.tobytes()
+    if not shared_b:
+        assert f.sigma[4, 0] <= 1e-12 and np.all(f.sigma[np.arange(6) != 4] > 1e-3)
+
+
+def test_stacked_core_rejects_a_stack_with_a_rank_deficient_pair():
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 5, 4))
+    a[1, :, 2] = 0.0
+    b[1, :, 2] = 0.0
+    with pytest.raises(FullRankError, match="stacked pair"):
+        _stacked_gsvd(a, b)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcurkit import matkit
+from gcurkit.gsvd import gsvd
 from gcurkit.errors import (
     ContractViolationError,
     ConvergenceError,
@@ -239,3 +240,88 @@ def test_factorization_reconstruction_invariants(seed):
         q = matkit.thin_qr(a)
         assert matkit.spectral_norm(a - q.Q @ q.T) <= 1e-10 * norm_a
         assert np.max(np.abs(np.tril(q.T, -1))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        matkit.svd,
+        matkit.thin_qr,
+        matkit.spectral_norm,
+        matkit.smallest_singular_value,
+        lambda x: matkit.max_principal_angle(x, x),
+        lambda x: gsvd(x, x),
+    ],
+)
+def test_public_functions_reject_stacks(call):
+    # the cores take a leading stack axis; the public functions stay 2-D
+    with pytest.raises(DimensionError, match="must be 2-D, got ndim=3"):
+        call(np.tile(np.eye(3), (2, 1, 1)))
+
+
+def _head_thin_qr(a):
+    """Reference: the 2-D thin QR with its sign fix, as written before the
+    cores took a stack axis."""
+    q, t = np.linalg.qr(a)
+    d = np.sign(np.diag(t))
+    d[d == 0] = 1.0
+    q *= d
+    t *= d[:, None]
+    return q, t
+
+
+def _head_spectral_norm(a):
+    """Reference: the 2-D spectral norm, as written before the cores took a
+    stack axis."""
+    scale = max(float(a.max()), -float(a.min()))
+    x = a / scale
+    gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+    return scale * math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(200, 40), (40, 40), (40, 200)])
+def test_thin_qr_and_spectral_norm_keep_their_2d_bits(shape, order):
+    a = np.asarray(np.random.default_rng(shape[1]).standard_normal(shape), order=order)
+    assert matkit.spectral_norm(a) == _head_spectral_norm(a)
+    if shape[0] >= shape[1]:
+        for got, want in zip(matkit.thin_qr(a), _head_thin_qr(a)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (6, 3), (9, 4), (4, 9)])
+def test_stacked_cores_match_the_public_functions_bitwise(shape):
+    # one stacked call gives every matrix the bits the 2-D function gives it
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal((7, *shape))
+    x[2] = 0.0  # a zero matrix has norm 0 inside a stack too
+    norms = matkit._spectral_norm(x)
+    svd = matkit._svd(x)
+    for i, xi in enumerate(x):
+        assert norms[i] == matkit.spectral_norm(xi)
+        for got, want in zip(svd, matkit.svd(xi)):
+            assert got[i].tobytes() == want.tobytes()
+    if shape[0] >= shape[1]:
+        x[2] = rng.standard_normal(shape)
+        qr = matkit._thin_qr(x)
+        u = qr.Q
+        angles = matkit._max_principal_angle(u[0], u)
+        for i, xi in enumerate(x):
+            for got, want in zip(qr, matkit.thin_qr(xi)):
+                assert got[i].tobytes() == want.tobytes()
+            assert angles[i] == matkit.max_principal_angle(u[0], u[i])
+
+
+def test_stacked_checks_reject_the_whole_stack():
+    u = np.tile(np.eye(4)[:, :2], (5, 1, 1))
+    matkit._check_orthonormal(u, "U")
+    u[3, 0, 0] = 2.0
+    with pytest.raises(ContractViolationError, match="U does not have orthonormal"):
+        matkit._check_orthonormal(u, "U")
+    x = np.tile(np.eye(3), (4, 1, 1))
+    x[2, :, 1] = 0.0
+    with pytest.raises(ContractViolationError, match="psi_min = 0.000e\\+00"):
+        matkit._require_full_rank(x, ContractViolationError, "M")
+    x[2, 1, 1] = np.nan
+    with pytest.raises(ConvergenceError, match="3x3 matrix with non-finite entries"):
+        matkit._spectral_norm(x)
