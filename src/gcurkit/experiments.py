@@ -16,35 +16,53 @@ gives each trial the bits it gets alone. A failed trial is recorded under
 again one trial at a time, so each failing trial records its own message in
 trial-id order. A grid cell that no trial reaches raises.
 
-Noise recovery factors each noisy matrix once: one thin QR, noisy = Q R,
-serves both the SVD and the GSVD, which act on the n x n triangle R.
-The same Q scores the reconstructions, in A's numerical row space. Each of
-the four lies in range(Q), X = Q L R' (TSVD and TGSVD through the left
-vectors of R's factorizations, CUR and GCUR through the column factor
-noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. The test matrix is
-built from its factors, A = F Y^T with 50 columns each, and V_A is read
-from them: the right singular vectors of the 50 x 50 core of F Y^T, lifted
+Noise recovery factors the noise once per trial. Every noisy matrix of a
+trial is A + eps E, with one unit-level noise draw E for all eps and the
+test matrix built from its factors, A = F Y^T with 50 columns each, so all
+of them lie in range([E, F]). One Householder QR of the m x (n + 50)
+matrix [E, F] = Q_b R_b per trial (``matkit._triangle_and_lift``, which
+keeps Q_b as reflectors; Q_b is m x b with b = min(m, n + 50)) gives
+
+    A + eps E = Q_b K_eps,    K_eps = eps R_b[:, :n] + R_b[:, n:] Y^T,
+
+with K_eps b x n (Golub & Van Loan, Matrix Computations, sec. 6.5, on
+updating a QR; LAPACK xTPQRT for the triangular-pentagonal structure).
+Per eps, one thin QR K_eps = Q_s R gives noisy = Q R with Q = Q_b Q_s,
+and R serves both the SVD and the GSVD, which act on the n x n triangle.
+Only the leading kmax left vectors of the two are lifted to m rows, in one
+call of Q_b's lift. The rows the middle matrices read are E[s] eps + A[s],
+which have the bits of (eps E + A)[s]; no m x n noisy matrix is formed.
+The reconstructions are scored in A's numerical row space. Each of the
+four lies in range(Q), X = Q L R' (TSVD and TGSVD through the left vectors
+of R's factorizations, CUR and GCUR through the column factor
+noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. V_A is read from the
+factors: the right singular vectors of the 50 x 50 core of F Y^T, lifted
 by Y's Householder reflectors, r of them by the one rank rule
 (``matkit._negligible``) on the core's singular values. So
 A = A V_A V_A^T + T with ||T|| at most the core's psi_{r+1} plus the
 rounding of A = F Y^T.
-Split R' = E V_A^T + H W^T with E = R' V_A and W orthonormal and orthogonal
-to V_A. With G = A V_A, C_V = Q^T G and P_V = G - Q C_V (so Q^T P_V = 0),
+Split R' = E' V_A^T + H W^T with E' = R' V_A and W orthonormal and
+orthogonal to V_A. With G = A V_A, C_V = Q^T G and P_V = G - Q C_V (so
+Q^T P_V = 0),
 
-    A V_A V_A^T - X = [Q (C_V - L E) + P_V, -Q L H] [V_A, W]^T,
+    A V_A V_A^T - X = [Q (C_V - L E') + P_V, -Q L H] [V_A, W]^T,
 
 and since [V_A, W] has orthonormal columns,
 
     ||A V_A V_A^T - X||^2 = lambda_max(M^T M + diag(P_V^T P_V, 0)),
-    M = [C_V - L E, -L H],
+    M = [C_V - L E', -L H],
 
 an (r + k) x (r + k) eigenproblem. The identity assumes only X in
 range(Q), which holds by construction for all four. Leaving out T moves
 each score by at most ||T|| / ||A||, which the rank rule keeps at or below
-about 1e-12, plus rounding. Per trial V_A costs two QRs of the factors and
-a 50 x 50 SVD, and G m x n x r work; per noisy matrix C_V and P_V cost
-m x n x r work, and per score (r + k)-sized work; no m x n residual, and no
-QR or SVD of A, is formed.
+about 1e-12, plus rounding. G lies in range(Q_b) too:
+G = Q_b G' with G' = R_b[:, n:] (Y^T V_A), so C_V = Q_s^T G' and
+P_V = Q_b (G' - Q_s C_V), and P_V^T P_V is the Gram of the b-row
+G' - Q_s C_V. Per trial, [E, F] costs one m x (n + 50) QR and V_A two QRs
+of the factors and a 50 x 50 SVD; per eps, K_eps costs a b x n QR, the
+SVD and GSVD of R and an m x b x 2 kmax lift, and C_V and P_V b x n x r
+work; per score, (r + k)-sized work. No m-row Q, no m x n residual or
+noisy matrix, and no QR or SVD of A or of a noisy matrix is formed.
 """
 
 import math
@@ -220,43 +238,48 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     return ExperimentReport("intro-angles", params, cells, extra=extra, timing=timing)
 
 
-def _factor_once(noisy, rchol, kmax):
-    """SVD and GSVD of a noisy matrix from one thin QR, noisy = Q R.
+def _factor_in_basis(k_eps, lift, rchol, kmax):
+    """SVD and GSVD of a noisy matrix Q_b K_eps from one thin QR of K_eps.
 
-    Both factor the n x n triangle R; only the leading kmax left vectors
-    are lifted to m rows: returns (Q, R, svd of R, gsvd of (R, rchol), W_k,
-    U_k).
+    ``lift`` maps X to Q_b X. With K_eps = Q_s R, the noisy matrix is
+    (Q_b Q_s) R, and both factorizations act on the n x n triangle R; the
+    leading kmax left vectors of the two are lifted to m rows in one call:
+    returns (Q_s, R, svd of R, gsvd of (R, rchol), W_k, U_k).
     """
-    q, r = matkit.thin_qr(noisy)
+    q_s, r = matkit.thin_qr(k_eps)
     f = matkit.svd(r)
     g = gsvd(r, rchol)
-    return q, r, f, g, q @ f.W[:, :kmax], q @ g.U[:, :kmax]
+    lifted = lift(q_s @ np.hstack([f.W[:, :kmax], g.U[:, :kmax]]))
+    return q_s, r, f, g, lifted[:, :kmax], lifted[:, kmax:]
 
 
-def _row_space_scorer(a, core, norm_a):
-    """Score reconstructions X = Q @ left @ right that lie in range(Q), in
-    A's numerical row space (see the module docstring).
+def _row_space_scorer(f_coef, y, core, norm_a):
+    """Score reconstructions X = Q_b Q_s @ left @ right that lie in
+    range(Q_b Q_s), in A's numerical row space (see the module docstring).
 
-    Once per A = F Y^T: V_A from the generator's factors, not from A.
-    ``core`` is ``synth._core_svd(F, Y)``: the SVD of the 50 x 50 core of
-    F Y^T, which has A's nonzero singular values, and the lift of its right
-    vectors Z_c to A's, V_A = Q_Y Z_c[:, :r], with r from the rank rule on
-    the core's psi; then G = A V_A / ||A||, so
-    the Grams stay near unit scale and each score is the relative error
-    ||A - X|| / ||A||. The factors are not kept. ``in_basis(q)`` forms C_V
-    and the r x r Gram of P_V once per Q; each ``score(left, right)`` then
-    needs one thin QR of an n x k matrix, one (r + k) x (r + k) Gram and its
-    largest eigenvalue. When r + k >= n, which needs a small n, W is an
-    orthonormal complement of V_A from V_A's complete QR, and H = R' W.
-    |score - ||A - X|| / ||A||| <= ||A - A V_A V_A^T|| / ||A|| plus
-    rounding, and ||A - A V_A V_A^T|| <= psi_{r+1} of the core (at most
-    1e-12 ||A|| by the rank rule) plus the rounding of A = F Y^T.
+    A = Q_b f_coef Y^T for some orthonormal-column Q_b, so f_coef is the
+    b x 50 coordinate matrix of the factor F in Q_b (F itself when Q_b is
+    the identity). Once per trial: V_A from the generator's factors, not
+    from A. ``core`` is ``synth._core_svd(F, Y)``: the SVD of the 50 x 50
+    core of F Y^T, which has A's nonzero singular values, and the lift of
+    its right vectors Z_c to A's, V_A = Q_Y Z_c[:, :r], with r from the rank
+    rule on the core's psi; then G' = f_coef (Y^T V_A) / ||A|| gives
+    A V_A / ||A|| = Q_b G', so the Grams stay near unit scale and each score
+    is the relative error ||A - X|| / ||A||. ``in_basis(q_s)`` forms C_V and
+    the r x r Gram of P_V once per Q_s, from b-row work; each
+    ``score(left, right)`` then needs one thin QR of an n x k matrix, one
+    (r + k) x (r + k) Gram and its largest eigenvalue. When r + k >= n,
+    which needs a small n, W is an orthonormal complement of V_A from V_A's
+    complete QR, and H = R' W. |score - ||A - X|| / ||A||| <=
+    ||A - A V_A V_A^T|| / ||A|| plus rounding, and ||A - A V_A V_A^T|| <=
+    psi_{r+1} of the core (at most 1e-12 ||A|| by the rank rule) plus the
+    rounding of A = F Y^T.
     """
-    n = a.shape[1]
+    n = y.shape[0]
     core, lift_y = core
     r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
     v = lift_y(core.Z[:, :r])
-    g = (a @ v) / norm_a
+    g = (f_coef @ (y.T @ v)) / norm_a
 
     def in_basis(q):
         c = q.T @ g
@@ -287,16 +310,17 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
     seed)``, and the factors' core SVD gives A's row space; a gapped build
     hands over the core SVD of its gap check. The noise E is drawn once
-    per trial at unit level and scaled by each eps; the trial forms each
-    noisy matrix A + eps E itself. Each noisy
-    matrix is factored once (:func:`_factor_once`), and the middle matrices
-    of every k come from one QR per side of the kmax selection, since DEIM
-    prefixes nest. Their column factor and core come from the triangle R of
-    noisy = Q R, so they have n rows instead of m. The errors are scored in
-    A's row space (:func:`_row_space_scorer`): its set-up is m x n x r work
-    once per trial, then m x n x r work per eps, and every score is within
-    ||A - A V_A V_A^T|| / ||A|| (plus rounding) of the relative error of the
-    explicit m x n residual.
+    per trial at unit level and scaled by each eps. The trial takes one QR
+    of [E, F] = Q_b R_b, held as reflectors, and each noisy matrix
+    A + eps E = Q_b K_eps is factored through the b x n K_eps
+    (:func:`_factor_in_basis`). The middle matrices of every k come from
+    one QR per side of the kmax selection, since DEIM prefixes nest. Their
+    column factor and core come from the triangle R of K_eps = Q_s R, so
+    they have n rows instead of m, and their selected rows are
+    E[s] eps + A[s], the bits of the noisy matrix's rows. The errors are
+    scored in A's row space (:func:`_row_space_scorer`) on b-row work: every
+    score is within ||A - A V_A V_A^T|| / ||A|| (plus rounding) of the
+    relative error of the explicit m x n residual.
     """
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
@@ -310,23 +334,35 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
             a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        in_basis = _row_space_scorer(a, core or synth._core_svd(f_a, y_a), norm_a)
-        del f_a, y_a, core
+        core = core or synth._core_svd(f_a, y_a)
+        # [E, F] in Fortran order, which numpy's QR copies only once; its
+        # first n columns keep E's bits for the selected rows
+        ef = np.empty((m, n + f_a.shape[1]), order="F")
+        ef[:, :n], ef[:, n:] = e_unit, f_a
+        e_unit = ef[:, :n]
+        del f_a
+        r_b, lift = matkit._triangle_and_lift(ef)
+        r_e, f_coef = r_b[:, :n], r_b[:, n:]
+        fy = f_coef @ y_a.T
+        in_basis = _row_space_scorer(f_coef, y_a, core, norm_a)
+        del y_a, core
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         out = {}
         cell_s = {}
         for eps in eps_values:
             t0 = time.perf_counter()
-            noisy = e_unit * eps  # A + eps * E, bit for bit, with one m x n temporary
-            noisy += a
-            q, r, f, g, w_k, u_k = _factor_once(noisy, rchol_used, kmax)
+            q_s, r, f, g, w_k, u_k = _factor_in_basis(
+                eps * r_e + fy, lift, rchol_used, kmax
+            )
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
             s_cur = deim.deim_select(w_k, kmax)
             p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
             s_gc = deim.deim_select(u_k, kmax)
-            m_cur = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], sizes)
-            m_gc = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], sizes)
-            score = in_basis(q)
+            rows_cur = e_unit[s_cur] * eps + a[s_cur]  # noisy[s_cur], bit for bit
+            rows_gc = e_unit[s_gc] * eps + a[s_gc]
+            m_cur = curfac._nested_middle_matrices(r, p_cur, rows_cur, sizes)
+            m_gc = curfac._nested_middle_matrices(r, p_gc, rows_gc, sizes)
+            score = in_basis(q_s)
             shared_s = time.perf_counter() - t0 + trial_s
             out[eps] = {}
             for k, mc, mg in zip(k_values, m_cur, m_gc):
@@ -334,12 +370,12 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
                 out[eps][k] = {
                     "TSVD": score(f.W[:, :k], f.psi[:k, None] * f.Z[:, :k].T),
                     "TGSVD": score(g.U[:, :k], g.gamma[:k, None] * g.Y[:, :k].T),
-                    "CUR": score(r[:, p_cur[:k]], mc @ noisy[s_cur[:k], :]),
-                    "GCUR": score(r[:, p_gc[:k]], mg @ noisy[s_gc[:k], :]),
+                    "CUR": score(r[:, p_cur[:k]], mc @ rows_cur[:k]),
+                    "GCUR": score(r[:, p_gc[:k]], mg @ rows_gc[:k]),
                 }
                 cell_s[(eps, k)] = time.perf_counter() - t1 + shared_s / len(k_values)
             # the next eps's factorization should not share the peak with these
-            del q, score, w_k, u_k, noisy
+            del q_s, r, f, g, w_k, u_k, score
         return out, cell_s
 
     return run

@@ -199,7 +199,8 @@ def _require_columns_of(a, r_a):
     norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
     norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
     gap = float(np.max(np.abs(norms_a - norms_r)))
-    if gap > _COLUMN_NORM_TOL * float(np.max(norms_a)):
+    # written so that a NaN gap (a NaN in A or R_a) fails the test too
+    if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_a)):
         raise ContractViolationError(
             f"column norms of A and of the carried triangle R_a differ by "
             f"{gap:.3e}; compute the factors with gcur on this pair"

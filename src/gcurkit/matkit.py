@@ -11,14 +11,17 @@ operations here are pure functions of their inputs.
 ``thin_qr`` forms the whole Q of a thin QR, and runs only where that Q is
 read: the QR of the stacked pair in ``gsvd``, the column and row factors in
 ``curfac._nested_middle_matrices`` and ``curfac._projection``, Y's QR in
-``gcur.evaluate_bounds`` and the noisy matrix's QR in
-``experiments._factor_once``. A caller that needs only the triangle, or Q
-applied to a few columns, uses ``_triangle_and_lift``, which keeps the
-Householder reflectors in compact WY form instead of forming Q: the
-reduction of a tall A in ``gsvd`` and ``gcur``, ``synth._core_svd`` (the
-50 x 50 core of the low-rank generators' factors, which ``lowrank_gapped``'s
-gap check reads and whose right vectors Y's reflectors lift to V_A for the
-noise-recovery scorer), and that scorer's per-reconstruction triangle.
+``gcur.evaluate_bounds`` and, in ``experiments._factor_in_basis``, the QR
+of each noise-recovery K_eps, which has min(m, n + 50) rows, not m. A
+caller that needs only the triangle, or Q applied to a few columns, uses
+``_triangle_and_lift``, which keeps the Householder reflectors in compact
+WY form instead of forming Q, for a matrix of any shape: the reduction of
+a tall A in ``gsvd`` and ``gcur``, ``synth._core_svd`` (the 50 x 50 core
+of the low-rank generators' factors, which ``lowrank_gapped``'s gap check
+reads and whose right vectors Y's reflectors lift to V_A for the
+noise-recovery scorer), that scorer's per-reconstruction triangle, and the
+noise-recovery trial's one QR of [E, F], which lifts the left vectors of
+every eps to m rows.
 
 The public functions take 2-D matrices only: each validates through
 ``as_matrix``, which rejects any other ndim, and then calls a private core.
@@ -162,45 +165,56 @@ def _diag_signs(t):
 def _triangle_and_lift(a):
     """The triangle T of A = Q T and a map X -> Q @ X that never forms Q.
 
-    For a float64 A (m x n, m >= n), returns (T, lift). T has the bits of
+    For a float64 A (m x n) with p = min(m, n), returns (T, lift): T is
+    p x n and upper trapezoidal with a nonnegative diagonal, and Q (m x p)
+    has orthonormal columns. On a tall or square A, T has the bits of
     ``thin_qr(a).T``: both come from the same Householder QR (LAPACK
-    xGEQRF) and the same sign fix T = D T0, so Q = Q0 D. ``lift(x)`` maps
-    an n x k X to Q @ X (m x k, Fortran order), equal to ``thin_qr(a).Q @ x``
-    to rounding. It applies the reflectors H_i = I - tau_i v_i v_i^T in
-    compact WY form (Schreiber & Van Loan 1989), H_1 ... H_n = I - V S V^T
-    with S^-1 = striu(V^T V) + diag(1/tau) (the UT transform, Joffrain et
-    al. 2006), so
+    xGEQRF) and the same sign fix T = D T0, so Q = Q0 D. A wide A gives the
+    p x p orthogonal Q of ``np.linalg.qr(a, mode="complete")`` and its
+    R, up to the same signs. ``lift(x)`` maps a p x k X to Q @ X (m x k,
+    Fortran order), equal to ``thin_qr(a).Q @ x`` to rounding. It applies
+    the p reflectors H_i = I - tau_i v_i v_i^T in compact WY form
+    (Schreiber & Van Loan 1989), H_1 ... H_p = I - V S V^T with
+    S^-1 = striu(V^T V) + diag(1/tau) (the UT transform, Joffrain et al.
+    2006), so
 
-        Q @ X = [D X; 0] - V S (V_1^T D X),   V_1 = V[:n, :].
+        Q @ X = [D X; 0] - V S (V_1^T D X),   V_1 = V[:p, :].
 
-    That is one m x n Gram and two thin products, against forming all of
-    Q (xORGQR, about 4mn^2 flops) and multiplying by it. A reflector with
-    tau = 0 is the identity and is left out. ``thin_qr`` stays the routine
-    for callers that need all of Q.
+    That is one m x p Gram, taken at the first call and kept, and two thin
+    products per call, against forming all of Q (xORGQR, about 4mp^2
+    flops) and multiplying by it. A reflector with tau = 0 (the last one
+    of a square or wide A, say) is the identity and is left out. A
+    Fortran-order A is factored without a copy of its own beyond the one
+    numpy's QR makes. ``thin_qr`` stays the routine for callers that need
+    all of Q.
     """
-    n = a.shape[1]
+    p = min(a.shape)
     h, tau = np.linalg.qr(a, mode="raw")
     # m x n: T0 on and above the diagonal, the reflectors below it. h comes
     # back in A's storage order, and the lift's BLAS products would differ
     # in the last bits between orders; one order makes them independent of A's.
     v = np.asfortranarray(h.T)
-    t = np.triu(v[:n])
-    d = _diag_signs(t)
+    t = np.triu(v[:p])
+    d = _diag_signs(t[:, :p])
     t *= d[:, None]
-    v[:n][np.triu_indices(n, 1)] = 0.0
+    v = v[:, :p]
+    v[np.triu_indices(p, 1)] = 0.0
     np.fill_diagonal(v, 1.0)
     keep = tau != 0.0
     if not keep.all():
         v, tau = v[:, keep], tau[keep]
+    s_inv = None
 
     def lift(x):
+        nonlocal s_inv
+        if s_inv is None:
+            s_inv = np.triu(v.T @ v, 1)
+            s_inv[np.diag_indices_from(s_inv)] = 1.0 / tau
         dx = d[:, None] * x
-        s_inv = np.triu(v.T @ v, 1)
-        s_inv[np.diag_indices_from(s_inv)] = 1.0 / tau
-        w = np.linalg.solve(s_inv, v[:n].T @ dx)
+        w = np.linalg.solve(s_inv, v[:p].T @ dx)
         out = np.matmul(v, w, order="F")
         np.negative(out, out=out)
-        out[:n] += dx
+        out[:p] += dx
         return out
 
     return t, lift
@@ -209,7 +223,8 @@ def _triangle_and_lift(a):
 def _check_orthonormal(u, name):
     g = u.swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
     deviation = np.max(np.abs(g), axis=(-2, -1))
-    if np.any(deviation > ORTHO_TOL):
+    # written so that a NaN deviation fails the test too
+    if not np.all(deviation <= ORTHO_TOL):
         raise ContractViolationError(
             f"{name} does not have orthonormal columns (deviation {np.max(deviation):.2e})"
         )

@@ -218,7 +218,7 @@ def test_cell_without_success_exit_code(monkeypatch, capsys):
     def failing(*_args):
         raise ConvergenceError("SVD iteration did not converge")
 
-    monkeypatch.setattr(experiments, "_factor_once", failing)
+    monkeypatch.setattr(experiments, "_factor_in_basis", failing)
     rc = main(["experiment", "noise-recovery", "--rank", "5", "--trials", "1"])
     assert rc == EXIT_NUMERIC
     assert "no successful trial for eps=0.05, k=5" in capsys.readouterr().err

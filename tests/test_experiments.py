@@ -176,7 +176,7 @@ def test_noise_recovery_cell_without_success_raises(monkeypatch):
     def failing(*_args):
         raise ConvergenceError("SVD iteration did not converge")
 
-    monkeypatch.setattr(experiments, "_factor_once", failing)
+    monkeypatch.setattr(experiments, "_factor_in_basis", failing)
     with pytest.raises(GcurkitError, match=r"eps=0\.05, k=5.*did not converge"):
         experiments.noise_recovery(m=60, n=50, k_values=(5,), trials=2)
 
@@ -265,46 +265,95 @@ def _align_signs(got, want):
     return got * np.sign(np.sum(got * want, axis=0))
 
 
-@pytest.mark.parametrize("m", [300, 40])
-def test_factor_once_matches_direct_factorizations(m):
-    # one QR of the noisy matrix feeds both factorizations; the lifted left
-    # vectors match those of the m x n matrix, square or tall
-    rng = np.random.default_rng(m)
-    noisy = rng.standard_normal((m, 40))
-    rchol = synth.toeplitz_chol(40, 0.9)
-    q, r, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, 10)
-    f_ref = matkit.svd(noisy)
-    g_ref = gsvd(noisy, rchol)
-    assert w_k.shape == u_k.shape == (m, 10)
-    assert np.allclose(q @ r, noisy, rtol=0.0, atol=1e-12)
-    assert np.allclose(f.psi, f_ref.psi, rtol=1e-12, atol=0.0)
-    assert np.allclose(g.gamma, g_ref.gamma, rtol=1e-12, atol=0.0)
-    assert np.allclose(_align_signs(w_k, f_ref.W[:, :10]), f_ref.W[:, :10], atol=1e-10)
-    assert np.allclose(_align_signs(u_k, g_ref.U[:, :10]), g_ref.U[:, :10], atol=1e-10)
-    assert np.allclose(_align_signs(f.Z, f_ref.Z), f_ref.Z, atol=1e-10)
-    assert np.allclose(_align_signs(g.Y, g_ref.Y), g_ref.Y, atol=1e-10)
-
-
-def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact):
-    """Reference: one recovery trial on the same factors and selections that
-    builds every m x n reconstruction and residual and takes its norm with
-    matkit.spectral_norm."""
-    child = np.random.SeedSequence(seed).spawn(1)[0]
-    seeds = child.spawn(3)
+def _trial_inputs(kind, m, n, seed, inexact):
+    """A, the unit-level noise E, the trial's Cholesky factor and ||A|| of
+    trial 0 of ``noise_recovery(seed=seed)``, from the public generators."""
+    seeds = np.random.SeedSequence(seed).spawn(1)[0].spawn(3)
     gen = synth.lowrank_gapped if kind == "gapped" else synth.lowrank_sparse
     a = gen(m, n, seeds[0])
-    norm_a = matkit.spectral_norm(a)
     _, e_unit, rchol = synth.colored_noise(
         a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=0.99)
     )
     if inexact:
         rchol = synth.perturb_chol(rchol, seeds[2])
+    return a, e_unit, rchol, matkit.spectral_norm(a)
+
+
+def _record_factors(monkeypatch):
+    """Record every per-eps factorization of the trials that follow, in
+    call order, as (K_eps, rchol, the factors the trial goes on with)."""
+    calls = []
+    factor = experiments._factor_in_basis
+
+    def spy(k_eps, lift, rchol, kmax):
+        out = factor(k_eps, lift, rchol, kmax)
+        calls.append((k_eps, rchol, out))
+        return out
+
+    monkeypatch.setattr(experiments, "_factor_in_basis", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [(60, 60), (80, 50), (120, 60)],
+    ids=["m-is-n", "m-below-n-plus-50", "m-above-n-plus-50"],
+)
+def test_factor_in_basis_matches_the_noisy_matrix_qr(monkeypatch, m, n):
+    # K_eps = eps R_b[:, :n] + R_b[:, n:] Y^T from the QR of [E, F] has the
+    # triangle of the explicit noisy matrix A + eps E, and so its psi and
+    # gamma, each to 1e-12 relative to its largest entry (the accuracy a
+    # backward-stable QR gives); both triangles carry a nonnegative
+    # diagonal, which aligns their signs. gamma moves by up to
+    # ||R - R_ref|| / sigma_min([R_ref; B]) to first order, which exceeds
+    # 1e-12 where the stacked pair is ill-conditioned (about 1.4e-12 at
+    # m = n, eps = 0.05, where its condition number is 4.7e5): that is the
+    # pair's conditioning, not an error of either triangle. The lifted W_k
+    # is that of the m x n matrix; U_k is only checked orthonormal, since
+    # the GSVD leaves it ill-determined where sigma is small (it moved by
+    # up to 4e-5 here). Held for a square A, for m < n + 50 (a wide
+    # [E, F]) and for m >= n + 50
+    eps_values, kmax = (0.05, 0.2), 10
+    calls = _record_factors(monkeypatch)
+    rep = experiments.noise_recovery(
+        m=m, n=n, k_values=(5, kmax), eps_values=eps_values, trials=1, seed=7
+    )
+    assert rep.extra["trial_failures"] == []
+    a, e_unit, rchol, _ = _trial_inputs("gapped", m, n, 7, False)
+    assert len(calls) == len(eps_values)
+    for eps, (k_eps, rchol_used, out) in zip(eps_values, calls):
+        assert k_eps.shape == (min(m, n + 50), n)
+        assert np.array_equal(rchol_used, rchol)
+        _, r, f, g, w_k, u_k = out
+        q_ref, r_ref = matkit.thin_qr(a + eps * e_unit)
+        f_ref, g_ref = matkit.svd(r_ref), gsvd(r_ref, rchol)
+        for got, want in ((r, r_ref), (f.psi, f_ref.psi)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        sigma_min = np.linalg.svd(np.vstack([r_ref, rchol]), compute_uv=False)[-1]
+        gamma_tol = max(1e-12, np.linalg.norm(r - r_ref, 2) / sigma_min)
+        assert np.max(np.abs(g.gamma - g_ref.gamma)) <= gamma_tol
+        assert w_k.shape == u_k.shape == (m, kmax)
+        w_ref = q_ref @ f_ref.W[:, :kmax]
+        assert np.allclose(_align_signs(w_k, w_ref), w_ref, atol=1e-10)
+        assert np.allclose(_align_signs(f.Z, f_ref.Z), f_ref.Z, atol=1e-10)
+        assert np.max(np.abs(w_k.T @ w_k - np.eye(kmax))) <= 1e-13
+        assert np.max(np.abs(u_k.T @ u_k - np.eye(kmax))) <= 1e-13
+
+
+def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact, factors):
+    """Reference: one recovery trial on the trial's own per-eps factors
+    (``factors``, as :func:`_record_factors` recorded them) and the
+    selections they give, that builds every m x n noisy matrix,
+    reconstruction and residual and takes its norm with
+    matkit.spectral_norm."""
+    a, e_unit, rchol, norm_a = _trial_inputs(kind, m, n, seed, inexact)
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
     out = {}
-    for eps in eps_values:
+    assert len(factors) == len(eps_values)
+    for eps, (_, rchol_used, (_, _, f, g, w_k, u_k)) in zip(eps_values, factors):
+        assert np.array_equal(rchol_used, rchol)
         noisy = a + eps * e_unit
-        _, _, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, kmax)
         p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
         s_cur = deim.deim_select(w_k, kmax)
         p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
@@ -335,16 +384,17 @@ def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact):
         ("gapped", 400, 120, False),  # r + k < n at every k
     ],
 )
-def test_recovery_errors_match_explicit_residual_norms(kind, m, n, inexact):
+def test_recovery_errors_match_explicit_residual_norms(monkeypatch, kind, m, n, inexact):
     # the errors scored in A's row space equal the 2-norms of the explicit
     # m x n residuals for every method at every k
     k_values, eps_values, seed = (5, 10, 20), (0.05, 0.2), 23
+    factors = _record_factors(monkeypatch)
     rep = experiments.noise_recovery(
         kind=kind, m=m, n=n, k_values=k_values, eps_values=eps_values,
         trials=1, seed=seed, inexact_chol=inexact,
     )
     assert rep.extra["trial_failures"] == []
-    ref = _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact)
+    ref = _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact, factors)
     for cell in rep.cells:
         want = ref[cell["eps"], cell["k"]]
         for method, st in cell["stats"].items():
@@ -370,12 +420,14 @@ def _test_matrix(gen, m, n, seed):
 
 def _reconstructions(a, k, seed):
     """Q of one noisy A and the (left, right) factors of its four rank-k
-    reconstructions Q @ left @ right, built as in a recovery trial."""
+    reconstructions Q @ left @ right, built from the m-row Q of the noisy
+    matrix's own thin QR."""
     e, rchol = synth._noise_term(a, synth.NoiseModel(epsilon=0.1, seed=seed), None)
     noisy = a + e
-    q, r, f, g, w_k, u_k = experiments._factor_once(noisy, rchol, k)
-    p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(w_k, k)
-    p_gc, s_gc = deim.deim_select(g.Y[:, :k], k), deim.deim_select(u_k, k)
+    q, r = matkit.thin_qr(noisy)
+    f, g = matkit.svd(r), gsvd(r, rchol)
+    p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(q @ f.W[:, :k], k)
+    p_gc, s_gc = deim.deim_select(g.Y[:, :k], k), deim.deim_select(q @ g.U[:, :k], k)
     (mc,) = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], [(k, k)])
     (mg,) = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], [(k, k)])
     return q, {
@@ -403,7 +455,8 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
     # within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the explicit m x n
     # residual, taken by a direct SVD, plus rounding, and that distance is
     # at most the core's psi_{r+1} / ||A|| plus rounding. The eigenproblem
-    # is (r + k) x (r + k), or n x n once r + k >= n
+    # is (r + k) x (r + k), or n x n once r + k >= n. The basis here is the
+    # m-row Q of the noisy matrix, so F itself is A's factor in it
     a, f, y = _test_matrix(gen, m, n, 3)
     psi = np.linalg.svd(a, compute_uv=False)
     rank = int(np.count_nonzero(~matkit._negligible(psi, psi[0])))
@@ -427,7 +480,7 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
 
     q, recon = _reconstructions(a, k, 4)
     monkeypatch.setattr(matkit, "_lambda_max", recording)
-    score = experiments._row_space_scorer(a, (core, lift_y), norm_a)(q)
+    score = experiments._row_space_scorer(f, y, (core, lift_y), norm_a)(q)
     for method, (left, right) in recon.items():
         want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
         got = score(left, right)
@@ -436,21 +489,35 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
     assert sizes == [(size, size)] * 4
 
 
-def test_noise_recovery_forms_m_row_q_only_for_the_noisy_matrix(monkeypatch):
-    # the generator's gap check and the row-space scorer take triangles
-    # only: an m-row array reaches thin_qr from _factor_once alone, once
-    # per eps, where the scorer reads the noisy matrix's Q
-    m = 2000  # noise_recovery's default
-    calls = []
-    thin_qr = matkit.thin_qr
+def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
+    # the only m-row factorizations of a trial are two Householder QRs held
+    # as reflectors: the generator's F (for its core SVD) and the trial's
+    # one [E, F]. No m-row thin_qr or SVD runs, so no m-row Q is formed,
+    # and each eps is factored through its (n + 50) x n K_eps
+    m, n, trials = 2000, 300, 2  # noise_recovery's default m x n
+    thin_qr_rows, factorizations = [], []
+    thin_qr, qr, svd = matkit.thin_qr, np.linalg.qr, np.linalg.svd
 
-    def spy(x):
-        calls.append((np.shape(x)[0], sys._getframe(1).f_code.co_name))
+    def thin_qr_spy(x):
+        thin_qr_rows.append(np.shape(x)[0])
         return thin_qr(x)
 
-    monkeypatch.setattr(matkit, "thin_qr", spy)
-    experiments.noise_recovery(trials=1, eps_values=(0.1, 0.2))
-    assert [c for c in calls if c[0] == m] == [(m, "_factor_once")] * 2
+    def spy(name, fn):
+        def wrapped(x, *args, **kwargs):
+            if np.shape(x)[-2] == m:
+                mode = kwargs.get("mode", args[0] if args else None)
+                factorizations.append((name, np.shape(x), mode))
+            return fn(x, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(matkit, "thin_qr", thin_qr_spy)
+    monkeypatch.setattr(np.linalg, "qr", spy("qr", qr))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", svd))
+    rep = experiments.noise_recovery(trials=trials, eps_values=(0.1, 0.2))
+    assert rep.extra["trial_failures"] == []
+    assert m not in thin_qr_rows and len(thin_qr_rows) > 0
+    assert factorizations == [("qr", (m, 50), "raw"), ("qr", (m, n + 50), "raw")] * trials
 
 
 def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):

@@ -355,6 +355,25 @@ def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
 
 
 @pytest.mark.parametrize("only_a", [False, True])
+@pytest.mark.parametrize("m", [20, 8])
+def test_bounds_and_errors_reject_a_nan_a(m, only_a):
+    # a NaN anywhere in A makes its column-norm gap NaN, which must fail
+    # the same-pair check instead of scoring the factors of the clean A
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((m, 6))
+    b = rng.standard_normal((9, 6))
+    f = (gcur_only_a if only_a else gcur)(a, b, 3)
+    row = next(i for i in range(m) if i not in f.s_a)
+    a_nan = a.copy()
+    a_nan[row, 2] = np.nan
+    with pytest.raises(ContractViolationError, match="column norms"):
+        evaluate_bounds(a_nan, b, f)
+    for mode in ("cur", "column", "row"):
+        with pytest.raises(ContractViolationError, match="column norms"):
+            relative_errors(a_nan, b, f, mode)
+
+
+@pytest.mark.parametrize("only_a", [False, True])
 @pytest.mark.parametrize("m", [30, 8])
 def test_bounds_reject_row_permuted_a(m, only_a):
     # A[perm] keeps A's column norms and triangle; only the rows tell

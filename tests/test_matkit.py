@@ -121,6 +121,42 @@ def test_triangle_and_lift_match_thin_qr(case, k, order):
     assert np.max(np.abs(q @ t - a)) <= 1e-14 * np.max(np.abs(a))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "shape",
+    [(15, 6), (6, 6), (6, 15), (1, 4), (60, 110)],
+    ids=["tall", "square", "wide", "one-row", "wide-60x110"],
+)
+def test_triangle_and_lift_match_complete_qr(shape, order):
+    # p = min(m, n) reflectors for any shape: T is the p x n R of numpy's
+    # complete QR and lift(X) is Q[:, :p] @ X, both up to the sign fix that
+    # makes diag(T) nonnegative. A square or wide A ends in a tau = 0
+    # reflector, which the lift leaves out
+    rng = np.random.default_rng(shape[0] * shape[1])
+    a = np.asarray(rng.standard_normal(shape), order=order)
+    p = min(shape)
+    if shape[0] <= shape[1]:
+        assert np.linalg.qr(a, mode="raw")[1][-1] == 0.0
+    q_ref, r_ref = np.linalg.qr(a, mode="complete")
+    d = np.sign(np.diag(r_ref))
+    d[d == 0] = 1.0
+    q_ref, r_ref = q_ref[:, :p] * d, r_ref[:p] * d[:, None]
+    t, lift = matkit._triangle_and_lift(a)
+    assert t.shape == (p, shape[1])
+    assert np.array_equal(t, r_ref)
+    assert np.all(np.diag(t) >= 0.0)
+    x = rng.standard_normal((p, 3))
+    qx = lift(x)
+    assert qx.shape == (shape[0], 3) and qx.flags.f_contiguous
+    assert np.max(np.abs(qx - q_ref @ x)) <= 1e-14 * np.max(np.abs(x)) * p
+    q = lift(np.eye(p))
+    assert np.max(np.abs(q - q_ref)) <= 1e-14
+    assert np.max(np.abs(q.T @ q - np.eye(p))) <= 1e-14
+    assert np.max(np.abs(q @ t - a)) <= 1e-14 * np.max(np.abs(a)) * p
+    # the lift's Gram is taken once: a second call gives the same bits
+    assert np.array_equal(lift(x), qx)
+
+
 def test_max_principal_angle_examples():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
@@ -133,6 +169,16 @@ def test_max_principal_angle_examples():
 def test_max_principal_angle_rejects_non_orthonormal():
     with pytest.raises(ContractViolationError):
         matkit.max_principal_angle(np.array([[2.0], [0.0]]), np.array([[1.0], [0.0]]))
+
+
+def test_max_principal_angle_rejects_a_nan_basis():
+    # a NaN deviation from orthonormality must fail the check, not reach
+    # the SVD as a bare LinAlgError
+    basis, nan = np.eye(3)[:, :2], np.full((3, 2), np.nan)
+    with pytest.raises(ContractViolationError, match="U2 does not have orthonormal"):
+        matkit.max_principal_angle(basis, nan)
+    with pytest.raises(ContractViolationError, match="U1 does not have orthonormal"):
+        matkit.max_principal_angle(nan, basis)
 
 
 @pytest.mark.parametrize("seed", range(8))
