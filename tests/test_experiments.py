@@ -309,10 +309,11 @@ def test_factor_in_basis_matches_the_noisy_matrix_qr(monkeypatch, m, n):
     # 1e-12 where the stacked pair is ill-conditioned (about 1.4e-12 at
     # m = n, eps = 0.05, where its condition number is 4.7e5): that is the
     # pair's conditioning, not an error of either triangle. The lifted W_k
-    # is that of the m x n matrix; U_k is only checked orthonormal, since
-    # the GSVD leaves it ill-determined where sigma is small (it moved by
-    # up to 4e-5 here). Held for a square A, for m < n + 50 (a wide
-    # [E, F]) and for m >= n + 50
+    # and Z are those of the m x n matrix. The GSVD's U_k and Y are not
+    # compared, and U_k is only checked orthonormal: the GSVD leaves them
+    # ill-determined where sigma is small, and they moved by up to 4.3e-5
+    # here. Held for a square A, for m < n + 50 (a wide [E, F]) and for
+    # m >= n + 50
     eps_values, kmax = (0.05, 0.2), 10
     calls = _record_factors(monkeypatch)
     rep = experiments.noise_recovery(
