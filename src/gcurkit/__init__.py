@@ -26,12 +26,11 @@ from .gcur import (
     relative_errors,
     svd_subspace_gap,
 )
-from .gsvd import GsvdFactors, TruncatedGsvd, gsvd, truncate, truncated_pair
+from .gsvd import GsvdDiagnostics, GsvdFactors, gsvd, gsvd_diagnostics
 from .matkit import (
     QrFactors,
     SvdFactors,
     max_principal_angle,
-    smallest_singular_value,
     spectral_norm,
     svd,
     thin_qr,
@@ -59,6 +58,7 @@ __all__ = [
     "FullRankError",
     "GcurFactors",
     "GcurkitError",
+    "GsvdDiagnostics",
     "GsvdFactors",
     "InterpolativeFactors",
     "NoiseModel",
@@ -68,7 +68,6 @@ __all__ = [
     "SubgroupSpec",
     "SubspaceGap",
     "SvdFactors",
-    "TruncatedGsvd",
     "colored_noise",
     "deim_cur",
     "deim_select",
@@ -77,6 +76,7 @@ __all__ = [
     "gcur",
     "gcur_only_a",
     "gsvd",
+    "gsvd_diagnostics",
     "interp_project",
     "interpolative",
     "lowrank_gapped",
@@ -86,14 +86,11 @@ __all__ = [
     "reconstruct_a",
     "reconstruct_b",
     "relative_errors",
-    "smallest_singular_value",
     "spectral_norm",
     "subgroup_data",
     "svd",
     "svd_subspace_gap",
     "thin_qr",
     "toeplitz_chol",
-    "truncate",
-    "truncated_pair",
     "__version__",
 ]

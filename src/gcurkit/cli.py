@@ -4,6 +4,12 @@ Exit codes are a stable scripting contract: 0 success, 2 usage errors,
 3 file parse errors, 4 numerical precondition violations (including an
 experiment grid cell in which no trial succeeded). The commands only parse
 arguments and format reports; every computation lives in the library.
+``gsvd`` prints what ``gsvd.gsvd_diagnostics`` returns, ``cur`` what
+``curfac.deim_cur`` returns, and ``gcur`` what ``gcur``/``gcur_only_a``,
+``relative_errors`` and ``evaluate_bounds`` return. A's residuals and errors
+are scored on factors the library already holds (A's n x n triangle, or the
+SVD ``deim_cur`` selects from), so they differ from an explicit m x n
+computation at rounding level.
 """
 
 import argparse
@@ -13,13 +19,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, curfac, experiments, matkit
+from . import __version__, curfac, experiments
 from . import io as gio
 from .errors import GcurkitError, ParseError
-from .gcur import (
-    evaluate_bounds, gcur, gcur_only_a, relative_errors, truncation_sandwich,
-)
-from .gsvd import gsvd, residuals
+from .gcur import evaluate_bounds, gcur, gcur_only_a, relative_errors
+from .gsvd import gsvd_diagnostics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,29 +101,28 @@ def cmd_gsvd(args):
     b = _read(args.file_b, args)
     if args.rank is not None:
         _require_rank(args.rank, a.shape[1])
-    f = gsvd(a, b)
+    g = gsvd_diagnostics(a, b, args.rank)
+    f = g.factors
     report = _base_report(
         "gsvd",
         {"file_a": args.file_a, "file_b": args.file_b, "k": args.rank},
         args.no_timestamp,
     )
-    norm_a = matkit.spectral_norm(a)
-    recon_a, recon_b = residuals(a, b, f)
     report.update(
         {
             "gamma": f.gamma,
             "sigma": f.sigma,
             "ratios": f.ratios,
             "reconstruction_residuals": {
-                "a_abs": recon_a,
-                "b_abs": recon_b,
-                "a_rel": recon_a / max(1.0, norm_a),
-                "b_rel": recon_b / max(1.0, matkit.spectral_norm(b)),
+                "a_abs": g.residual_a,
+                "b_abs": g.residual_b,
+                "a_rel": g.rel_residual_a,
+                "b_rel": g.rel_residual_b,
             },
         }
     )
-    if args.rank is not None:
-        t = truncation_sandwich(a, f, args.rank, norm_a)
+    if g.sandwich is not None:
+        t = g.sandwich
         report["truncation"] = {
             "k": args.rank,
             "gamma_next": t.gamma_next,
@@ -144,7 +147,6 @@ def cmd_cur(args):
     a = _read(args.file_a, args)
     _require_rank(args.rank, min(a.shape), "min(rows, cols)")
     f = curfac.deim_cur(a, args.rank)
-    err = curfac.cur_error(a, f.p, f.M, f.s) / matkit.spectral_norm(a)
     report = _base_report(
         "cur", {"file_a": args.file_a, "k": args.rank}, args.no_timestamp
     )
@@ -153,7 +155,7 @@ def cmd_cur(args):
             "p": _one_based(f.p),
             "s": _one_based(f.s),
             "M": f.M,
-            "rel_error": err,
+            "rel_error": f.rel_error,
         }
     )
     _emit(report, args)

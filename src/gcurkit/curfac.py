@@ -6,6 +6,14 @@ given index choice; it is computed from one thin QR of C and one of R.T,
 as T_c^-1 (Q_c^T A Q_r) T_r^-T with k x k triangular solves, never by
 inverting C.T @ C. A caller that holds the triangle of A = Q T passes T in
 place of A for the column side, so C's QR and the core have n rows, not m.
+A middle matrix that is not finite (M scales as 1/||A||, so it overflows for
+an A of subnormal scale) raises SingularMatrixError.
+
+``deim_cur`` also returns ||A - C M R|| / ||A||, scored on factors it already
+holds: the SVD it selects the indices from, on which the residual is a
+min(m, n)-square matrix and ||A|| = psi_1. It differs from an explicit m x n
+computation at rounding level. ``_residual_norm`` is the one CUR-residual
+routine; ``gcur`` scores its errors and bounds through it too.
 """
 
 import warnings
@@ -14,12 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import deim, matkit
-from .errors import FullRankError
+from .errors import FullRankError, SingularMatrixError
 from .matkit import _negligible, _require_full_rank, _require_truncation_rank, as_matrix
 
 
 class CurFactors(NamedTuple):
-    """Column indices p, row indices s, and the middle matrix M.
+    """Column indices p, row indices s, the middle matrix M and the relative
+    2-norm error ||A - C M R|| / ||A||.
 
     C and R are referenced by index only; materialize them as A[:, p] and
     A[s, :] when needed.
@@ -28,6 +37,7 @@ class CurFactors(NamedTuple):
     p: np.ndarray
     s: np.ndarray
     M: np.ndarray
+    rel_error: float
 
 
 class InterpolativeFactors(NamedTuple):
@@ -74,7 +84,14 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
         _require_full_rank(tc, FullRankError, col)
         _require_full_rank(tr, FullRankError, row)
         m = np.linalg.solve(tc, core[:kc, :kr])  # T_c^-1 Q_c^T x Q_r
-        out.append(np.linalg.solve(tr, m.T).T)
+        m = np.linalg.solve(tr, m.T).T
+        # written so that NaN fails it too, not only an overflow to inf
+        if not np.isfinite(m).all():
+            raise SingularMatrixError(
+                f"middle matrix of {name} is not finite: the inverses of {col} "
+                f"and {row} overflow at this scale, or {name} is not finite"
+            )
+        out.append(m)
     return out
 
 
@@ -102,6 +119,10 @@ def deim_cur(a, k):
     """Rank-k CUR of A with k rows from the left and k columns from the
     right singular vectors, so M is k x k.
 
+    ``rel_error`` is ||A - C M R|| / ||A||, scored on the SVD that selected
+    the indices, A = W diag(psi) Z^T, with ||A|| = psi_1; no m x n residual
+    is formed (module docstring).
+
     A degenerate spectrum at the cut emits a warning; selection proceeds
     deterministically.
     """
@@ -112,19 +133,15 @@ def deim_cur(a, k):
     p = deim.deim_select(f.Z[:, :k], k)
     s = deim.deim_select(f.W[:, :k], k)
     middle = _nested_middle_matrices(a, p, a[s, :], [(k, k)])[0]
-    return CurFactors(p, s, middle)
-
-
-def reconstruct(a, factors):
-    """Materialize C @ M @ R for CUR factors of A."""
-    a = as_matrix(a, "A")
-    return a[:, factors.p] @ factors.M @ a[factors.s, :]
-
-
-def cur_error(a, p, m, s):
-    """Absolute 2-norm error ||A - A[:, p] @ M @ A[s, :]|| of a CUR approximation."""
-    a = as_matrix(a, "A")
-    return matkit.spectral_norm(a - a[:, p] @ m @ a[s, :])
+    # A = W diag(psi) Z^T. A tall A has A - C M R = W (T - T[:, p] M A[s, :])
+    # with T = diag(psi) Z^T; a wide A has its transpose, (A - C M R)^T =
+    # Z (T - T[:, s] M^T A[:, p]^T) with T = diag(psi) W^T. Either way the
+    # residual is r x r, r = min(m, n).
+    if a.shape[0] >= a.shape[1]:
+        err = _residual_norm(f.psi[:, None] * f.Z.T, p, middle, a[s, :], "cur", "A")
+    else:
+        err = _residual_norm(f.psi[:, None] * f.W.T, s, middle.T, a[:, p].T, "cur", "A")
+    return CurFactors(p, s, middle, float(err / f.psi[0]))
 
 
 def _projection(x, factor, mode, what):
@@ -145,6 +162,20 @@ def _projection(x, factor, mode, what):
         return np.linalg.solve(t, qx), matkit.spectral_norm(x - q @ qx)
     xq = x @ q
     return np.linalg.solve(t, xq.T).T, matkit.spectral_norm(x - xq @ q.T)
+
+
+def _residual_norm(x, p, m, x_s, mode, name):
+    """||X - X[:, p] M X_s|| for mode "cur", or the error of the orthogonal
+    projection of X onto the columns X[:, p] ("column") or the rows X_s ("row").
+
+    The one CUR-residual routine: ``deim_cur``, ``gcur.relative_errors`` and
+    ``gcur.evaluate_bounds`` all score through it.
+    """
+    if mode == "cur":
+        return matkit.spectral_norm(x - x[:, p] @ m @ x_s)
+    if mode == "column":
+        return _projection(x, x[:, p], mode, f"column factor {name}[:, p]")[1]
+    return _projection(x, x_s, mode, f"row factor {name}[s, :]")[1]
 
 
 def projection_error(a, indices, mode, name="A"):

@@ -33,8 +33,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import curfac, deim, matkit
+from .curfac import _residual_norm
 from .errors import ContractViolationError, DimensionError
-from .gsvd import gsvd, truncate
+from .gsvd import gsvd
 
 # evaluate_bounds and relative_errors accept A when its column norms match the
 # carried R_a's to this fraction of the largest; Householder QR keeps them to
@@ -103,16 +104,6 @@ class BoundReport(NamedTuple):
     observed_error: float
     bound: float
     checks: dict
-
-
-class TruncationSandwich(NamedTuple):
-    """gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||, checked."""
-
-    gamma_next: float
-    lower: float
-    observed: float
-    upper: float
-    holds: bool
 
 
 class SubspaceGap(NamedTuple):
@@ -250,16 +241,6 @@ def _require_factors_of(a, b, factors):
     return a, b
 
 
-def _residual_norm(x, p, m, x_s, mode, name):
-    """||X - X[:, p] M X_s|| for mode "cur", or the error of the orthogonal
-    projection of X onto the columns X[:, p] ("column") or the rows X_s ("row")."""
-    if mode == "cur":
-        return matkit.spectral_norm(x - x[:, p] @ m @ x_s)
-    if mode == "column":
-        return curfac._projection(x, x[:, p], mode, f"column factor {name}[:, p]")[1]
-    return curfac._projection(x, x_s, mode, f"row factor {name}[s, :]")[1]
-
-
 def relative_errors(a, b, factors, mode="cur"):
     """Relative 2-norm errors (err_a, err_b) of GCUR factors of (A, B).
 
@@ -364,23 +345,6 @@ def evaluate_bounds(a, b, factors):
         bound=float(bound),
         checks=checks,
     )
-
-
-def truncation_sandwich(a, factors, k, norm_a):
-    """Check the rank-k GSVD truncation error of A against its two-sided bound.
-
-    ``norm_a`` is ||A||; the checks hold to within ``1e-9 * max(1, ||A||)``.
-    """
-    a = matkit.as_matrix(a, "A")
-    t = truncate(factors, k)
-    a_k = t.U_k @ (t.gamma_k[:, None] * t.Y_k.T)
-    gamma_next = float(factors.gamma[k])
-    observed = matkit.spectral_norm(a - a_k)
-    psi_tail = np.linalg.svd(t.Y_tail, compute_uv=False)
-    lower, upper = gamma_next * float(psi_tail[-1]), gamma_next * float(psi_tail[0])
-    tol = 1e-9 * max(1.0, norm_a)
-    holds = bool(lower <= observed + tol and observed <= upper + tol)
-    return TruncationSandwich(gamma_next, lower, observed, upper, holds)
 
 
 def svd_subspace_gap(a, q_k):

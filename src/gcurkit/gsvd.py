@@ -17,6 +17,14 @@ preprocessing of LAPACK's xGGSVP3). Q_A is never formed: U' is lifted by
 applying A's Householder reflectors (``matkit._triangle_and_lift``), the
 same reduction ``gcur`` makes. A square A skips the reduction.
 
+``gsvd_diagnostics`` runs that same reduction and returns the factors with
+the numbers the ``gcurkit gsvd`` command reports: both reconstruction
+residuals and, for a truncation rank k, the sandwich
+gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||. A's
+residuals lie in range(A) = range(Q_A), so they are scored on R_A and U',
+factors the GSVD already holds, with ||A|| = ||R_A||; no m x n residual is
+formed. They differ from an explicit m x n computation at rounding level.
+
 ``gsvd`` takes one 2-D pair. Its core, ``_stacked_gsvd``, which runs the
 steps above on a square or reduced A, also takes stacks of pairs with leading
 axes (A of shape ``(..., m, n)``, B of shape ``(..., d, n)`` or one 2-D B
@@ -25,7 +33,7 @@ stacked SVD, each pair with the bits it gets alone; the intro-angles
 experiment runs its trials that way.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,19 +60,25 @@ class GsvdFactors(NamedTuple):
         return out
 
 
-class TruncatedGsvd(NamedTuple):
-    """Leading-k slices of a GsvdFactors plus the trailing complements."""
+class TruncationSandwich(NamedTuple):
+    """gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||, checked."""
 
-    U_k: np.ndarray
-    V_k: np.ndarray
-    Y_k: np.ndarray
-    gamma_k: np.ndarray
-    sigma_k: np.ndarray
-    U_tail: np.ndarray
-    V_tail: np.ndarray
-    Y_tail: np.ndarray
-    gamma_tail: np.ndarray
-    sigma_tail: np.ndarray
+    gamma_next: float
+    lower: float
+    observed: float
+    upper: float
+    holds: bool
+
+
+class GsvdDiagnostics(NamedTuple):
+    """GSVD factors of a pair with their residuals; see :func:`gsvd_diagnostics`."""
+
+    factors: GsvdFactors
+    residual_a: float
+    residual_b: float
+    rel_residual_a: float
+    rel_residual_b: float
+    sandwich: Optional[TruncationSandwich]
 
 
 def _orthonormal_completion(v_good, d, count):
@@ -73,6 +87,34 @@ def _orthonormal_completion(v_good, d, count):
         return np.eye(d, count)
     u_full, _, _ = np.linalg.svd(v_good, full_matrices=True)
     return u_full[:, v_good.shape[1] : v_good.shape[1] + count]
+
+
+def _require_pair(a, b):
+    """Validate (A, B) as a pair ``gsvd`` factors; return both as float64 matrices."""
+    a = as_matrix(a, "A")
+    b = as_matrix(b, "B")
+    m, n = a.shape
+    d, nb = b.shape
+    if nb != n:
+        raise DimensionError(f"A and B must share column counts, got {n} and {nb}")
+    if m < n:
+        raise DimensionError(f"A needs rows >= cols, got {m}x{n}")
+    if d < n:
+        raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
+    return a, b
+
+
+def _reduced_gsvd(a, b):
+    """GSVD of (R_A, B) for a validated pair, with R_A and the lift of U'.
+
+    A tall A is reduced to its triangle, [A; B] = diag(Q_A, I) [R_A; B], so
+    both stacks share the triangle T0; lift is None for a square A, which is
+    its own R_A.
+    """
+    if a.shape[0] > a.shape[1]:
+        r_a, lift = matkit._triangle_and_lift(a)
+        return _stacked_gsvd(r_a, b), r_a, lift
+    return _stacked_gsvd(a, b), a, None
 
 
 def gsvd(a, b):
@@ -84,23 +126,51 @@ def gsvd(a, b):
     full-rank stack is handled: those directions get sigma = 0, sort first,
     and their V columns are completed by orthogonalization.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    m, n = a.shape
-    d, nb = b.shape
-    if nb != n:
-        raise DimensionError(f"A and B must share column counts, got {n} and {nb}")
-    if m < n:
-        raise DimensionError(f"A needs rows >= cols, got {m}x{n}")
-    if d < n:
-        raise DimensionError(f"B needs rows >= cols, got {d}x{n}")
+    f, _, lift = _reduced_gsvd(*_require_pair(a, b))
+    return f if lift is None else f._replace(U=lift(f.U))
 
-    if m > n:
-        # [A; B] = diag(Q_A, I) [R_A; B], so both share the triangle T0
-        r_a, lift = matkit._triangle_and_lift(a)
-        f = _stacked_gsvd(r_a, b)
-        return f._replace(U=lift(f.U))
-    return _stacked_gsvd(a, b)
+
+def gsvd_diagnostics(a, b, k):
+    """The GSVD of (A, B) with its reconstruction residuals and, for a
+    truncation rank k (None for none), the truncation sandwich.
+
+    Returns the factors of :func:`gsvd`, bit for bit, with
+
+    - ``residual_a`` = ||A - U diag(gamma) Y^T|| and ``residual_b`` =
+      ||B - V diag(sigma) Y^T||, and each divided by max(1, ||A||) or
+      max(1, ||B||);
+    - ``sandwich``: gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <=
+      gamma_{k+1} ||Y_tail||, checked to within 1e-9 * max(1, ||A||).
+
+    A's numbers are scored on the triangle the GSVD already reduced a tall
+    A to: A = Q_A R_A and U = Q_A U', so A - U diag(gamma) Y^T and A - A_k
+    are Q_A times n x n matrices built from R_A and U', and ||A|| = ||R_A||.
+    They differ from the explicit m x n residuals at rounding level (U' is
+    not lifted first). B's numbers are taken on B itself. k is checked
+    (1 <= k < n) before the factorization.
+    """
+    a, b = _require_pair(a, b)
+    if k is not None:
+        _require_truncation_rank(k, a.shape[1])
+    f, r_a, lift = _reduced_gsvd(a, b)
+    norm_a = matkit.spectral_norm(r_a)
+    res_a = matkit.spectral_norm(r_a - f.U @ (f.gamma[:, None] * f.Y.T))
+    res_b = matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    rel_a = res_a / max(1.0, norm_a)
+    rel_b = res_b / max(1.0, matkit.spectral_norm(b))
+    sandwich = None
+    if k is not None:
+        gamma_next = float(f.gamma[k])
+        # A_k = U_k diag(gamma_k) Y_k^T, with U' in place of U for a tall A
+        observed = matkit.spectral_norm(r_a - f.U[:, :k] @ (f.gamma[:k, None] * f.Y[:, :k].T))
+        psi_tail = np.linalg.svd(f.Y[:, k:], compute_uv=False)
+        lower, upper = gamma_next * float(psi_tail[-1]), gamma_next * float(psi_tail[0])
+        tol = 1e-9 * max(1.0, norm_a)
+        holds = bool(lower <= observed + tol and observed <= upper + tol)
+        sandwich = TruncationSandwich(gamma_next, lower, observed, upper, holds)
+    if lift is not None:
+        f = f._replace(U=lift(f.U))
+    return GsvdDiagnostics(f, res_a, res_b, rel_a, rel_b, sandwich)
 
 
 def _stacked_gsvd(a, b):
@@ -136,42 +206,3 @@ def _stacked_gsvd(a, b):
 
     y = t0.swapaxes(-1, -2) @ w
     return GsvdFactors(u, v, y, gamma, sigma)
-
-
-def residuals(a, b, factors):
-    """Absolute 2-norm residuals ||A - U diag(gamma) Y^T|| and ||B - V diag(sigma) Y^T||."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    res_a = matkit.spectral_norm(a - factors.U @ (factors.gamma[:, None] * factors.Y.T))
-    res_b = matkit.spectral_norm(b - factors.V @ (factors.sigma[:, None] * factors.Y.T))
-    return res_a, res_b
-
-
-def truncate(factors, k):
-    """Split GSVD factors into the leading-k part and the trailing complement.
-
-    The leading part reconstructs the rank-k approximation
-    A_k = U_k @ diag(gamma_k) @ Y_k.T, and A - A_k equals the product of the
-    trailing factors exactly.
-    """
-    _require_truncation_rank(k, factors.Y.shape[0])
-    return TruncatedGsvd(
-        U_k=factors.U[:, :k],
-        V_k=factors.V[:, :k],
-        Y_k=factors.Y[:, :k],
-        gamma_k=factors.gamma[:k],
-        sigma_k=factors.sigma[:k],
-        U_tail=factors.U[:, k:],
-        V_tail=factors.V[:, k:],
-        Y_tail=factors.Y[:, k:],
-        gamma_tail=factors.gamma[k:],
-        sigma_tail=factors.sigma[k:],
-    )
-
-
-def truncated_pair(factors, k):
-    """Rank-k reconstructions (A_k, B_k) from GSVD factors."""
-    t = truncate(factors, k)
-    a_k = t.U_k @ (t.gamma_k[:, None] * t.Y_k.T)
-    b_k = t.V_k @ (t.sigma_k[:, None] * t.Y_k.T)
-    return a_k, b_k

@@ -62,9 +62,13 @@ def _require_full_rank(a, error, what):
     """Raise ``error`` when A is numerically rank deficient (psi_min negligible).
 
     Returns A's singular values, nonincreasing, for callers that need them.
-    On a stack, raises when any matrix is, naming the first.
+    On a stack, raises when any matrix is, naming the first. An SVD that
+    does not converge (on a non-finite A, say) raises ConvergenceError.
     """
-    psi = np.linalg.svd(a, compute_uv=False)
+    try:
+        psi = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge in the rank test of {what}") from exc
     deficient = _negligible(psi[..., -1], psi[..., 0])
     if deficient.any():
         first = psi[deficient][0]
@@ -286,8 +290,8 @@ def spectral_norm(a):
     entries near 1e-170 square to zero and entries near 1e155 to Inf).
     The eigensolver's error is relative to ||G|| = lambda_max, so sigma_max
     keeps full relative accuracy. Only sigma_max is read this way: squaring
-    loses the small singular values, which the rank rule and
-    smallest_singular_value need, so those keep the SVD.
+    loses the small singular values, which the rank rule needs, so it keeps
+    the SVD.
     """
     return float(_spectral_norm(as_matrix(a, "A")))
 
@@ -305,9 +309,3 @@ def _spectral_norm(a):
     xt = x.swapaxes(-1, -2)
     gram = xt @ x if m >= n else x @ xt
     return np.where(zero, 0.0, scale * np.sqrt(_lambda_max(gram)))
-
-
-def smallest_singular_value(a):
-    """Smallest singular value of a matrix (over min(m, n))."""
-    a = as_matrix(a, "A")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])

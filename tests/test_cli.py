@@ -7,6 +7,7 @@ from gcurkit import io as gio
 from gcurkit import cli, experiments, matkit, synth
 from gcurkit.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_USAGE, main
 from gcurkit.errors import ConvergenceError
+from gcurkit.gsvd import gsvd
 
 
 @pytest.fixture
@@ -75,10 +76,10 @@ def test_rank_out_of_range_is_usage_error(diag_pair, capsys):
 
 
 def test_gsvd_rank_is_checked_before_the_factorization(diag_pair, monkeypatch, capsys):
-    def no_gsvd(a, b):
+    def no_gsvd(*args):
         raise AssertionError("gsvd ran before the rank was checked")
 
-    monkeypatch.setattr(cli, "gsvd", no_gsvd)
+    monkeypatch.setattr(cli, "gsvd_diagnostics", no_gsvd)
     for k in ("0", "3"):  # n = 3
         assert main(["gsvd", *diag_pair, "-k", k]) == EXIT_USAGE
         assert "rank" in capsys.readouterr().err
@@ -188,6 +189,90 @@ def test_gcur_scores_a_tall_a_on_its_triangle(tmp_path, monkeypatch):
         assert seen and all(shape[0] != 400 for shape in seen), (mode, seen)
         assert rep["bounds"]["all_pass"] is True
         assert rep["rel_error_a"] > 0.0 and rep["rel_error_b"] > 0.0
+
+
+def ci_fixture():
+    """The 12x6 A and 9x6 B of the CI console-script step."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((12, 6)), rng.standard_normal((9, 6))
+
+
+def tall_pair():
+    rng = np.random.default_rng(6)
+    return rng.standard_normal((200, 40)) * np.logspace(0, -3, 40), rng.standard_normal((120, 40))
+
+
+def explicit_gsvd_numbers(a, b, k):
+    """The gsvd command's numbers from m x n residuals of A and B themselves."""
+    f = gsvd(a, b)
+    res_a = matkit.spectral_norm(a - f.U @ (f.gamma[:, None] * f.Y.T))
+    res_b = matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    psi_tail = np.linalg.svd(f.Y[:, k:], compute_uv=False)
+    gamma_next = float(f.gamma[k])
+    return {
+        "a_abs": res_a,
+        "b_abs": res_b,
+        "a_rel": res_a / max(1.0, matkit.spectral_norm(a)),
+        "b_rel": res_b / max(1.0, matkit.spectral_norm(b)),
+        "gamma_next": gamma_next,
+        "lower": gamma_next * psi_tail[-1],
+        "observed": matkit.spectral_norm(a - f.U[:, :k] @ (f.gamma[:k, None] * f.Y[:, :k].T)),
+        "upper": gamma_next * psi_tail[0],
+    }
+
+
+@pytest.mark.parametrize("pair,k", [(ci_fixture, 2), (tall_pair, 8)])
+def test_gsvd_command_numbers_match_explicit_residuals(tmp_path, pair, k):
+    a, b = pair()
+    pa, pb = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    gio.write_matrix_market(pa, a)
+    gio.write_matrix_market(pb, b)
+    rep = run_json(tmp_path, ["gsvd", str(pa), str(pb), "-k", str(k), "--no-timestamp"])
+    want = explicit_gsvd_numbers(a, b, k)
+    got = {**rep["reconstruction_residuals"], **rep["truncation"]["sandwich"]}
+    got["gamma_next"] = rep["truncation"]["gamma_next"]
+    # B's side and the Y-side ends of the sandwich are computed as before: equal
+    for key in ("b_abs", "b_rel", "gamma_next", "lower", "upper"):
+        assert got[key] == want[key], key
+    # A's residuals are rounding errors of size ~eps ||A||, scored on A's
+    # triangle instead of A: they agree to 1e-14 ||A|| (a_rel to 1e-14)
+    norm_a = matkit.spectral_norm(a)
+    assert abs(got["a_abs"] - want["a_abs"]) <= 1e-14 * norm_a
+    assert abs(got["a_rel"] - want["a_rel"]) <= 1e-14
+    # ||A - A_k|| itself is of size gamma_{k+1}: it agrees to 1e-13 relative
+    assert got["observed"] == pytest.approx(want["observed"], rel=1e-13, abs=0)
+    assert got["pass"] is True
+
+
+@pytest.mark.parametrize("pair", [ci_fixture, tall_pair])
+def test_cur_command_rel_error_matches_explicit_residual(tmp_path, pair):
+    a, _ = pair()
+    pa = tmp_path / "a.mtx"
+    gio.write_matrix_market(pa, a)
+    rep = run_json(tmp_path, ["cur", str(pa), "-k", "3", "--no-timestamp"])
+    p, s = np.subtract(rep["p"], 1), np.subtract(rep["s"], 1)
+    m = np.array(rep["M"])
+    want = matkit.spectral_norm(a - a[:, p] @ m @ a[s, :]) / matkit.spectral_norm(a)
+    # scored on the SVD's n x n factor with ||A|| = psi_1: agrees to 1e-12 relative
+    assert rep["rel_error"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_gsvd_and_cur_score_a_tall_a_on_small_matrices(tmp_path, monkeypatch):
+    # no array with A's 200 rows reaches a spectral norm
+    a, b = tall_pair()
+    pa, pb = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    gio.write_matrix_market(pa, a)
+    gio.write_matrix_market(pb, b)
+    seen = []
+
+    def spy(x, _wrapped=matkit.spectral_norm):
+        seen.append(np.shape(x))
+        return _wrapped(x)
+
+    monkeypatch.setattr(matkit, "spectral_norm", spy)
+    run_json(tmp_path, ["gsvd", str(pa), str(pb), "-k", "8"])
+    run_json(tmp_path, ["cur", str(pa), "-k", "8"])
+    assert seen and all(shape[0] != 200 for shape in seen), seen
 
 
 def test_csv_report_format(tmp_path, diag_pair):

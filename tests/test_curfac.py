@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from gcurkit import curfac, deim, gcur, matkit
-from gcurkit.curfac import deim_cur, interpolative, middle_matrix, reconstruct
-from gcurkit.errors import DimensionError, FullRankError
+from gcurkit.curfac import deim_cur, interpolative, middle_matrix
+from gcurkit.errors import DimensionError, FullRankError, SingularMatrixError
+
+
+def reconstruct(a, factors):
+    """Materialize C @ M @ R for CUR factors of A."""
+    return a[:, factors.p] @ factors.M @ a[factors.s, :]
 
 
 def test_diagonal_case():
@@ -261,3 +266,43 @@ def test_row_mode_mirrors_column_mode_on_transpose(seed):
     rows = interpolative(a, 3, mode="row")
     cols_of_t = interpolative(a.T, 3, mode="column")
     assert np.array_equal(rows.indices, cols_of_t.indices)
+
+
+def _fixture_pair():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+
+
+def test_subnormal_scale_raises_instead_of_a_non_finite_middle_matrix():
+    # M scales as 1 / ||A||: at 1e-310 it overflows (to NaN here), at 1e-300
+    # it is about 1e299 and finite
+    a, b = _fixture_pair()
+    with pytest.raises(SingularMatrixError, match=re.escape("middle matrix of A")):
+        gcur(a * 1e-310, b, 3)
+    with pytest.raises(SingularMatrixError, match=re.escape("middle matrix of A")):
+        deim_cur(a * 1e-310, 3)
+    f = gcur(a * 1e-300, b, 3)
+    assert np.isfinite(f.M_a).all() and np.isfinite(f.M_b).all()
+    c = deim_cur(a * 1e-300, 3)
+    assert np.isfinite(c.M).all() and np.isfinite(c.rel_error)
+
+
+def test_middle_matrix_rejects_nan_that_reaches_only_the_core():
+    # a NaN outside the selected rows and columns passes both rank tests
+    # and spoils only the core Q_c^T A Q_r
+    a, _ = _fixture_pair()
+    a[10, 5] = np.nan
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        middle_matrix(a, [0, 1, 2], [0, 1, 2])
+
+
+@pytest.mark.parametrize("shape", [(200, 40), (40, 40), (40, 200), (12, 6)])
+def test_deim_cur_rel_error_matches_explicit_residual(shape):
+    # scored on the SVD's min(m, n)-square factor with ||A|| = psi_1; against
+    # ||A - A[:, p] M A[s, :]|| / ||A|| from the m x n residual it agrees to
+    # rel 1e-12 (a few ulps of the error in practice)
+    rng = np.random.default_rng(shape[0] + shape[1])
+    a = rng.standard_normal(shape) * np.logspace(0, -2, shape[1])
+    f = deim_cur(a, 5)
+    want = matkit.spectral_norm(a - a[:, f.p] @ f.M @ a[f.s, :]) / matkit.spectral_norm(a)
+    assert f.rel_error == pytest.approx(want, rel=1e-12, abs=0)

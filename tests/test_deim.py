@@ -152,7 +152,7 @@ def test_selected_submatrix_nonsingular(seed):
     rng = np.random.default_rng(300 + seed)
     u = np.linalg.qr(rng.standard_normal((25, 7)))[0]
     s = deim_select(u, 7)
-    assert matkit.smallest_singular_value(u[s, :]) > 1e-12
+    assert np.linalg.svd(u[s, :], compute_uv=False)[-1] > 1e-12
 
 
 def test_interpolation_identity_exact_rows():

@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from gcurkit import curfac, deim, matkit
+from gcurkit import deim, matkit
 from gcurkit.curfac import deim_cur, middle_matrix
-from gcurkit.errors import ContractViolationError, DimensionError
+from gcurkit.errors import ContractViolationError, ConvergenceError, DimensionError
 from gcurkit.gcur import (
     evaluate_bounds,
     gcur,
@@ -217,13 +217,18 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
         assert float(relative_errors(a_o, b, f_o)[0]).hex() == float(err_a).hex()
 
 
+def cur_error(a, p, m, s):
+    """Absolute 2-norm error ||A - A[:, p] @ M @ A[s, :]|| of a CUR approximation."""
+    return matkit.spectral_norm(a - a[:, p] @ m @ a[s, :])
+
+
 def explicit_errors(x, p, s, m):
     """Column and row projection errors and the CUR error, from m x n residuals."""
     c, r = x[:, p], x[s, :]
     return {
         "column": matkit.spectral_norm(x - c @ np.linalg.lstsq(c, x, rcond=None)[0]),
         "row": matkit.spectral_norm(x - np.linalg.lstsq(r.T, x.T, rcond=None)[0].T @ r),
-        "cur": curfac.cur_error(x, p, m, s),
+        "cur": cur_error(x, p, m, s),
     }
 
 
@@ -477,3 +482,15 @@ def test_only_a_is_faster_at_scale():
         gcur_only_a(a, b, k)
         t_only.append(time.perf_counter() - t0)
     assert min(t_only) < min(t_full)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_convergence_error(bad):
+    # gcur's GSVD of (R_A, B) fails its rank test's SVD: ConvergenceError,
+    # not numpy's bare LinAlgError
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    a[3, 2] = bad
+    for run in (gcur, gcur_only_a):
+        with pytest.raises(ConvergenceError):
+            run(a, b, 3)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from gcurkit import matkit
-from gcurkit.errors import DimensionError, FullRankError
-from gcurkit.gsvd import _stacked_gsvd, gsvd, truncate, truncated_pair
+from gcurkit.errors import ConvergenceError, DimensionError, FullRankError
+from gcurkit.gsvd import _stacked_gsvd, gsvd, gsvd_diagnostics
+
+
+def truncated_a(factors, k):
+    """Rank-k reconstruction A_k = U_k diag(gamma_k) Y_k^T from GSVD factors."""
+    return factors.U[:, :k] @ (factors.gamma[:k, None] * factors.Y[:, :k].T)
 
 
 def check_invariants(a, b, f, recon_tol=1e-9, ortho_tol=1e-10):
@@ -97,9 +102,8 @@ def test_truncate_partition_identity():
     b = rng.standard_normal((7, 5))
     f = gsvd(a, b)
     k = 4
-    t = truncate(f, k)
-    a_k, _ = truncated_pair(f, k)
-    tail = t.U_tail @ (t.gamma_tail[:, None] * t.Y_tail.T)
+    a_k = truncated_a(f, k)
+    tail = f.U[:, k:] @ (f.gamma[k:, None] * f.Y[:, k:].T)
     # A - A_k equals the trailing factor product exactly (same arithmetic path)
     assert matkit.spectral_norm((a - a_k) - tail) <= 1e-9 * matkit.spectral_norm(a)
 
@@ -107,16 +111,16 @@ def test_truncate_partition_identity():
 def test_truncate_diag_example_k1():
     a = np.diag([1.0, 2.0, 3.0])
     b = np.diag([1.0, 20.0, 300.0])
-    a_1, _ = truncated_pair(gsvd(a, b), 1)
+    a_1 = truncated_a(gsvd(a, b), 1)
     assert np.allclose(a_1, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_truncate_bounds_errors():
-    f = gsvd(np.eye(3), np.eye(3))
-    with pytest.raises(DimensionError):
-        truncate(f, 0)
-    with pytest.raises(DimensionError):
-        truncate(f, 3)
+    # the truncation rank must satisfy 1 <= k < n, and it is checked before
+    # the factorization, which would fail on this NaN B
+    for k in (0, 3):
+        with pytest.raises(DimensionError, match="truncation rank"):
+            gsvd_diagnostics(np.eye(3), np.full((3, 3), np.nan), k)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -126,12 +130,11 @@ def test_prop1_sandwich(seed):
     b = rng.standard_normal((10, 4))
     f = gsvd(a, b)
     for k in range(1, 4):
-        t = truncate(f, k)
-        a_k, _ = truncated_pair(f, k)
-        err = matkit.spectral_norm(a - a_k)
+        y_tail = f.Y[:, k:]
+        err = matkit.spectral_norm(a - truncated_a(f, k))
         gamma_next = f.gamma[k]
-        lo = gamma_next * matkit.smallest_singular_value(t.Y_tail)
-        hi = gamma_next * matkit.spectral_norm(t.Y_tail)
+        lo = gamma_next * np.linalg.svd(y_tail, compute_uv=False)[-1]
+        hi = gamma_next * matkit.spectral_norm(y_tail)
         tol = 1e-9 * max(1.0, matkit.spectral_norm(a))
         assert lo <= err + tol
         assert err <= hi + tol
@@ -294,3 +297,31 @@ def test_stacked_core_rejects_a_stack_with_a_rank_deficient_pair():
     b[1, :, 2] = 0.0
     with pytest.raises(FullRankError, match="stacked pair"):
         _stacked_gsvd(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_convergence_error(bad):
+    # the SVD of the stacked pair's rank test does not converge; that ends in
+    # ConvergenceError, as in matkit.svd, not in numpy's bare LinAlgError
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    a[3, 2] = bad
+    with pytest.raises(ConvergenceError, match="stacked pair"):
+        gsvd(a, b)
+
+
+@pytest.mark.parametrize("m", [40, 200])
+def test_gsvd_diagnostics_factors_and_square_residuals(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, 40)) * np.logspace(0, -3, 40)
+    b = rng.standard_normal((120, 40))
+    g = gsvd_diagnostics(a, b, 8)
+    f = gsvd(a, b)
+    for name in f._fields:  # the factors of gsvd, bit for bit
+        assert getattr(g.factors, name).tobytes() == getattr(f, name).tobytes()
+    assert g.residual_b == matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    assert g.sandwich.holds and g.sandwich.gamma_next == f.gamma[8]
+    if m == 40:  # a square A is its own triangle: the explicit bits
+        assert g.residual_a == matkit.spectral_norm(a - f.U @ (f.gamma[:, None] * f.Y.T))
+        assert g.sandwich.observed == matkit.spectral_norm(a - truncated_a(f, 8))
+    assert gsvd_diagnostics(a, b, None).sandwich is None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcurkit import matkit
-from gcurkit.gsvd import gsvd
+from gcurkit.gsvd import gsvd, gsvd_diagnostics
 from gcurkit.errors import (
     ContractViolationError,
     ConvergenceError,
@@ -191,11 +191,9 @@ def test_max_principal_angle_symmetry(seed):
     assert abs(a12 - a21) <= 1e-12
 
 
-def test_spectral_and_smallest():
+def test_spectral_norm_examples():
     assert matkit.spectral_norm(np.eye(3)) == pytest.approx(1.0)
-    assert matkit.smallest_singular_value(np.eye(3)) == pytest.approx(1.0)
     assert matkit.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-    assert matkit.smallest_singular_value(np.diag([3.0, 1.0])) == pytest.approx(1.0)
     row = np.array([[0.2, -0.9, 0.1]])
     assert matkit.spectral_norm(row) == pytest.approx(np.sqrt(0.86), abs=1e-12)
 
@@ -294,9 +292,9 @@ def test_factorization_reconstruction_invariants(seed):
         matkit.svd,
         matkit.thin_qr,
         matkit.spectral_norm,
-        matkit.smallest_singular_value,
         lambda x: matkit.max_principal_angle(x, x),
         lambda x: gsvd(x, x),
+        lambda x: gsvd_diagnostics(x, x, None),
     ],
 )
 def test_public_functions_reject_stacks(call):
