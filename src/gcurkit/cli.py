@@ -227,9 +227,7 @@ def _experiment_plot_series(report_dict):
                     }
                 )
         return series
-    proj = report_dict.get("projections")
-    if proj is None:
-        raise UsageError("subgroups plot needs projections in the report")
+    proj = report_dict["projections"]
     labels = np.asarray(proj["labels"])
     coords = np.asarray(proj["GCUR"])
     series = []

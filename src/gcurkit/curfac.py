@@ -95,15 +95,15 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     return out
 
 
-def middle_matrix(a, p, s, name="A"):
+def middle_matrix(a, p, s):
     """Middle matrix C^+ A R^+ for C = A[:, p], R = A[s, :] (Frobenius-optimal).
 
     With C = Q_c T_c and R^T = Q_r T_r, C^+ A R^+ = T_c^-1 (Q_c^T A Q_r) T_r^-T.
     """
-    a = as_matrix(a, name)
+    a = as_matrix(a, "A")
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
-    return _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)], name)[0]
+    return _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)])[0]
 
 
 def _warn_if_degenerate(psi, k):
@@ -178,7 +178,7 @@ def _residual_norm(x, p, m, x_s, mode, name):
     return _projection(x, x_s, mode, f"row factor {name}[s, :]")[1]
 
 
-def projection_error(a, indices, mode, name="A"):
+def projection_error(a, indices, mode):
     """One-sided projection of A onto actual columns or rows, and its error.
 
     mode="column" takes C = A[:, indices] and returns (C^+ A, ||A - C C^+ A||);
@@ -187,10 +187,10 @@ def projection_error(a, indices, mode, name="A"):
     come from one thin QR of C (or R^T); a factor that fails the rank rule
     raises FullRankError.
     """
-    a = as_matrix(a, name)
+    a = as_matrix(a, "A")
     if mode == "column":
-        return _projection(a, a[:, indices], mode, f"column factor {name}[:, p]")
-    return _projection(a, a[indices, :], mode, f"row factor {name}[s, :]")
+        return _projection(a, a[:, indices], mode, "column factor A[:, p]")
+    return _projection(a, a[indices, :], mode, "row factor A[s, :]")
 
 
 def interpolative(a, k, mode="column"):

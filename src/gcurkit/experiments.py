@@ -5,16 +5,17 @@ Every experiment takes a master seed and derives one child seed per trial
 via ``numpy.random.SeedSequence.spawn``, so each trial's random stream
 depends only on the master seed and the trial id, and results are
 bit-identical for a fixed seed. Everything runs in the calling thread; the
-dense kernels run on the threads the BLAS library is given. Noise-recovery
-trials run one after another in trial-id order. The 3x3 subspace-angle trials
-run as stacks of ``INTRO_STACK`` trials in trial-id order: each trial still
-draws its own noise from its own child seed, and each stage (the noise
-product, its norm, the SVD, the GSVD and the two angles) is one stacked numpy
-call on the private ``matkit`` and ``gsvd`` cores for the whole stack, which
-gives each trial the bits it gets alone. A failed trial is recorded under
-``trial_failures`` and left out of the statistics; a stack that raises runs
-again one trial at a time, so each failing trial records its own message in
-trial-id order. A grid cell that no trial reaches raises.
+dense kernels run on the threads the BLAS library is given. One trial loop
+runs every experiment: it hands its worker stacks of child seeds in trial-id
+order. Noise recovery takes one trial per stack. The 3x3 subspace-angle
+study takes ``INTRO_STACK`` trials per stack: each trial still draws its own
+noise from its own child seed, and each stage (the noise product, its norm,
+the SVD, the GSVD and the two angles) is one stacked numpy call on the
+private ``matkit`` and ``gsvd`` cores for the whole stack, which gives each
+trial the bits it gets alone. A failed trial is recorded under
+``trial_failures`` and left out of the statistics. A stack of several trials
+that raises runs again one trial at a time, so each failing trial records
+its own message in trial-id order. A grid cell that no trial reaches raises.
 
 Noise recovery factors the noise once per trial. Every noisy matrix of a
 trial is A + eps E, with one unit-level noise draw E for all eps and the
@@ -41,9 +42,11 @@ by Y's Householder reflectors, r of them by the one rank rule
 (``matkit._negligible``) on the core's singular values. So
 A = A V_A V_A^T + T with ||T|| at most the core's psi_{r+1} plus the
 rounding of A = F Y^T.
-Split R' = E' V_A^T + H W^T with E' = R' V_A and W orthonormal and
-orthogonal to V_A. With G = A V_A, C_V = Q^T G and P_V = G - Q C_V (so
-Q^T P_V = 0),
+Split R' = E' V_A^T + H W^T with E' = R' V_A and W H^T the thin QR of the
+n x k matrix (R' - E' V_A^T)^T = (I - V_A V_A^T) R'^T, so H is k x k and W
+has orthonormal columns, orthogonal to V_A in every column that H uses
+(a column of W that H multiplies by zero drops out). With G = A V_A,
+C_V = Q^T G and P_V = G - Q C_V (so Q^T P_V = 0),
 
     A V_A V_A^T - X = [Q (C_V - L E') + P_V, -Q L H] [V_A, W]^T,
 
@@ -91,27 +94,13 @@ INTRO_STACK = 256
 _TRIAL_ERRORS = (GcurkitError, np.linalg.LinAlgError)
 
 
-def _run_trials(worker, trials, seed_seq):
-    """Run ``worker(trial_id, child_seed)`` for every trial in trial-id order.
-
-    Returns the results of the trials that succeeded and the messages of
-    those that raised a numerical error, each in trial-id order.
-    """
-    results, failures = [], []
-    for i, child in enumerate(seed_seq.spawn(trials)):
-        try:
-            results.append(worker(i, child))
-        except _TRIAL_ERRORS as exc:
-            failures.append(str(exc))
-    return results, failures
-
-
-def _run_stacked_trials(worker, trials, seed_seq, size):
+def _run_trials(worker, trials, seed_seq, size):
     """Run ``worker(child_seeds)`` on stacks of up to ``size`` trials in
     trial-id order; the worker returns one result per trial of its stack.
 
-    A stack that raises a numerical error runs again one trial at a time,
-    so each failing trial records its own message. Returns the results and
+    A stack of several trials that raises a numerical error runs again one
+    trial at a time, so each failing trial records its own message; a
+    one-trial stack records its failure at once. Returns the results and
     the failure messages, each in trial-id order.
     """
     results, failures = [], []
@@ -120,7 +109,10 @@ def _run_stacked_trials(worker, trials, seed_seq, size):
         stack = children[lo : lo + size]
         try:
             results += worker(stack)
-        except _TRIAL_ERRORS:
+        except _TRIAL_ERRORS as exc:
+            if len(stack) == 1:
+                failures.append(str(exc))
+                continue
             for child in stack:
                 try:
                     results += worker([child])
@@ -220,7 +212,7 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     timing = {}
     for eps, eps_seq in zip(eps_values, per_eps):
         t0 = time.perf_counter()
-        results, failed = _run_stacked_trials(worker(eps), trials, eps_seq, INTRO_STACK)
+        results, failed = _run_trials(worker(eps), trials, eps_seq, INTRO_STACK)
         failures += failed
         _require_success(results, failed, f"eps={eps:g}")
         svd_angles = [r[0] for r in results]
@@ -268,14 +260,13 @@ def _row_space_scorer(f_coef, y, core, norm_a):
     is the relative error ||A - X|| / ||A||. ``in_basis(q_s)`` forms C_V and
     the r x r Gram of P_V once per Q_s, from b-row work; each
     ``score(left, right)`` then needs one thin QR of an n x k matrix, one
-    (r + k) x (r + k) Gram and its largest eigenvalue. When r + k >= n,
-    which needs a small n, W is an orthonormal complement of V_A from V_A's
-    complete QR, and H = R' W. |score - ||A - X|| / ||A||| <=
+    (r + k) x (r + k) Gram and its largest eigenvalue, for every n. The
+    largest eigenvalue depends on H only through H H^T, so only the
+    triangle of that QR is kept. |score - ||A - X|| / ||A||| <=
     ||A - A V_A V_A^T|| / ||A|| plus rounding, and ||A - A V_A V_A^T|| <=
     psi_{r+1} of the core (at most 1e-12 ||A|| by the rank rule) plus the
     rounding of A = F Y^T.
     """
-    n = y.shape[0]
     core, lift_y = core
     r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
     v = lift_y(core.Z[:, :r])
@@ -289,10 +280,7 @@ def _row_space_scorer(f_coef, y, core, norm_a):
         def score(left, right):
             right = right / norm_a
             e = right @ v
-            if r + right.shape[0] < n:
-                f_rest = matkit._triangle_and_lift(right.T - v @ e.T)[0].T
-            else:
-                f_rest = right @ np.linalg.qr(v, mode="complete")[0][:, r:]
+            f_rest = matkit._triangle_and_lift(right.T - v @ e.T)[0].T
             mat = np.hstack([c - left @ e, -(left @ f_rest)])
             gram = mat.T @ mat
             gram[:r, :r] += ptp
@@ -325,7 +313,7 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
 
-    def run(_i, child):
+    def run(child):
         seeds = child.spawn(3)
         a, f_a, y_a, core = synth._lowrank(kind, m, n, seeds[0])
         norm_a = matkit.spectral_norm(a)
@@ -423,7 +411,7 @@ def noise_recovery(
     )
     master = np.random.SeedSequence(seed)
     t0 = time.perf_counter()
-    results, failures = _run_trials(worker, trials, master)
+    results, failures = _run_trials(lambda stack: [worker(stack[0])], trials, master, 1)
 
     cells = []
     for eps in eps_values:
@@ -453,11 +441,11 @@ def noise_recovery(
     return ExperimentReport("noise-recovery", params, cells, extra=extra, timing=timing)
 
 
-def nearest_centroid_cv(x, labels, folds=10):
-    """Deterministic k-fold nearest-centroid classification error.
+def nearest_centroid_cv(x, labels):
+    """Deterministic 10-fold nearest-centroid classification error.
 
-    Fold assignment is row index mod ``folds`` (stratified for block-ordered
-    group labels). Columns are standardized with training-fold statistics
+    Fold assignment is row index mod 10 (stratified for block-ordered group
+    labels). Columns are standardized with training-fold statistics
     before distances are taken, so high-variance features cannot drown
     informative ones; this is part of the recorded proxy definition.
     """
@@ -465,6 +453,7 @@ def nearest_centroid_cv(x, labels, folds=10):
     labels = np.asarray(labels)
     classes = np.unique(labels)
     idx = np.arange(len(labels))
+    folds = 10
     wrong = 0
     for f in range(folds):
         test = idx % folds == f
@@ -500,7 +489,7 @@ def separation_ratio(coords, labels):
     return float(np.mean(pairs) / np.mean(within))
 
 
-def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100, include_projections=True):
+def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100):
     """Column subset selection on the four-subgroup data, target vs background.
 
     Selects columns of the centered target with the single-matrix CUR and
@@ -543,16 +532,17 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100, include_projec
         "TSVD": separation_ratio(a @ f.Z[:, :2], labels),
         "TGSVD": separation_ratio(a @ x_right[:, :2], labels),
     }
-    extra = {"separation_ratio_two_leading": separation}
-    if include_projections:
-        extra["projections"] = {
+    extra = {
+        "separation_ratio_two_leading": separation,
+        "projections": {
             "labels": labels.tolist(),
             "group_names": list(synth.SUBGROUP_NAMES),
             "CUR": a[:, cur.p[:2]].tolist(),
             "GCUR": a[:, gc.p[:2]].tolist(),
             "TSVD": (a @ f.Z[:, :2]).tolist(),
             "TGSVD": (a @ x_right[:, :2]).tolist(),
-        }
+        },
+    }
     params = {
         "n_columns": list(n_columns),
         "seed": seed,

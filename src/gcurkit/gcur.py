@@ -38,7 +38,7 @@ from .errors import ContractViolationError, DimensionError
 from .gsvd import gsvd
 
 # evaluate_bounds and relative_errors accept A when its column norms match the
-# carried R_a's to this fraction of the largest; Householder QR keeps them to
+# carried R_a's to this fraction of R_a's largest; Householder QR keeps them to
 # a few ulps.
 _COLUMN_NORM_TOL = 1e-10
 
@@ -53,7 +53,9 @@ class GcurFactors(NamedTuple):
     are k x k.
 
     ``ratio_gap`` records gamma_k/sigma_k - gamma_{k+1}/sigma_{k+1} at the
-    truncation cut, surfacing near-degeneracy of the selection.
+    truncation cut, surfacing near-degeneracy of the selection. It is 0 when
+    both ratios are +inf (sigma_k = sigma_{k+1} = 0, a rank-deficient B), and
+    +inf when only gamma_k/sigma_k is.
 
     The remaining fields are what :func:`evaluate_bounds` and
     :func:`relative_errors` read, so they need not factor A or compute the
@@ -117,8 +119,8 @@ class SubspaceGap(NamedTuple):
 
 def _ratio_gap(factors, k):
     ratios = factors.ratios
-    if k >= ratios.size:
-        return float("nan")
+    if ratios[k] == np.inf:
+        return 0.0  # the cut splits a tie of sigma = 0 pairs, both ratios +inf
     return float(ratios[k - 1] - ratios[k])
 
 
@@ -190,8 +192,9 @@ def _require_columns_of(a, r_a):
     norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
     norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
     gap = float(np.max(np.abs(norms_a - norms_r)))
-    # written so that a NaN gap (a NaN in A or R_a) fails the test too
-    if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_a)):
+    # written so that a NaN gap (a NaN in A or R_a) fails the test too; the
+    # scale is R_a's, which is finite, so an inf in A fails it as well
+    if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_r)):
         raise ContractViolationError(
             f"column norms of A and of the carried triangle R_a differ by "
             f"{gap:.3e}; compute the factors with gcur on this pair"
@@ -271,7 +274,7 @@ def evaluate_bounds(a, b, factors):
     :func:`gcur_only_a` on this same pair. Factors whose arrays do not
     match A's row count, the column count n or k = p.size raise
     DimensionError. Factors whose R_a does not have A's column norms (to
-    1e-10 of the largest), or whose A_s is not A[s_a, :] bit for bit, raise
+    1e-10 of R_a's largest), or whose A_s is not A[s_a, :] bit for bit, raise
     ContractViolationError. Takes the thin QR of Y to get the orthonormal
     column basis Q_k and the triangular blocks T22 (trailing square block)
     and T_hat (trailing column block), whose norms and smallest singular

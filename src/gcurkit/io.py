@@ -292,27 +292,21 @@ def read_csv_matrix(path, header=False):
     return require_finite(np.asfortranarray(values), "matrix")
 
 
-def read_matrix(path, fmt=None, csv_header=False):
-    """Read a matrix file, sniffing the format when ``fmt`` is None.
+def read_matrix(path, csv_header=False):
+    """Read a Matrix Market (either layout) or CSV matrix file.
 
-    ``fmt`` may be "matrix-market" (either layout) or "csv"; sniffing checks
-    the extension and then the first line for a MatrixMarket banner.
+    The format is sniffed: a ".mtx" or ".mm" extension means Matrix Market
+    and ".csv" means CSV; any other file is Matrix Market when its first
+    line starts with the "%%MatrixMarket" banner, and CSV otherwise.
     """
-    if fmt is None:
-        lowered = str(path).lower()
-        if lowered.endswith((".mtx", ".mm")):
-            fmt = "matrix-market"
-        elif lowered.endswith(".csv"):
-            fmt = "csv"
-        else:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                first = fh.readline()
-            fmt = "matrix-market" if first.startswith("%%MatrixMarket") else "csv"
-    if fmt == "matrix-market":
+    lowered = str(path).lower()
+    matrix_market = lowered.endswith((".mtx", ".mm"))
+    if not matrix_market and not lowered.endswith(".csv"):
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            matrix_market = fh.readline().startswith("%%MatrixMarket")
+    if matrix_market:
         return read_matrix_market(path)
-    if fmt == "csv":
-        return read_csv_matrix(path, header=csv_header)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    return read_csv_matrix(path, header=csv_header)
 
 
 def write_matrix_market(path, a):
@@ -383,14 +377,15 @@ def _svg_coords(vals, lo, hi, pix0, pix1):
     return [pix0 + (v - lo) / span * (pix1 - pix0) for v in vals]
 
 
-def plot_svg(series, title="", width=640, height=420):
-    """Render xy-series as a minimal SVG line/scatter plot.
+def plot_svg(series, title=""):
+    """Render xy-series as a minimal 640 x 420 SVG line/scatter plot.
 
     ``series`` is a list of dicts with keys "name", "x", "y" and optional
     "marker" (draw points instead of a line). Enough to eyeball error curves;
     not a plotting library.
     """
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    width, height = 640, 420
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
     if not xs:

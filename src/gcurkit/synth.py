@@ -14,8 +14,6 @@ change with the thread count.
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import matkit
@@ -30,68 +28,43 @@ SUBGROUP_NAMES = ("blue", "yellow", "orange", "purple")
 class NoiseModel:
     """Additive colored-noise description: covariance plus relative level.
 
-    The covariance of the noise rows is either Toeplitz with entries
-    rho^|i-j| or an explicit SPD matrix. ``epsilon`` is the relative noise
-    level: the generated perturbation satisfies ||E|| = epsilon * ||A|| in
-    the 2-norm.
+    The covariance of the noise rows is Toeplitz with entries rho^|i-j|.
+    ``epsilon`` is the relative noise level: the generated perturbation
+    satisfies ||E|| = epsilon * ||A|| in the 2-norm.
     """
 
     epsilon: float
     seed: object = 0
     rho: float = 0.99
-    covariance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ContractViolationError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.covariance is None and not 0.0 < self.rho < 1.0:
+        if not 0.0 < self.rho < 1.0:
             raise ContractViolationError(f"rho must be in (0, 1), got {self.rho}")
-
-    def cholesky_factor(self, n):
-        """Upper-triangular factor R with R.T @ R equal to the covariance."""
-        if self.covariance is None:
-            return toeplitz_chol(n, self.rho)
-        cov = as_matrix(self.covariance, "covariance")
-        if cov.shape != (n, n):
-            raise DimensionError(
-                f"covariance must be {n}x{n} to match the data, got {cov.shape}"
-            )
-        if not np.allclose(cov, cov.T):
-            raise ContractViolationError("covariance must be symmetric")
-        try:
-            lower = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("covariance is not positive definite") from exc
-        return lower.T.copy()
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Parameters of the four-subgroup target/background data sets.
+    """Size and seed of the four-subgroup target/background data sets.
 
-    Defaults give 400 target points in 30 features: the first feature block
-    is high-variance for everyone, the second separates groups (yellow,
-    purple) by a mean offset, the third separates (orange, purple). The
-    background carries the same variance profile but no group structure.
-    Per-block means index groups in ``SUBGROUP_NAMES`` order.
+    The default gives 400 target points in 30 features; see
+    :func:`subgroup_data` for the feature blocks.
     """
 
     points_per_group: int = 100
     seed: object = 0
-    block_stds: tuple = (10.0, 1.0, 1.0)
-    block2_means: tuple = (0.0, 6.0, 0.0, 6.0)
-    block3_means: tuple = (0.0, 0.0, 3.0, 3.0)
-    background_stds: tuple = (10.0, 3.0, 1.0)
 
     def __post_init__(self):
         if self.points_per_group < 1:
             raise ContractViolationError("points_per_group must be positive")
 
 
-def _sparse_uniform(rng, n, density=0.025):
+def _sparse_uniform(rng, n):
     # sprand-style vector: uniform(0, 1) values at independently chosen
-    # positions, at least one nonzero enforced so no factor collapses.
-    mask = rng.random(n) < density
+    # positions of density 0.025, at least one nonzero enforced so no factor
+    # collapses.
+    mask = rng.random(n) < 0.025
     if not mask.any():
         mask[rng.integers(n)] = True
     out = np.zeros(n)
@@ -213,7 +186,7 @@ def _noise_term(a, model, norm_a):
     have it computed.
     """
     m, n = a.shape
-    rchol = model.cholesky_factor(n)
+    rchol = toeplitz_chol(n, model.rho)
     rng = np.random.default_rng(model.seed)
     f = rng.standard_normal((m, n)) @ rchol
     if model.epsilon == 0.0:
@@ -247,29 +220,32 @@ def subgroup_data(spec, center=False):
     """Four-subgroup target matrix A, background matrix B, and row labels.
 
     A has ``4 * points_per_group`` rows and 30 features in three blocks of
-    ten; group membership shifts the block-2 and block-3 means per
-    ``spec``. B has the same shape with zero-mean blocks at the background
-    variances. ``center=True`` subtracts each column's mean from both
-    matrices. Labels are integers 0..3 indexing ``SUBGROUP_NAMES``.
+    ten, standard normal but for the first block's standard deviation of
+    10, which is high-variance for everyone. Group membership shifts the
+    means: block 2 by 6 for the groups (yellow, purple), block 3 by 3 for
+    (orange, purple). B has the same shape, with zero-mean blocks of
+    standard deviations 10, 3 and 1 and no group structure.
+    ``center=True`` subtracts each column's mean from both matrices. Labels
+    are integers 0..3 indexing ``SUBGROUP_NAMES``.
     """
     g = spec.points_per_group
     rows = 4 * g
     rng = np.random.default_rng(spec.seed)
 
     a = rng.standard_normal((rows, 30))
-    a[:, 0:10] *= spec.block_stds[0]
-    a[:, 10:20] *= spec.block_stds[1]
-    a[:, 20:30] *= spec.block_stds[2]
+    a[:, 0:10] *= 10.0
     labels = np.repeat(np.arange(4), g)
+    # per-group means of blocks 2 and 3, in SUBGROUP_NAMES order
+    block2_means = (0.0, 6.0, 0.0, 6.0)
+    block3_means = (0.0, 0.0, 3.0, 3.0)
     for grp in range(4):
         sel = labels == grp
-        a[sel, 10:20] += spec.block2_means[grp]
-        a[sel, 20:30] += spec.block3_means[grp]
+        a[sel, 10:20] += block2_means[grp]
+        a[sel, 20:30] += block3_means[grp]
 
     b = rng.standard_normal((rows, 30))
-    b[:, 0:10] *= spec.background_stds[0]
-    b[:, 10:20] *= spec.background_stds[1]
-    b[:, 20:30] *= spec.background_stds[2]
+    b[:, 0:10] *= 10.0
+    b[:, 10:20] *= 3.0
 
     if center:
         a = a - a.mean(axis=0)

@@ -76,8 +76,8 @@ def test_projection_error_rejects_rank_deficient_factor():
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 3.0]])
     with pytest.raises(FullRankError, match=re.escape("column factor A[:, p] is rank deficient")):
         curfac.projection_error(a, [0, 1], "column")
-    with pytest.raises(FullRankError, match=re.escape("row factor B[s, :] is rank deficient")):
-        curfac.projection_error(a.T, [0, 1], "row", "B")
+    with pytest.raises(FullRankError, match=re.escape("row factor A[s, :] is rank deficient")):
+        curfac.projection_error(a.T, [0, 1], "row")
     with pytest.raises(FullRankError, match="rank deficient"):
         curfac.projection_error(a[:2], [0, 1, 2], "column")  # more columns than rows
 

@@ -14,15 +14,27 @@ from gcurkit.gsvd import gsvd
 
 
 def test_run_trials_order_and_failures():
-    def worker(i, child):
-        if i % 2:
-            raise DimensionError(f"odd trial {i}")
-        return i, child.spawn_key[-1]
+    def worker(stack):
+        ids = [child.spawn_key[-1] for child in stack]
+        calls.append(ids)
+        for i in ids:
+            if i % 2:
+                raise DimensionError(f"odd trial {i}")
+        return [(i, i * i) for i in ids]
 
-    results, failures = experiments._run_trials(worker, 6, np.random.SeedSequence(4))
-    # trial i runs with the i-th spawned child seed, results in trial-id order
-    assert results == [(0, 0), (2, 2), (4, 4)]
-    assert failures == ["odd trial 1", "odd trial 3", "odd trial 5"]
+    # a failing one-trial stack records its failure and does not run again;
+    # a failing stack of several runs again one trial at a time
+    single = [[i] for i in range(6)]
+    stacked = [[0, 1, 2, 3], [0], [1], [2], [3], [4, 5], [4], [5]]
+    for size, want_calls in ((1, single), (4, stacked)):
+        calls = []
+        results, failures = experiments._run_trials(
+            worker, 6, np.random.SeedSequence(4), size
+        )
+        # trial i runs with the i-th spawned child seed, results in trial-id order
+        assert results == [(0, 0), (2, 4), (4, 16)]
+        assert failures == ["odd trial 1", "odd trial 3", "odd trial 5"]
+        assert calls == want_calls
 
 
 def test_intro_angles_structure_and_determinism():
@@ -442,12 +454,12 @@ def _reconstructions(a, k, seed):
 @pytest.mark.parametrize(
     "gen,m,n,k",
     [
-        (synth.lowrank_gapped, 400, 120, 10),  # r + k < n: W from a thin QR
-        (synth.lowrank_gapped, 120, 60, 20),  # r + k >= n: W completes V_A
+        (synth.lowrank_gapped, 400, 120, 10),  # r + k < n
+        (synth.lowrank_gapped, 120, 60, 20),  # r + k > n
         (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, r + k < n
-        (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k >= n
+        (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k > n
         (_rank7, 200, 40, 10),  # r = 7, r + k < n
-        (_rank7, 200, 40, 33),  # r = 7, r + k >= n
+        (_rank7, 200, 40, 33),  # r = 7, r + k = n
     ],
 )
 def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
@@ -456,7 +468,7 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
     # within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the explicit m x n
     # residual, taken by a direct SVD, plus rounding, and that distance is
     # at most the core's psi_{r+1} / ||A|| plus rounding. The eigenproblem
-    # is (r + k) x (r + k), or n x n once r + k >= n. The basis here is the
+    # is (r + k) x (r + k), also when r + k > n. The basis here is the
     # m-row Q of the noisy matrix, so F itself is A's factor in it
     a, f, y = _test_matrix(gen, m, n, 3)
     psi = np.linalg.svd(a, compute_uv=False)
@@ -486,8 +498,7 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
         want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
         got = score(left, right)
         assert abs(got - want) <= tail + 1e-14, (method, got, want, tail)
-    size = min(rank + k, n)
-    assert sizes == [(size, size)] * 4
+    assert sizes == [(rank + k, rank + k)] * 4
 
 
 def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
@@ -584,8 +595,8 @@ def test_subgroups_report_bands():
 
 
 def test_subgroups_determinism():
-    a = experiments.subgroups(n_columns=(5,), seed=3, include_projections=False)
-    b = experiments.subgroups(n_columns=(5,), seed=3, include_projections=False)
+    a = experiments.subgroups(n_columns=(5,), seed=3)
+    b = experiments.subgroups(n_columns=(5,), seed=3)
     assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
 
 

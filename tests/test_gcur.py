@@ -125,6 +125,16 @@ def test_reconstructions_have_right_shapes():
     assert np.isfinite(f.ratio_gap)
 
 
+@pytest.mark.parametrize("build", [gcur, gcur_only_a])
+def test_ratio_gap_is_zero_where_the_cut_splits_sigma_zero_pairs(build):
+    # a rank-3 B leaves three pairs with sigma = 0 and ratio +inf; a cut
+    # between two of them splits a tie, and the cut after them is a full gap
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 6))
+    b = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 6))
+    assert [build(a, b, k).ratio_gap for k in (1, 2, 3)] == [0.0, 0.0, np.inf]
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_bound_checks_pass_on_random_pairs(seed):
     rng = np.random.default_rng(500 + seed)
@@ -362,20 +372,22 @@ def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
 @pytest.mark.parametrize("only_a", [False, True])
 @pytest.mark.parametrize("m", [20, 8])
 def test_bounds_and_errors_reject_a_nan_a(m, only_a):
-    # a NaN anywhere in A makes its column-norm gap NaN, which must fail
-    # the same-pair check instead of scoring the factors of the clean A
+    # a NaN anywhere in A makes its column-norm gap NaN, and a +-inf makes
+    # it inf; either must fail the same-pair check instead of scoring the
+    # factors of the clean A
     rng = np.random.default_rng(0)
     a = rng.standard_normal((m, 6))
     b = rng.standard_normal((9, 6))
     f = (gcur_only_a if only_a else gcur)(a, b, 3)
     row = next(i for i in range(m) if i not in f.s_a)
-    a_nan = a.copy()
-    a_nan[row, 2] = np.nan
-    with pytest.raises(ContractViolationError, match="column norms"):
-        evaluate_bounds(a_nan, b, f)
-    for mode in ("cur", "column", "row"):
+    for bad in (np.nan, np.inf, -np.inf):
+        a_bad = a.copy()
+        a_bad[row, 2] = bad
         with pytest.raises(ContractViolationError, match="column norms"):
-            relative_errors(a_nan, b, f, mode)
+            evaluate_bounds(a_bad, b, f)
+        for mode in ("cur", "column", "row"):
+            with pytest.raises(ContractViolationError, match="column norms"):
+                relative_errors(a_bad, b, f, mode)
 
 
 @pytest.mark.parametrize("only_a", [False, True])

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from gcurkit import matkit, synth
-from gcurkit.errors import (
-    ContractViolationError,
-    DimensionError,
-    SingularMatrixError,
-)
+from gcurkit.errors import ContractViolationError, DimensionError
 from gcurkit.synth import (
     NoiseModel,
     SubgroupSpec,
@@ -22,9 +18,6 @@ from gcurkit.synth import (
     subgroup_data,
     toeplitz_chol,
 )
-
-INTRO_COV = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
-
 
 def test_sparse_rank_and_nonnegativity():
     a = lowrank_sparse(80, 60, seed=0)
@@ -187,18 +180,6 @@ def test_noise_model_validation():
         NoiseModel(epsilon=-0.1)
     with pytest.raises(ContractViolationError):
         NoiseModel(epsilon=0.1, rho=1.5)
-    bad = NoiseModel(epsilon=0.1, covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(SingularMatrixError):
-        bad.cholesky_factor(2)
-    wrong_dim = NoiseModel(epsilon=0.1, covariance=np.eye(3))
-    with pytest.raises(DimensionError):
-        wrong_dim.cholesky_factor(2)
-
-
-def test_explicit_covariance_roundtrip():
-    model = NoiseModel(epsilon=0.1, covariance=INTRO_COV)
-    r = model.cholesky_factor(3)
-    assert np.max(np.abs(r.T @ r - INTRO_COV)) <= 1e-12
 
 
 def test_colored_noise_zero_epsilon():
