@@ -14,6 +14,7 @@ change with the thread count.
 """
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import matkit
