@@ -72,6 +72,13 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     runs on each leading block. x and A_s must be float64 matrices and p a
     valid index vector.
     """
+    return _middle_matrices_and_bases(x, p, a_s, sizes, name)[0]
+
+
+def _middle_matrices_and_bases(x, p, a_s, sizes, name):
+    """``_nested_middle_matrices`` plus the orthonormal bases Q_c of x[:, p]
+    and Q_r of A_s^T that it factors, for a caller that scores the
+    orthogonal projections onto them (``_projection_error``)."""
     col, row = f"column factor {name}[:, p]", f"row factor {name}[s, :]"
     _require_enough_rows(x.shape[0], p.size, col)
     _require_enough_rows(a_s.shape[1], a_s.shape[0], row)
@@ -92,7 +99,7 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
                 f"and {row} overflow at this scale, or {name} is not finite"
             )
         out.append(m)
-    return out
+    return out, q_c, q_r
 
 
 def middle_matrix(a, p, s):
@@ -162,6 +169,14 @@ def _projection(x, factor, mode, what):
         return np.linalg.solve(t, qx), matkit.spectral_norm(x - q @ qx)
     xq = x @ q
     return np.linalg.solve(t, xq.T).T, matkit.spectral_norm(x - xq @ q.T)
+
+
+def _projection_error(x, q, mode):
+    """The error of ``_projection`` from a basis Q it already took: Q of C
+    (mode "column") or of R^T ("row"), with the same products and bits."""
+    if mode == "column":
+        return matkit.spectral_norm(x - q @ (q.T @ x))
+    return matkit.spectral_norm(x - (x @ q) @ q.T)
 
 
 def _residual_norm(x, p, m, x_s, mode, name):

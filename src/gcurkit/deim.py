@@ -9,6 +9,9 @@ import numpy as np
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
 from .matkit import _require_full_rank, as_matrix
 
+# deim_select eliminates this many columns between two trailing updates
+_BLOCK = 32
+
 
 def as_indices(indices, extent, name="indices"):
     """Validate an index vector: 1-D, integer, distinct, within [0, extent)."""
@@ -28,18 +31,33 @@ def as_indices(indices, extent, name="indices"):
 def deim_select(basis, k):
     """Select k interpolation indices from the columns of a basis matrix.
 
-    The first index is the argmax of |basis[:, 0]|. Each later step solves the
-    selected (j x j) subsystem for the interpolation coefficients, subtracts
-    the interpolant from the next column, and takes the argmax of the residual
-    magnitude. Ties resolve to the smallest index (forward argmax scan).
+    The first index is the argmax of |basis[:, 0]|. Each later step j
+    interpolates column j at the rows selected so far, subtracts the
+    interpolant, and takes the argmax of the residual magnitude. Ties
+    resolve to the smallest index (forward argmax scan), and the residual
+    is exactly 0 on the rows already selected.
+
+    That residual is column j after j steps of Gaussian elimination with
+    partial pivoting on the basis (Chaturantabut & Sorensen 2010): the
+    interpolant u_{:j} c with c = u[s, :j]^-1 u[s, j] is what the first j
+    eliminations subtract, so the greedy argmax is the pivot search and the
+    selected rows are the pivot rows. So one elimination pass selects all k
+    indices, with no j x j solve per step. It runs on a Fortran-order copy
+    of the first k columns, in blocks of ``_BLOCK`` columns: inside a block
+    each column takes the updates of the block's earlier pivots as one
+    matrix-vector product (left-looking), and each pivot's row of U is
+    formed for every later column (Crout); after a block the later columns
+    take its update as one GEMM. The residuals agree with those of per-step
+    solves to rounding, so the indices agree too unless two residual
+    entries tie to rounding.
 
     The rank rule (``matkit.RANK_TOL``) runs once, on the final k x k block
     ``basis[s, :k]``: its determinant is, up to sign, the product of the
-    pivots |residual[s_j]|, so a rank-deficient intermediate block shows up
-    there. Raises DependentBasisError when that block fails the rule or a
-    solve meets an exactly singular block; the message names the first step
-    whose selected block fails the rule. Raises DimensionError when k
-    exceeds the column count.
+    pivots, so a rank-deficient intermediate block shows up there. Raises
+    DependentBasisError when that block fails the rule or a pivot is
+    exactly 0; the message names the first step whose selected block fails
+    the rule. A non-finite basis fails the rule with ConvergenceError.
+    Raises DimensionError when k exceeds the column count.
     """
     u = as_matrix(basis, "basis")
     m, r = u.shape
@@ -47,15 +65,29 @@ def deim_select(basis, k):
         raise DimensionError(f"basis needs rows >= cols, got {m}x{r}")
     if not 1 <= k <= r:
         raise DimensionError(f"k={k} outside 1..{r} (columns available)")
+    # column j becomes its residual, then its multipliers (column j of L)
+    f = np.array(u[:, :k], order="F")
+    t = np.empty((min(_BLOCK, k), k))  # the current block's rows of U
     s = np.empty(k, dtype=np.int64)
-    s[0] = int(np.argmax(np.abs(u[:, 0])))
-    for j in range(1, k):
-        try:
-            c = np.linalg.solve(u[s[:j], :j], u[s[:j], j])
-        except np.linalg.LinAlgError:
-            _name_dependent_step(u, s[:j], k)
-        resid = u[:, j] - u[:, :j] @ c
-        s[j] = int(np.argmax(np.abs(resid)))
+    # a non-finite basis makes NaNs here; the rank rule below rejects it
+    with np.errstate(all="ignore"):
+        for b0 in range(0, k, _BLOCK):
+            b1 = min(b0 + _BLOCK, k)
+            for j in range(b0, b1):
+                i = j - b0
+                col = f[:, j]
+                if i:
+                    col -= f[:, b0:j] @ t[:i, j]
+                    col[s[b0:j]] = 0.0
+                s[j] = piv_row = int(np.argmax(np.abs(col)))
+                piv = col[piv_row]
+                if piv == 0.0:
+                    _name_dependent_step(u, s[: j + 1], k)
+                t[i, j + 1 :] = f[piv_row, j + 1 :] - f[piv_row, b0:j] @ t[:i, j + 1 :]
+                col /= piv
+            if b1 < k:
+                f[:, b1:] -= f[:, b0:b1] @ t[: b1 - b0, b1:]
+                f[s[b0:b1], b1:] = 0.0
     try:
         _require_full_rank(u[s, :k], DependentBasisError, f"selected {k}x{k} block")
     except DependentBasisError:

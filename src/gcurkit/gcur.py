@@ -9,7 +9,8 @@ where the *same* column indices p are used for both matrices. Indices come
 from greedy interpolation-index selection on the generalized singular vector
 matrices: p from Y, s_A from U, s_B from V, ordered by nonincreasing
 generalized singular value ratios. All three select k indices, one rank k
-for the whole factorization. Middle matrices are the pseudoinverse
+for the whole factorization, each in one blocked elimination pass (see
+:func:`gcurkit.deim.deim_select`). Middle matrices are the pseudoinverse
 products that minimize the Frobenius reconstruction error for the chosen
 indices, computed from one thin QR of the column factor and one of the
 transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
@@ -26,6 +27,12 @@ range(A) too: each is Q_A times an n x n matrix built from R_A, U'_k and
 A_s, and Q_A preserves the 2-norm, so ||A|| = ||R_A|| as well. So A's
 errors and bounds are scored on n x n matrices, and no m x n residual is
 formed.
+
+Each factorization runs once per pair. The thin QRs of R_A[:, p] and
+A_s^T that M_A is built from also give the orthonormal bases of the two
+one-sided projections that :func:`evaluate_bounds` and
+:func:`relative_errors` score for A, so :func:`gcur` keeps them (Q_p and
+Q_s, n x k each) and the scorers take no QR of those factors again.
 """
 
 from typing import NamedTuple, Optional
@@ -63,9 +70,11 @@ class GcurFactors(NamedTuple):
     full n x n factor and ``gamma`` all n values. ``R_a`` is the n x n
     triangle of A = Q_A R_A (a copy of A when m = n), and ``Ur_k`` is U_k
     in its coordinates (n x k), so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :]
-    (k x n), the rows M_a was built from. They take m*k + 2*n*n + 2*n*k + n
-    floats, each array owned; Q_A is never formed, and the m x n U and the
-    d x n V are not kept.
+    (k x n), the rows M_a was built from. ``Q_p`` and ``Q_s`` (n x k each)
+    are the orthonormal bases of R_a[:, p] and of A_s^T that M_a's thin QRs
+    formed, so the two projections scored for A need no QR of their own.
+    They take m*k + 2*n*n + 4*n*k + n floats, each array owned; Q_A is never
+    formed, and the m x n U and the d x n V are not kept.
     """
 
     p: np.ndarray
@@ -81,6 +90,8 @@ class GcurFactors(NamedTuple):
     R_a: np.ndarray
     Ur_k: np.ndarray
     A_s: np.ndarray
+    Q_p: np.ndarray
+    Q_s: np.ndarray
 
 
 class BoundReport(NamedTuple):
@@ -141,13 +152,14 @@ def _gcur(a, b, k, with_b):
     p = deim.deim_select(f.Y[:, :k], k)
     s_a = deim.deim_select(u_k, k)
     a_s = a[s_a, :]
-    m_a = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")[0]
+    (m_a,), q_p, q_s = curfac._middle_matrices_and_bases(r_a, p, a_s, [(k, k)], "A")
     s_b = m_b = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k], k)
         m_b = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")[0]
     return GcurFactors(
-        p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s
+        p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s,
+        q_p, q_s,
     )
 
 
@@ -231,11 +243,13 @@ def _require_factors_of(a, b, factors):
         )
     k = factors.p.size
     shapes = (factors.s_a, factors.U_k, factors.Ur_k, factors.R_a, factors.A_s,
-              factors.Y, factors.gamma)
-    if [x.shape for x in shapes] != [(k,), (m, k), (n, k), (n, n), (k, n), (n, n), (n,)]:
+              factors.Y, factors.gamma, factors.Q_p, factors.Q_s)
+    want = [(k,), (m, k), (n, k), (n, n), (k, n), (n, n), (n,), (n, k), (n, k)]
+    if [x.shape for x in shapes] != want:
         raise DimensionError(
             f"carried GSVD factors (U_k {factors.U_k.shape}, Y {factors.Y.shape}, "
-            f"R_a {factors.R_a.shape}) do not match A ({m}x{n}) at k={k}; "
+            f"R_a {factors.R_a.shape}, Q_p {factors.Q_p.shape}, Q_s "
+            f"{factors.Q_s.shape}) do not match A ({m}x{n}) at k={k}; "
             "compute the factors with gcur on this pair"
         )
     matkit._require_truncation_rank(k, n)
@@ -244,42 +258,56 @@ def _require_factors_of(a, b, factors):
     return a, b
 
 
+def _a_residual_norm(factors, mode):
+    """``curfac._residual_norm`` of A's side, on the carried n x n triangle;
+    the "column" and "row" projections read the carried Q_p and Q_s, whose
+    factors passed the rank rule in gcur, and take no QR."""
+    r = factors.R_a
+    if mode == "column":
+        return curfac._projection_error(r, factors.Q_p, mode)
+    if mode == "row":
+        return curfac._projection_error(r, factors.Q_s, mode)
+    return _residual_norm(r, factors.p, factors.M_a, factors.A_s, mode, "A")
+
+
 def relative_errors(a, b, factors, mode="cur"):
     """Relative 2-norm errors (err_a, err_b) of GCUR factors of (A, B).
 
     mode="cur" scores ||A - A[:, p] M_a A[s_a, :]|| / ||A||; "column" and
     "row" score the one-sided projection of A onto A[:, p] or A[s_a, :].
     A's side is taken on the carried n x n triangle, as in
-    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||; B's
-    side on B itself, with p and s_b. err_b is None for factors from
+    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||, and
+    its projections read the carried bases Q_p and Q_s; B's side on B
+    itself, with p and s_b. err_b is None for factors from
     :func:`gcur_only_a`. The factors must come from this same pair, checked
     as in :func:`evaluate_bounds`.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
     _, b = _require_factors_of(a, b, factors)
-    r, p = factors.R_a, factors.p
-    err_a = _residual_norm(r, p, factors.M_a, factors.A_s, mode, "A") / matkit.spectral_norm(r)
+    err_a = _a_residual_norm(factors, mode) / matkit.spectral_norm(factors.R_a)
     if factors.s_b is None:
         return err_a, None
-    err_b = _residual_norm(b, p, factors.M_b, b[factors.s_b, :], mode, "B")
+    err_b = _residual_norm(b, factors.p, factors.M_b, b[factors.s_b, :], mode, "B")
     return err_a, err_b / matkit.spectral_norm(b)
 
 
 def evaluate_bounds(a, b, factors):
     """Evaluate all approximation-error inequalities for GCUR factors of (A, B).
 
-    Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s, Y
-    and gamma from ``factors``, which must come from :func:`gcur` or
-    :func:`gcur_only_a` on this same pair. Factors whose arrays do not
-    match A's row count, the column count n or k = p.size raise
-    DimensionError. Factors whose R_a does not have A's column norms (to
-    1e-10 of R_a's largest), or whose A_s is not A[s_a, :] bit for bit, raise
-    ContractViolationError. Takes the thin QR of Y to get the orthonormal
-    column basis Q_k and the triangular blocks T22 (trailing square block)
-    and T_hat (trailing column block), whose norms and smallest singular
-    values come from one SVD each, and checks each inequality to within
-    1e-9 * ||A||, with ||A|| = ||R_a||.
+    Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s,
+    Q_p, Q_s, Y and gamma from ``factors``, which must come from
+    :func:`gcur` or :func:`gcur_only_a` on this same pair. Factors whose
+    arrays do not match A's row count, the column count n or k = p.size
+    raise DimensionError. Factors whose R_a does not have A's column norms
+    (to 1e-10 of R_a's largest), or whose A_s is not A[s_a, :] bit for bit,
+    raise ContractViolationError. Its one QR is the thin QR of Y, for the
+    orthonormal column basis Q_k and the triangular blocks T22 (trailing
+    square block) and T_hat (trailing column block), whose norms and
+    smallest singular values come from one SVD each; the two orthogonal
+    projections read the bases of R_a[:, p] and A_s^T that gcur formed for
+    M_a, and whose triangles passed the rank rule there. It checks each
+    inequality to within 1e-9 * ||A||, with ||A|| = ||R_a||.
 
     The interpolatory errors are sandwiched as
 
@@ -291,12 +319,12 @@ def evaluate_bounds(a, b, factors):
     identity on that range), so the lower sides hold without them.
 
     All five residual norms are taken on n x n matrices (module docstring).
-    With r = R_a, A_s = A[s_a, :], r[:, p] = Q~ T~ and A_s^T = Q_r T_r:
+    With r = R_a, A_s = A[s_a, :], r[:, p] = Q_p T_p and A_s^T = Q_s T_s:
 
         ||A - A P||           = ||r - r[:, p] Q_k[p, :]^-T Q_k^T||
         ||A - S A||           = ||r - Ur_k U_k[s_a, :]^-1 A_s||
-        ||A - C C^+ A||       = ||(I - Q~ Q~^T) r||
-        ||A - A R^+ R||       = ||r (I - Q_r Q_r^T)||
+        ||A - C C^+ A||       = ||(I - Q_p Q_p^T) r||
+        ||A - A R^+ R||       = ||r (I - Q_s Q_s^T)||
         ||A - C M_a R||       = ||r - r[:, p] M_a A_s||
     """
     _require_factors_of(a, b, factors)
@@ -319,7 +347,7 @@ def evaluate_bounds(a, b, factors):
     interp_col = matkit.spectral_norm(r - r[:, p] @ np.linalg.solve(q_k[p, :].T, q_k.T))
     interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
     proj_col, proj_row, observed = (
-        _residual_norm(r, p, factors.M_a, a_s, mode, "A") for mode in ("column", "row", "cur")
+        _a_residual_norm(factors, mode) for mode in ("column", "row", "cur")
     )
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
     tol = _BOUND_TOL * matkit.spectral_norm(r)

@@ -10,7 +10,8 @@ operations here are pure functions of their inputs.
 
 ``thin_qr`` forms the whole Q of a thin QR, and runs only where that Q is
 read: the QR of the stacked pair in ``gsvd``, the column and row factors in
-``curfac._nested_middle_matrices`` and ``curfac._projection``, Y's QR in
+``curfac._nested_middle_matrices`` (whose Q's ``gcur`` keeps for A's
+projections) and ``curfac._projection``, Y's QR in
 ``gcur.evaluate_bounds`` and, in ``experiments._factor_in_basis``, the QR
 of each noise-recovery K_eps, which has min(m, n + 50) rows, not m. A
 caller that needs only the triangle, or Q applied to a few columns, uses
@@ -62,13 +63,16 @@ def _require_full_rank(a, error, what):
     """Raise ``error`` when A is numerically rank deficient (psi_min negligible).
 
     Returns A's singular values, nonincreasing, for callers that need them.
-    On a stack, raises when any matrix is, naming the first. An SVD that
-    does not converge (on a non-finite A, say) raises ConvergenceError.
+    On a stack, raises when any matrix is, naming the first. A non-finite A
+    raises ConvergenceError: its SVD either does not converge or, with an
+    inf entry, returns NaN singular values, which no comparison would flag.
     """
     try:
         psi = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge in the rank test of {what}") from exc
+    if not np.isfinite(psi).all():
+        raise ConvergenceError(f"non-finite singular values in the rank test of {what}")
     deficient = _negligible(psi[..., -1], psi[..., 0])
     if deficient.any():
         first = psi[deficient][0]

@@ -1,11 +1,18 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from gcurkit import matkit, synth
 from gcurkit.deim import deim_select, eta, interp_project
-from gcurkit.errors import DependentBasisError, DimensionError, SingularMatrixError
+from gcurkit.errors import (
+    DependentBasisError,
+    DimensionError,
+    GcurkitError,
+    SingularMatrixError,
+)
+from gcurkit.gcur import gcur
 from gcurkit.gsvd import gsvd
 
 
@@ -82,7 +89,8 @@ def test_zero_column_errors():
         deim_select(u, 3)
 
 
-@pytest.mark.parametrize("k", [1, 5, 30, 100])
+# 31..33 and 64, 65 straddle the ends of deim_select's column blocks
+@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100])
 @pytest.mark.parametrize("seed", range(3))
 def test_matches_per_step_reference_on_orthonormal_bases(seed, k):
     rng = np.random.default_rng(900 + seed)
@@ -101,11 +109,50 @@ def gsvd_bases(request):
     return {"U": f.U, "V": f.V, "Y": f.Y}
 
 
-@pytest.mark.parametrize("k", [1, 5, 30, 100])
+# 31..33 and 64, 65 straddle the ends of deim_select's column blocks
+@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100])
 @pytest.mark.parametrize("name", ["U", "V", "Y"])
 def test_matches_per_step_reference_on_gsvd_bases(gsvd_bases, name, k):
     basis = gsvd_bases[name][:, :k]
     assert np.array_equal(deim_select(basis, k), deim_select_per_step(basis, k))
+
+
+def test_matches_per_step_reference_on_lifted_u_k():
+    # the m x k U_k that gcur lifts from the triangle of a tall noisy A
+    a = synth.lowrank_gapped(2000, 300, 44)
+    noisy, _, rchol = synth.colored_noise(
+        a, synth.NoiseModel(epsilon=0.1, seed=54, rho=0.99)
+    )
+    u_k = gcur(noisy, rchol, 100).U_k
+    assert u_k.shape == (2000, 100)
+    assert np.array_equal(deim_select(u_k, 100), deim_select_per_step(u_k, 100))
+
+
+@pytest.mark.parametrize("k", [7, 40])
+def test_storage_order_does_not_matter(k):
+    rng = np.random.default_rng(910 + k)
+    u = np.linalg.qr(rng.standard_normal((120, k)))[0]
+    c, f = np.ascontiguousarray(u), np.asfortranarray(u)
+    assert c.flags.c_contiguous and f.flags.f_contiguous
+    assert np.array_equal(deim_select(c, k), deim_select(f, k))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_basis_raises_without_warning(bad):
+    # an inf makes the rank test's SVD return NaN singular values without
+    # raising; that spectrum must fail the rule, not pass it
+    u = np.eye(5)[:, :3].copy()
+    u[4, 1] = bad
+    calls = (
+        lambda: deim_select(u, 3),
+        lambda: eta(u, [0, 4, 1]),
+        lambda: interp_project(u, [0, 4, 1], np.ones((5, 2))),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GcurkitError):
+                call()
 
 
 def _step_of(call):

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from gcurkit import deim, matkit
+from gcurkit import curfac, deim, matkit
 from gcurkit.curfac import deim_cur, middle_matrix
 from gcurkit.errors import ContractViolationError, ConvergenceError, DimensionError
 from gcurkit.gcur import (
@@ -311,11 +311,12 @@ def test_carried_u_k_owns_its_data():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((50, 12))
     f = gcur(a, rng.standard_normal((20, 12)), 4)
-    for x in (f.U_k, f.Ur_k, f.R_a, f.A_s):
+    for x in (f.U_k, f.Ur_k, f.R_a, f.A_s, f.Q_p, f.Q_s):
         assert x.base is None and x.flags.owndata
     assert f.U_k.shape == (50, 4) and f.Y.shape == (12, 12) and f.gamma.shape == (12,)
     assert f.R_a.shape == (12, 12) and f.Ur_k.shape == (12, 4)
     assert f.A_s.shape == (4, 12)
+    assert f.Q_p.shape == f.Q_s.shape == (12, 4)
 
 
 @pytest.mark.parametrize("m,k", [(50, 4), (50, 1), (12, 4)])
@@ -351,8 +352,49 @@ def test_bounds_reject_factors_of_another_shape():
         evaluate_bounds(a, rng.standard_normal((20, 9)), f)
     with pytest.raises(DimensionError, match="carried GSVD factors"):
         relative_errors(rng.standard_normal((31, 8)), b, f)
+    # carried projection bases of another shape
+    for bad in (f._replace(Q_p=f.Q_p[:, :2]), f._replace(Q_s=f.Q_s.T.copy())):
+        with pytest.raises(DimensionError, match="carried GSVD factors"):
+            evaluate_bounds(a, b, bad)
+        for mode in ("column", "row"):
+            with pytest.raises(DimensionError, match="carried GSVD factors"):
+                relative_errors(a, b, bad, mode)
     with pytest.raises(ValueError, match="mode must be"):
         relative_errors(a, b, f, "oblique")
+
+
+@pytest.mark.parametrize("only_a", [False, True])
+@pytest.mark.parametrize("m,n,k", [(60, 12, 5), (12, 12, 4), (300, 40, 12)])
+def test_scorers_reuse_the_carried_bases(monkeypatch, m, n, k, only_a):
+    # evaluate_bounds takes one QR, of Y; A's projections read the bases
+    # gcur kept for M_a and give the bits of a fresh QR of each factor
+    rng = np.random.default_rng(20 + m + k)
+    a = rng.standard_normal((m, n)) * np.logspace(0, -2, n)
+    b = rng.standard_normal((n + 5, n))
+    f = (gcur_only_a if only_a else gcur)(a, b, k)
+    norm_r = matkit.spectral_norm(f.R_a)
+    fresh = {
+        mode: curfac._residual_norm(f.R_a, f.p, f.M_a, f.A_s, mode, "A")
+        for mode in ("column", "row")
+    }
+    factored = []
+    thin_qr = matkit.thin_qr
+
+    def counted(x):
+        factored.append(x)
+        return thin_qr(x)
+
+    monkeypatch.setattr(matkit, "thin_qr", counted)
+    rep = evaluate_bounds(a, b, f)
+    assert len(factored) == 1 and factored[0] is f.Y
+    assert rep.proj_col_error == fresh["column"]
+    assert rep.proj_row_error == fresh["row"]
+    factored.clear()
+    for mode in ("column", "row"):
+        err_a, _ = relative_errors(a, b, f, mode)
+        assert err_a == fresh[mode] / norm_r
+    # only B's projections, which carry no basis, take a QR
+    assert len(factored) == (0 if only_a else 2)
 
 
 @pytest.mark.parametrize("m", [30, 8])
