@@ -269,11 +269,9 @@ def cmd_experiment(args):
             rho=args.rho,
             inexact_chol=name == "noise-recovery-inexact",
         )
-    elif name == "subgroups":
+    else:  # subgroups: argparse's choices admit no other name
         run = experiments.subgroups
         opts.update(n_columns=rank, points_per_group=args.points_per_group)
-    else:
-        raise UsageError(f"unknown experiment {name!r}")
     rep = run(**{key: value for key, value in opts.items() if value is not None})
     rep.experiment = name
 

@@ -6,8 +6,9 @@ given index choice; it is computed from one thin QR of C and one of R.T,
 as T_c^-1 (Q_c^T A Q_r) T_r^-T with k x k triangular solves, never by
 inverting C.T @ C. A caller that holds the triangle of A = Q T passes T in
 place of A for the column side, so C's QR and the core have n rows, not m.
-A middle matrix that is not finite (M scales as 1/||A||, so it overflows for
-an A of subnormal scale) raises SingularMatrixError.
+A middle matrix or one-sided projection factor that is not finite (both
+scale as 1/||A||, so they overflow for an A of subnormal scale) raises
+SingularMatrixError.
 
 ``deim_cur`` also returns ||A - C M R|| / ||A||, scored on factors it already
 holds: the SVD it selects the indices from, on which the residual is a
@@ -59,26 +60,21 @@ def _require_enough_rows(rows, vectors, what):
 def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     """Middle matrices for nested index prefixes, from one QR per side.
 
-    Returns C^+ A R^+ for C = A[:, p[:kc]], R = A_s[:kr, :] for every
-    (kc, kr) in ``sizes``, where A_s = A[s, :] holds the longest row
-    selection. The column factor comes from ``x``: A itself, or a triangle
-    with A = Q x for some orthonormal-column Q (the T of a thin QR of A).
-    Then C = Q x[:, p] and Q^T Q = I give C^+ = x[:, p]^+ Q^T, so
-    C^+ A R^+ = x[:, p]^+ x A_s^+, and a tall A needs no m-row work here.
-    The leading kc columns of Q_c and the leading kc x kc block of T_c are
-    a thin QR of x[:, p[:kc]], so one factorization of x[:, p] and one of
-    A_s^T, plus one core Q_c^T x Q_r, serve every prefix:
-    M = T_c^-1 (Q_c^T x Q_r) T_r^-T on the leading blocks. The rank rule
-    runs on each leading block. x and A_s must be float64 matrices and p a
-    valid index vector.
+    Returns (middles, Q_c, Q_r): C^+ A R^+ for C = A[:, p[:kc]],
+    R = A_s[:kr, :] for every (kc, kr) in ``sizes``, where A_s = A[s, :]
+    holds the longest row selection, and the orthonormal bases Q_c of
+    x[:, p] and Q_r of A_s^T that it factors, for a caller that scores the
+    orthogonal projections onto them (``_projection_error``). The column
+    factor comes from ``x``: A itself, or a triangle with A = Q x for some
+    orthonormal-column Q (the T of a thin QR of A). Then C = Q x[:, p] and
+    Q^T Q = I give C^+ = x[:, p]^+ Q^T, so C^+ A R^+ = x[:, p]^+ x A_s^+,
+    and a tall A needs no m-row work here. The leading kc columns of Q_c
+    and the leading kc x kc block of T_c are a thin QR of x[:, p[:kc]], so
+    one factorization of x[:, p] and one of A_s^T, plus one core
+    Q_c^T x Q_r, serve every prefix: M = T_c^-1 (Q_c^T x Q_r) T_r^-T on the
+    leading blocks. The rank rule runs on each leading block. x and A_s
+    must be float64 matrices and p a valid index vector.
     """
-    return _middle_matrices_and_bases(x, p, a_s, sizes, name)[0]
-
-
-def _middle_matrices_and_bases(x, p, a_s, sizes, name):
-    """``_nested_middle_matrices`` plus the orthonormal bases Q_c of x[:, p]
-    and Q_r of A_s^T that it factors, for a caller that scores the
-    orthogonal projections onto them (``_projection_error``)."""
     col, row = f"column factor {name}[:, p]", f"row factor {name}[s, :]"
     _require_enough_rows(x.shape[0], p.size, col)
     _require_enough_rows(a_s.shape[1], a_s.shape[0], row)
@@ -110,7 +106,8 @@ def middle_matrix(a, p, s):
     a = as_matrix(a, "A")
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
-    return _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)])[0]
+    (middle,), _, _ = _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)])
+    return middle
 
 
 def _warn_if_degenerate(psi, k):
@@ -139,7 +136,7 @@ def deim_cur(a, k):
     _warn_if_degenerate(f.psi, k)
     p = deim.deim_select(f.Z[:, :k], k)
     s = deim.deim_select(f.W[:, :k], k)
-    middle = _nested_middle_matrices(a, p, a[s, :], [(k, k)])[0]
+    (middle,), _, _ = _nested_middle_matrices(a, p, a[s, :], [(k, k)])
     # A = W diag(psi) Z^T. A tall A has A - C M R = W (T - T[:, p] M A[s, :])
     # with T = diag(psi) Z^T; a wide A has its transpose, (A - C M R)^T =
     # Z (T - T[:, s] M^T A[:, p]^T) with T = diag(psi) W^T. Either way the
@@ -158,7 +155,9 @@ def _projection(x, factor, mode, what):
     ||X - C C^+ X||). mode="row": R = ``factor`` shares X's columns; returns
     (X R^+, ||X - X R^+ R||). One thin QR, C = Q T (or R^T = Q T), gives
     C^+ X = T^-1 Q^T X and C C^+ = Q Q^T (X R^+ = X Q T^-T, R^+ R = Q Q^T).
-    The rank rule runs once, on T, and names the factor ``what``.
+    The rank rule runs once, on T, and names the factor ``what``. A
+    projection that is not finite (it scales as 1/||factor||, so it
+    overflows for a factor of subnormal scale) raises SingularMatrixError.
     """
     basis = factor if mode == "column" else factor.T
     _require_enough_rows(basis.shape[0], basis.shape[1], what)
@@ -166,9 +165,17 @@ def _projection(x, factor, mode, what):
     _require_full_rank(t, FullRankError, what)
     if mode == "column":
         qx = q.T @ x
-        return np.linalg.solve(t, qx), matkit.spectral_norm(x - q @ qx)
-    xq = x @ q
-    return np.linalg.solve(t, xq.T).T, matkit.spectral_norm(x - xq @ q.T)
+        proj, resid = np.linalg.solve(t, qx), x - q @ qx
+    else:
+        xq = x @ q
+        proj, resid = np.linalg.solve(t, xq.T).T, x - xq @ q.T
+    # written so that NaN fails it too, not only an overflow to inf
+    if not np.isfinite(proj).all():
+        raise SingularMatrixError(
+            f"projection onto {what} is not finite: its inverse overflows "
+            "at this scale, or the projected matrix is not finite"
+        )
+    return proj, matkit.spectral_norm(resid)
 
 
 def _projection_error(x, q, mode):

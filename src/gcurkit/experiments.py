@@ -33,39 +33,35 @@ and R serves both the SVD and the GSVD, which act on the n x n triangle.
 Only the leading kmax left vectors of the two are lifted to m rows, in one
 call of Q_b's lift. The rows the middle matrices read are E[s] eps + A[s],
 which have the bits of (eps E + A)[s]; no m x n noisy matrix is formed.
-The reconstructions are scored in A's numerical row space. Each of the
-four lies in range(Q), X = Q L R' (TSVD and TGSVD through the left vectors
-of R's factorizations, CUR and GCUR through the column factor
-noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. V_A is read from the
-factors: the right singular vectors of the 50 x 50 core of F Y^T, lifted
-by Y's Householder reflectors, r of them by the one rank rule
-(``matkit._negligible``) on the core's singular values. So
-A = A V_A V_A^T + T with ||T|| at most the core's psi_{r+1} plus the
-rounding of A = F Y^T.
-Split R' = E' V_A^T + H W^T with E' = R' V_A and W H^T the thin QR of the
-n x k matrix (R' - E' V_A^T)^T = (I - V_A V_A^T) R'^T, so H is k x k and W
-has orthonormal columns, orthogonal to V_A in every column that H uses
-(a column of W that H multiplies by zero drops out). With G = A V_A,
-C_V = Q^T G and P_V = G - Q C_V (so Q^T P_V = 0),
+The reconstructions are scored in A's row space. Each of the four lies in
+range(Q), X = Q L R' (TSVD and TGSVD through the left vectors of R's
+factorizations, CUR and GCUR through the column factor
+noisy[:, p] = Q R[:, p]), with L n x k and R' k x n. A's rows lie in
+range(Y): with the thin QR Y = Q_Y T_Y of the generator's n x j factor Y
+(j = 50), A = F Y^T = (F T_Y^T) Q_Y^T, so A = A Q_Y Q_Y^T exactly.
+Split R' = E' Q_Y^T + H W^T with E' = R' Q_Y and W H^T the thin QR of the
+n x k matrix (R' - E' Q_Y^T)^T = (I - Q_Y Q_Y^T) R'^T, so H is k x k and W
+has orthonormal columns, orthogonal to Q_Y in every column that H uses (a
+column of W that H multiplies by zero drops out). With G = A Q_Y,
+C_Y = Q^T G and P_Y = G - Q C_Y (so Q^T P_Y = 0),
 
-    A V_A V_A^T - X = [Q (C_V - L E') + P_V, -Q L H] [V_A, W]^T,
+    A - X = [Q (C_Y - L E') + P_Y, -Q L H] [Q_Y, W]^T,
 
-and since [V_A, W] has orthonormal columns,
+and since [Q_Y, W] has orthonormal columns,
 
-    ||A V_A V_A^T - X||^2 = lambda_max(M^T M + diag(P_V^T P_V, 0)),
-    M = [C_V - L E', -L H],
+    ||A - X||^2 = lambda_max(M^T M + diag(P_Y^T P_Y, 0)),
+    M = [C_Y - L E', -L H],
 
-an (r + k) x (r + k) eigenproblem. The identity assumes only X in
-range(Q), which holds by construction for all four. Leaving out T moves
-each score by at most ||T|| / ||A||, which the rank rule keeps at or below
-about 1e-12, plus rounding. G lies in range(Q_b) too:
-G = Q_b G' with G' = R_b[:, n:] (Y^T V_A), so C_V = Q_s^T G' and
-P_V = Q_b (G' - Q_s C_V), and P_V^T P_V is the Gram of the b-row
-G' - Q_s C_V. Per trial, [E, F] costs one m x (n + 50) QR and V_A two QRs
-of the factors and a 50 x 50 SVD; per eps, K_eps costs a b x n QR, the
-SVD and GSVD of R and an m x b x 2 kmax lift, and C_V and P_V b x n x r
-work; per score, (r + k)-sized work. No m-row Q, no m x n residual or
-noisy matrix, and no QR or SVD of A or of a noisy matrix is formed.
+a (j + k) x (j + k) eigenproblem. The identity assumes only X in
+range(Q), which holds by construction for all four, so every score is the
+relative error of the explicit m x n residual up to rounding. G lies in
+range(Q_b) too: G = Q_b G' with G' = R_b[:, n:] T_Y^T, so
+C_Y = Q_s^T G' and P_Y = Q_b (G' - Q_s C_Y), and P_Y^T P_Y is the Gram of
+the b-row G' - Q_s C_Y. Per trial, [E, F] costs one m x (n + 50) QR and
+Q_Y one n x j QR; per eps, K_eps costs a b x n QR, the SVD and GSVD of R
+and an m x b x 2 kmax lift, and C_Y and P_Y b x n x j work; per score,
+(j + k)-sized work. No m-row Q, no m x n residual or noisy matrix, and no
+QR or SVD of A or of a noisy matrix is formed.
 """
 
 import math
@@ -245,32 +241,27 @@ def _factor_in_basis(k_eps, lift, rchol, kmax):
     return q_s, r, f, g, lifted[:, :kmax], lifted[:, kmax:]
 
 
-def _row_space_scorer(f_coef, y, core, norm_a):
+def _row_space_scorer(f_coef, y, norm_a):
     """Score reconstructions X = Q_b Q_s @ left @ right that lie in
-    range(Q_b Q_s), in A's numerical row space (see the module docstring).
+    range(Q_b Q_s), in A's row space (see the module docstring).
 
     A = Q_b f_coef Y^T for some orthonormal-column Q_b, so f_coef is the
-    b x 50 coordinate matrix of the factor F in Q_b (F itself when Q_b is
-    the identity). Once per trial: V_A from the generator's factors, not
-    from A. ``core`` is ``synth._core_svd(F, Y)``: the SVD of the 50 x 50
-    core of F Y^T, which has A's nonzero singular values, and the lift of
-    its right vectors Z_c to A's, V_A = Q_Y Z_c[:, :r], with r from the rank
-    rule on the core's psi; then G' = f_coef (Y^T V_A) / ||A|| gives
-    A V_A / ||A|| = Q_b G', so the Grams stay near unit scale and each score
-    is the relative error ||A - X|| / ||A||. ``in_basis(q_s)`` forms C_V and
-    the r x r Gram of P_V once per Q_s, from b-row work; each
-    ``score(left, right)`` then needs one thin QR of an n x k matrix, one
-    (r + k) x (r + k) Gram and its largest eigenvalue, for every n. The
-    largest eigenvalue depends on H only through H H^T, so only the
-    triangle of that QR is kept. |score - ||A - X|| / ||A||| <=
-    ||A - A V_A V_A^T|| / ||A|| plus rounding, and ||A - A V_A V_A^T|| <=
-    psi_{r+1} of the core (at most 1e-12 ||A|| by the rank rule) plus the
-    rounding of A = F Y^T.
+    b x j coordinate matrix of the factor F in Q_b (F itself when Q_b is
+    the identity). Once per trial: the thin QR Y = Q_Y T_Y of the
+    generator's n x j factor, whose Q_Y is an exact orthonormal basis of
+    A's rows; then G' = f_coef T_Y^T / ||A|| gives A Q_Y / ||A|| = Q_b G',
+    so the Grams stay near unit scale and each score is the relative error
+    ||A - X|| / ||A||. ``in_basis(q_s)`` forms C_Y and the j x j Gram of
+    P_Y once per Q_s, from b-row work; each ``score(left, right)`` then
+    needs one thin QR of an n x k matrix, one (j + k) x (j + k) Gram and
+    its largest eigenvalue, for every n. The largest eigenvalue depends on
+    H only through H H^T, so only the triangle of that QR is kept. No
+    direction of A is truncated, so each score equals ||A - X|| / ||A|| up
+    to rounding.
     """
-    core, lift_y = core
-    r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
-    v = lift_y(core.Z[:, :r])
-    g = (f_coef @ (y.T @ v)) / norm_a
+    q_y, t_y = matkit.thin_qr(y)
+    j = q_y.shape[1]
+    g = (f_coef @ t_y.T) / norm_a
 
     def in_basis(q):
         c = q.T @ g
@@ -279,11 +270,11 @@ def _row_space_scorer(f_coef, y, core, norm_a):
 
         def score(left, right):
             right = right / norm_a
-            e = right @ v
-            f_rest = matkit._triangle_and_lift(right.T - v @ e.T)[0].T
+            e = right @ q_y
+            f_rest = matkit._triangle_and_lift(right.T - q_y @ e.T)[0].T
             mat = np.hstack([c - left @ e, -(left @ f_rest)])
             gram = mat.T @ mat
-            gram[:r, :r] += ptp
+            gram[:j, :j] += ptp
             return math.sqrt(matkit._lambda_max(gram))
 
         return score
@@ -296,8 +287,9 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
 
     A and its factors come from the generators' one builder
     (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
-    seed)``, and the factors' core SVD gives A's row space; a gapped build
-    hands over the core SVD of its gap check. The noise E is drawn once
+    seed)``, and the thin QR of the factor Y gives A's row space. The
+    only core SVD a trial takes is the gapped build's gap check. The noise
+    E is drawn once
     per trial at unit level and scaled by each eps. The trial takes one QR
     of [E, F] = Q_b R_b, held as reflectors, and each noisy matrix
     A + eps E = Q_b K_eps is factored through the b x n K_eps
@@ -307,22 +299,21 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     they have n rows instead of m, and their selected rows are
     E[s] eps + A[s], the bits of the noisy matrix's rows. The errors are
     scored in A's row space (:func:`_row_space_scorer`) on b-row work: every
-    score is within ||A - A V_A V_A^T|| / ||A|| (plus rounding) of the
-    relative error of the explicit m x n residual.
+    score equals the relative error of the explicit m x n residual up to
+    rounding.
     """
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
 
     def run(child):
         seeds = child.spawn(3)
-        a, f_a, y_a, core = synth._lowrank(kind, m, n, seeds[0])
+        a, f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
         norm_a = matkit.spectral_norm(a)
         t0 = time.perf_counter()
         e_unit, rchol = synth._noise_term(
             a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
         )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        core = core or synth._core_svd(f_a, y_a)
         # [E, F] in Fortran order, which numpy's QR copies only once; its
         # first n columns keep E's bits for the selected rows
         ef = np.empty((m, n + f_a.shape[1]), order="F")
@@ -332,8 +323,8 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
         r_b, lift = matkit._triangle_and_lift(ef)
         r_e, f_coef = r_b[:, :n], r_b[:, n:]
         fy = f_coef @ y_a.T
-        in_basis = _row_space_scorer(f_coef, y_a, core, norm_a)
-        del y_a, core
+        in_basis = _row_space_scorer(f_coef, y_a, norm_a)
+        del y_a
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         out = {}
         cell_s = {}
@@ -348,8 +339,8 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
             s_gc = deim.deim_select(u_k, kmax)
             rows_cur = e_unit[s_cur] * eps + a[s_cur]  # noisy[s_cur], bit for bit
             rows_gc = e_unit[s_gc] * eps + a[s_gc]
-            m_cur = curfac._nested_middle_matrices(r, p_cur, rows_cur, sizes)
-            m_gc = curfac._nested_middle_matrices(r, p_gc, rows_gc, sizes)
+            m_cur, _, _ = curfac._nested_middle_matrices(r, p_cur, rows_cur, sizes)
+            m_gc, _, _ = curfac._nested_middle_matrices(r, p_gc, rows_gc, sizes)
             score = in_basis(q_s)
             shared_s = time.perf_counter() - t0 + trial_s
             out[eps] = {}

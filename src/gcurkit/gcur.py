@@ -152,11 +152,11 @@ def _gcur(a, b, k, with_b):
     p = deim.deim_select(f.Y[:, :k], k)
     s_a = deim.deim_select(u_k, k)
     a_s = a[s_a, :]
-    (m_a,), q_p, q_s = curfac._middle_matrices_and_bases(r_a, p, a_s, [(k, k)], "A")
+    (m_a,), q_p, q_s = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")
     s_b = m_b = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k], k)
-        m_b = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")[0]
+        (m_b,), _, _ = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s,
         q_p, q_s,

@@ -12,17 +12,19 @@ operations here are pure functions of their inputs.
 read: the QR of the stacked pair in ``gsvd``, the column and row factors in
 ``curfac._nested_middle_matrices`` (whose Q's ``gcur`` keeps for A's
 projections) and ``curfac._projection``, Y's QR in
-``gcur.evaluate_bounds`` and, in ``experiments._factor_in_basis``, the QR
-of each noise-recovery K_eps, which has min(m, n + 50) rows, not m. A
-caller that needs only the triangle, or Q applied to a few columns, uses
-``_triangle_and_lift``, which keeps the Householder reflectors in compact
-WY form instead of forming Q, for a matrix of any shape: the reduction of
-a tall A in ``gsvd`` and ``gcur``, ``synth._core_svd`` (the 50 x 50 core
-of the low-rank generators' factors, which ``lowrank_gapped``'s gap check
-reads and whose right vectors Y's reflectors lift to V_A for the
-noise-recovery scorer), that scorer's per-reconstruction triangle, and the
-noise-recovery trial's one QR of [E, F], which lifts the left vectors of
-every eps to m rows.
+``gcur.evaluate_bounds``, and in ``experiments`` the QR of the low-rank
+generators' n x 50 factor Y, whose Q is the noise-recovery scorer's basis
+of A's rows, and (``_factor_in_basis``) the QR of each noise-recovery
+K_eps, which has min(m, n + 50) rows, not m. The public ``thin_qr`` and
+``svd`` raise ConvergenceError on a non-finite input, which numpy factors
+into NaN without raising. A caller that needs only the triangle, or Q
+applied to a few columns, uses ``_triangle_and_lift``, which keeps the
+Householder reflectors in compact WY form instead of forming Q, for a
+matrix of any shape: the reduction of a tall A in ``gsvd`` and ``gcur``,
+``synth._core_svd`` (the 50 x 50 core of the low-rank generators' factors,
+which ``lowrank_gapped``'s gap check reads), the noise-recovery scorer's
+per-reconstruction triangle, and the noise-recovery trial's one QR of
+[E, F], which lifts the left vectors of every eps to m rows.
 
 The public functions take 2-D matrices only: each validates through
 ``as_matrix``, which rejects any other ndim, and then calls a private core.
@@ -33,7 +35,8 @@ matrices with leading axes (shape ``(..., m, n)``) and factor every matrix
 of the stack in one numpy call. numpy's stacked LAPACK and matmul calls give
 each matrix the bits it gets alone, so a stack changes no result; the
 intro-angles experiment runs its trials that way. A core that rejects its
-input (a rank test, a non-finite scale) raises for the whole stack.
+input (a rank test, a non-finite scale or spectrum) raises for the whole
+stack.
 """
 
 from typing import NamedTuple
@@ -129,6 +132,7 @@ def svd(a):
     """Full (thin) singular value decomposition of a nonempty matrix.
 
     Returns rank r = min(m, n) factors; delegates to the LAPACK dense kernel.
+    A non-finite A raises ConvergenceError.
     """
     return _svd(as_matrix(a, "A"))
 
@@ -140,6 +144,11 @@ def _svd(a):
         raise ConvergenceError(
             f"SVD iteration did not converge for {a.shape[-2]}x{a.shape[-1]} matrix"
         ) from exc
+    # a NaN entry fails the iteration above; an inf entry comes back as NaN psi
+    if not np.isfinite(psi).all():
+        raise ConvergenceError(
+            f"SVD of a {a.shape[-2]}x{a.shape[-1]} matrix with non-finite entries"
+        )
     return SvdFactors(w, psi, zt.swapaxes(-1, -2))
 
 
@@ -147,12 +156,17 @@ def thin_qr(a):
     """Thin QR factorization A = Q @ T (rows >= cols) with nonnegative diag(T).
 
     The sign convention makes factor comparisons deterministic across runs.
+    A non-finite A, which numpy's QR factors into NaN without raising,
+    raises ConvergenceError.
     """
     a = as_matrix(a, "A")
     m, n = a.shape
     if m < n:
         raise DimensionError(f"thin QR needs rows >= cols, got {m}x{n}")
-    return _thin_qr(a)
+    out = _thin_qr(a)
+    if not np.isfinite(out.T).all():
+        raise ConvergenceError(f"thin QR of a {m}x{n} matrix with non-finite entries")
+    return out
 
 
 def _thin_qr(a):

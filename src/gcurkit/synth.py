@@ -96,20 +96,18 @@ def lowrank_gapped(m, n, seed):
 
 
 def _lowrank(kind, m, n, seed):
-    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y,
-    core), where core is the gap check's :func:`_core_svd` of F and Y for
-    ``kind="gapped"`` and None for ``kind="sparse"``, which takes none.
+    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y).
 
     The one builder behind :func:`lowrank_sparse` (``kind="sparse"``) and
     :func:`lowrank_gapped` (``kind="gapped"``), which return A; the
-    noise-recovery trial also reads A's row space from the core, so a
-    gapped trial takes the core SVD once. The
-    generator draws x_j, then y_j, for j = 1..50, into the columns of X
-    (m x 50) and Y (n x 50), and F = X diag(coeff). A is the single
-    contraction ``np.einsum("ij,kj->ik", F, Y)``, which sums the 50 terms
-    in numpy's own loop and makes no BLAS call, so A's bits do not depend
-    on the BLAS thread count, as those of ``F @ Y.T`` do. A ``kind="gapped"``
-    build raises ContractViolationError when psi_10 < 10 psi_11.
+    noise-recovery trial also reads the factors. The generator draws x_j,
+    then y_j, for j = 1..50, into the columns of X (m x 50) and Y (n x 50),
+    and F = X diag(coeff). A is the single contraction
+    ``np.einsum("ij,kj->ik", F, Y)``, which sums the 50 terms in numpy's
+    own loop and makes no BLAS call, so A's bits do not depend on the BLAS
+    thread count, as those of ``F @ Y.T`` do. A ``kind="gapped"`` build
+    raises ContractViolationError when psi_10 < 10 psi_11, read from the
+    core SVD of its factors (:func:`_core_svd`).
     """
     if min(m, n) < 50:
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
@@ -126,30 +124,27 @@ def _lowrank(kind, m, n, seed):
         f[:, col] = draw(rng, m)
         y[:, col] = draw(rng, n)
     f *= coeff
-    core = None
     if kind == "gapped":
-        core = _core_svd(f, y)
-        psi = core[0].psi
+        psi = _core_svd(f, y).psi
         if psi[9] < 10.0 * psi[10]:
             raise ContractViolationError(
                 f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
             )
     a = np.einsum("ij,kj->ik", f, y)
-    return require_finite(a, "generated matrix"), f, y, core
+    return require_finite(a, "generated matrix"), f, y
 
 
 def _core_svd(f, y):
-    """SVD of the core of A = F Y^T, and the lift of its right vectors.
+    """SVD of the core of A = F Y^T, for the gapped build's gap check.
 
     With F = Q_F T_F and Y = Q_Y T_Y (``matkit._triangle_and_lift``),
     A = Q_F (T_F T_Y^T) Q_Y^T, so the j x j core T_F T_Y^T of j-column
-    factors has A's nonzero singular values, and ``lift_y(z)`` = Q_Y z maps
-    the core's right singular vectors to A's. Neither Q is formed, and no
-    m x n work is done. Returns (``matkit.svd`` of the core, lift_y).
+    factors has A's nonzero singular values. Neither Q is formed, and no
+    m x n work is done. Returns ``matkit.svd`` of the core.
     """
     t_f = matkit._triangle_and_lift(f)[0]
-    t_y, lift_y = matkit._triangle_and_lift(y)
-    return matkit.svd(t_f @ t_y.T), lift_y
+    t_y = matkit._triangle_and_lift(y)[0]
+    return matkit.svd(t_f @ t_y.T)
 
 
 def toeplitz_chol(n, rho):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -410,3 +411,118 @@ def test_oversized_coordinate_header_exit_code(tmp_path, capsys):
     rc = main(["cur", str(big), "-k", "1"])
     assert rc == EXIT_PARSE
     assert "100000000 x 100000000 matrix is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "csv"])
+def test_noise_recovery_plot_output(tmp_path, fmt):
+    # one series per method and eps, over k, read from the report's cells
+    plot = tmp_path / f"p.{fmt}"
+    rep = run_json(
+        tmp_path,
+        ["experiment", "noise-recovery", "--trials", "1", "--rank", "5,10",
+         "--eps", "0.1,0.2", "--seed", "3", "--no-timestamp",
+         "--plot-out", str(plot), "--plot-format", fmt],
+    )
+    methods, eps_values = ("TSVD", "TGSVD", "CUR", "GCUR"), (0.1, 0.2)
+    names = [f"{method} eps={eps:g}" for method in methods for eps in eps_values]
+    text = plot.read_text()
+    if fmt == "svg":
+        assert text.startswith("<svg")
+        assert all(f">{name}</text>" in text for name in names)
+        return
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["series", "x", "y"]
+    means = {
+        (f"{method} eps={c['eps']:g}", c["k"]): c["stats"][method]["mean"]
+        for c in rep["cells"]
+        for method in methods
+    }
+    got = {(name, int(x)): float(y) for name, x, y in rows[1:]}
+    assert got == means
+    assert [name for name, _, _ in rows[1::2]] == names
+
+
+@pytest.mark.parametrize(
+    "argv,m,trials",
+    [
+        ([], None, None),
+        (["--paper-scale"], 10000, 100),
+        (["--paper-scale", "--matrix-kind", "sparse"], 100000, 100),
+        (["--paper-scale", "--trials", "3"], 10000, 3),
+    ],
+)
+def test_paper_scale_sets_rows_and_trials(monkeypatch, tmp_path, argv, m, trials):
+    # --paper-scale sets m by matrix kind and 100 trials unless --trials is
+    # given; without it, neither is passed on and the library's defaults hold
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return experiments.ExperimentReport("noise-recovery", kwargs, [])
+
+    monkeypatch.setattr(experiments, "noise_recovery", recording)
+    run_json(tmp_path, ["experiment", "noise-recovery", *argv, "--no-timestamp"])
+    (kwargs,) = calls
+    assert kwargs.get("m") == m
+    assert kwargs.get("trials") == trials
+    assert kwargs["inexact_chol"] is False
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--rank", "5,x"], "--rank expects a comma-separated integer list, got '5,x'"),
+        (["--eps", "0.1,y"], "--eps expects a comma-separated number list, got '0.1,y'"),
+    ],
+)
+def test_malformed_experiment_list_is_usage_error(monkeypatch, capsys, argv, message):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    rc = main(["experiment", "noise-recovery", *argv])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cur", "gcur"])
+def test_missing_rank_is_usage_error(diag_pair, capsys, command):
+    files = diag_pair[:1] if command == "cur" else diag_pair
+    rc = main([command, *files])
+    assert rc == EXIT_USAGE
+    assert "--rank/-k is required" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[0][0].startswith("# ")
+    return json.loads(rows[0][0][2:]), rows[1:]
+
+
+def test_csv_report_without_cells(tmp_path, diag_pair):
+    # gcur's report has no cells: the header row holds all of it, and the
+    # field and cell rows are empty
+    args = ["gcur", *diag_pair, "-k", "2", "--bounds", "--no-timestamp"]
+    out = tmp_path / "r.csv"
+    assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+    meta, rows = _csv_rows(out)
+    assert meta == run_json(tmp_path, args)
+    assert rows == [[], []]
+
+
+def test_csv_report_joins_list_fields(tmp_path):
+    # a list-valued cell field (the selected columns of subgroups) is one
+    # CSV field, its entries joined by ";"
+    args = ["experiment", "subgroups", "--seed", "0", "--no-timestamp"]
+    out = tmp_path / "r.csv"
+    assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+    _, rows = _csv_rows(out)
+    fields, cells = rows[0], rows[1:]
+    rep = run_json(tmp_path, args)
+    assert len(cells) == len(rep["cells"])
+    for row, cell in zip(cells, rep["cells"]):
+        got = dict(zip(fields, row))
+        for method in ("CUR", "GCUR"):
+            columns = cell["stats"][method]["columns"]
+            assert got[f"stats.{method}.columns"] == ";".join(map(str, columns))
+        assert int(got["n_columns"]) == cell["n_columns"]

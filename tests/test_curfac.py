@@ -138,7 +138,7 @@ def test_nested_middle_matrices_match_each_prefix():
     a = np.random.default_rng(11).standard_normal((80, 50))
     p, s = _deim_prefixes(a, 12)
     ks = (1, 3, 7, 12)
-    got = curfac._nested_middle_matrices(a, p, a[s, :], [(k, k) for k in ks])
+    got, _, _ = curfac._nested_middle_matrices(a, p, a[s, :], [(k, k) for k in ks])
     for k, m in zip(ks, got):
         want = middle_matrix(a, p[:k], s[:k])
         assert m.shape == (k, k)
@@ -174,7 +174,7 @@ def test_nested_middle_matrices_from_the_triangle(m, n, k):
     p, s = _deim_prefixes(a, k)
     r = matkit.thin_qr(a).T
     ks = sorted({1, max(1, k // 2), k})
-    got = curfac._nested_middle_matrices(r, p, a[s, :], [(j, j) for j in ks])
+    got, _, _ = curfac._nested_middle_matrices(r, p, a[s, :], [(j, j) for j in ks])
     for j, m_j in zip(ks, got):
         want = middle_matrix(a, p[:j], s[:j])
         assert np.linalg.norm(m_j - want) <= 1e-12 * np.linalg.norm(want)
@@ -285,6 +285,23 @@ def test_subnormal_scale_raises_instead_of_a_non_finite_middle_matrix():
     assert np.isfinite(f.M_a).all() and np.isfinite(f.M_b).all()
     c = deim_cur(a * 1e-300, 3)
     assert np.isfinite(c.M).all() and np.isfinite(c.rel_error)
+
+
+@pytest.mark.parametrize("mode", ["column", "row"])
+def test_subnormal_scale_raises_instead_of_a_non_finite_projection(mode):
+    # C^+ A and A R^+ scale as 1 / ||A|| too: at 1e-310 the factor overflows
+    # (to NaN here), at 1e-300 it is finite
+    a, _ = _fixture_pair()
+    what = "column factor A[:, p]" if mode == "column" else "row factor A[s, :]"
+    match = re.escape(f"projection onto {what} is not finite")
+    with pytest.raises(SingularMatrixError, match=match):
+        interpolative(a * 1e-310, 3, mode)
+    idx = interpolative(a, 3, mode).indices
+    with pytest.raises(SingularMatrixError, match=match):
+        curfac.projection_error(a * 1e-310, idx, mode)
+    for scale in (1e-300, 1e-305, 1e-308):
+        f = interpolative(a * scale, 3, mode)
+        assert np.isfinite(f.factor).all() and np.isfinite(f.rel_error)
 
 
 def test_middle_matrix_rejects_nan_that_reaches_only_the_core():

@@ -233,8 +233,8 @@ def test_noise_recovery_rejects_small_n_and_bad_rho_before_trials(
 
 @pytest.mark.parametrize("kind", ["gapped", "sparse"])
 def test_recovery_trial_takes_one_core_svd(monkeypatch, kind):
-    # a gapped trial's scorer reuses the core SVD of the generator's gap
-    # check; a sparse build has no gap check, so its scorer takes the one
+    # the scorer reads A's rows from Y's thin QR, so a trial takes at most
+    # one core SVD: a gapped build's gap check. A sparse build takes none
     calls = []
     core_svd = synth._core_svd
 
@@ -246,7 +246,8 @@ def test_recovery_trial_takes_one_core_svd(monkeypatch, kind):
     experiments.noise_recovery(
         kind=kind, m=120, n=60, k_values=(5,), eps_values=(0.1,), trials=2, seed=9
     )
-    assert calls == [(120, 50)] * 2
+    cores = 1 if kind == "gapped" else 0
+    assert calls == [(120, 50)] * cores * 2
 
 
 @pytest.mark.parametrize("kind", ["gapped", "sparse"])
@@ -371,8 +372,8 @@ def _explicit_trial_errors(kind, m, n, k_values, eps_values, seed, inexact, fact
         s_cur = deim.deim_select(w_k, kmax)
         p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
         s_gc = deim.deim_select(u_k, kmax)
-        m_cur = curfac._nested_middle_matrices(noisy, p_cur, noisy[s_cur, :], sizes)
-        m_gc = curfac._nested_middle_matrices(noisy, p_gc, noisy[s_gc, :], sizes)
+        m_cur, _, _ = curfac._nested_middle_matrices(noisy, p_cur, noisy[s_cur, :], sizes)
+        m_gc, _, _ = curfac._nested_middle_matrices(noisy, p_gc, noisy[s_gc, :], sizes)
         for k, mc, mg in zip(k_values, m_cur, m_gc):
             recon = {
                 "TSVD": w_k[:, :k] @ (f.psi[:k, None] * f.Z[:, :k].T),
@@ -428,7 +429,7 @@ def _test_matrix(gen, m, n, seed):
         f, y = _rank7(m, n, seed)
         return np.einsum("ij,kj->ik", f, y), f, y
     kind = "gapped" if gen is synth.lowrank_gapped else "sparse"
-    return synth._lowrank(kind, m, n, seed)[:3]
+    return synth._lowrank(kind, m, n, seed)
 
 
 def _reconstructions(a, k, seed):
@@ -441,8 +442,8 @@ def _reconstructions(a, k, seed):
     f, g = matkit.svd(r), gsvd(r, rchol)
     p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(q @ f.W[:, :k], k)
     p_gc, s_gc = deim.deim_select(g.Y[:, :k], k), deim.deim_select(q @ g.U[:, :k], k)
-    (mc,) = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], [(k, k)])
-    (mg,) = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], [(k, k)])
+    (mc,), _, _ = curfac._nested_middle_matrices(r, p_cur, noisy[s_cur, :], [(k, k)])
+    (mg,), _, _ = curfac._nested_middle_matrices(r, p_gc, noisy[s_gc, :], [(k, k)])
     return q, {
         "TSVD": (f.W[:, :k], f.psi[:k, None] * f.Z[:, :k].T),
         "TGSVD": (g.U[:, :k], g.gamma[:k, None] * g.Y[:, :k].T),
@@ -454,36 +455,30 @@ def _reconstructions(a, k, seed):
 @pytest.mark.parametrize(
     "gen,m,n,k",
     [
-        (synth.lowrank_gapped, 400, 120, 10),  # r + k < n
-        (synth.lowrank_gapped, 120, 60, 20),  # r + k > n
-        (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, r + k < n
-        (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, r + k > n
-        (_rank7, 200, 40, 10),  # r = 7, r + k < n
-        (_rank7, 200, 40, 33),  # r = 7, r + k = n
+        (synth.lowrank_gapped, 400, 120, 10),  # j + k < n
+        (synth.lowrank_gapped, 120, 60, 20),  # j + k > n
+        (synth.lowrank_sparse, 300, 60, 5),  # rank below 50, j + k < n
+        (synth.lowrank_sparse, 300, 60, 20),  # rank below 50, j + k > n
+        (_rank7, 200, 40, 10),  # j = 7, j + k < n
+        (_rank7, 200, 40, 33),  # j = 7, j + k = n
     ],
 )
 def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
-    # V_A comes from the factors of A = F Y^T, with r from the rank rule on
-    # their core, and r is the rank rule's r on A's own SVD. Each score is
-    # within ||A - A V_A V_A^T|| / ||A|| of the 2-norm of the explicit m x n
-    # residual, taken by a direct SVD, plus rounding, and that distance is
-    # at most the core's psi_{r+1} / ||A|| plus rounding. The eigenproblem
-    # is (r + k) x (r + k), also when r + k > n. The basis here is the
-    # m-row Q of the noisy matrix, so F itself is A's factor in it
+    # the Q of the thin QR of the n x j factor Y of A = F Y^T spans A's
+    # rows exactly, also where A's rank is below j, so each score equals
+    # the 2-norm of the explicit m x n residual, taken by a direct SVD, to
+    # rounding. The eigenproblem is (j + k) x (j + k), also when j + k > n.
+    # The basis here is the m-row Q of the noisy matrix, so F itself is A's
+    # factor in it
     a, f, y = _test_matrix(gen, m, n, 3)
+    j = y.shape[1]
     psi = np.linalg.svd(a, compute_uv=False)
     rank = int(np.count_nonzero(~matkit._negligible(psi, psi[0])))
-    if gen is _rank7:
-        assert rank == 7
-    elif gen is synth.lowrank_sparse:
-        assert rank < 50
-    core, lift_y = synth._core_svd(f, y)
-    r = int(np.count_nonzero(~matkit._negligible(core.psi, core.psi[0])))
-    assert r == rank
-    v = lift_y(core.Z[:, :r])
+    if gen is synth.lowrank_sparse:
+        assert rank < j
+    else:
+        assert rank == j
     norm_a = matkit.spectral_norm(a)
-    tail = np.linalg.svd(a - (a @ v) @ v.T, compute_uv=False)[0] / norm_a
-    assert tail <= (core.psi[r] if r < len(core.psi) else 0.0) / norm_a + 1e-14
     sizes = []
     lambda_max = matkit._lambda_max
 
@@ -493,17 +488,18 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
 
     q, recon = _reconstructions(a, k, 4)
     monkeypatch.setattr(matkit, "_lambda_max", recording)
-    score = experiments._row_space_scorer(f, y, (core, lift_y), norm_a)(q)
+    score = experiments._row_space_scorer(f, y, norm_a)(q)
     for method, (left, right) in recon.items():
         want = np.linalg.svd(a - q @ left @ right, compute_uv=False)[0] / norm_a
         got = score(left, right)
-        assert abs(got - want) <= tail + 1e-14, (method, got, want, tail)
-    assert sizes == [(rank + k, rank + k)] * 4
+        assert abs(got - want) <= 1e-15, (method, got, want)
+    assert sizes == [(j + k, j + k)] * 4
 
 
 def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
     # the only m-row factorizations of a trial are two Householder QRs held
-    # as reflectors: the generator's F (for its core SVD) and the trial's
+    # as reflectors: the gapped generator's F (for its gap check's core
+    # SVD) and the trial's
     # one [E, F]. No m-row thin_qr or SVD runs, so no m-row Q is formed,
     # and each eps is factored through its (n + 50) x n K_eps
     m, n, trials = 2000, 300, 2  # noise_recovery's default m x n
@@ -538,7 +534,8 @@ def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):
     nested = curfac._nested_middle_matrices
 
     def poisoned(*args):
-        return [np.full_like(m, np.nan) for m in nested(*args)]
+        middles, q_c, q_r = nested(*args)
+        return [np.full_like(m, np.nan) for m in middles], q_c, q_r
 
     monkeypatch.setattr(curfac, "_nested_middle_matrices", poisoned)
     for n in (50, 60):

@@ -257,6 +257,19 @@ def test_spectral_norm_rejects_non_finite_anywhere(bad, pos, fill):
             matkit.spectral_norm(x)
 
 
+@pytest.mark.parametrize("factor", [matkit.svd, matkit.thin_qr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factorizations_reject_non_finite(factor, bad):
+    # numpy's SVD fails on a NaN entry but returns NaN factors for an inf
+    # one, and its QR returns NaN factors for either
+    x = np.ones((6, 4))
+    x[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="6x4 matrix"):
+            factor(x)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lambda_max_rejects_non_finite_gram(bad):
     # eigvalsh alone returns finite values for diag(nan, 1, 1)
