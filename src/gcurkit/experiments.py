@@ -287,12 +287,11 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
 
     A and its factors come from the generators' one builder
     (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
-    seed)``, and the thin QR of the factor Y gives A's row space. The
-    only core SVD a trial takes is the gapped build's gap check. The noise
-    E is drawn once
-    per trial at unit level and scaled by each eps. The trial takes one QR
-    of [E, F] = Q_b R_b, held as reflectors, and each noisy matrix
-    A + eps E = Q_b K_eps is factored through the b x n K_eps
+    seed)``, and the thin QR of the factor Y gives A's row space. The only
+    core SVD a trial takes is the gapped build's gap check. The noise E is
+    drawn once per trial at unit level and scaled by each eps. The trial
+    takes one QR of [E, F] = Q_b R_b, held as reflectors, and each noisy
+    matrix A + eps E = Q_b K_eps is factored through the b x n K_eps
     (:func:`_factor_in_basis`). The middle matrices of every k come from
     one QR per side of the kmax selection, since DEIM prefixes nest. Their
     column factor and core come from the triangle R of K_eps = Q_s R, so
