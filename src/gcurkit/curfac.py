@@ -207,12 +207,15 @@ def projection_error(a, indices, mode):
     mode="row" takes R = A[indices, :] and returns (A R^+, ||A - (A R^+) R||).
     The error is absolute, in the 2-norm; callers pick the normaliser. Both
     come from one thin QR of C (or R^T); a factor that fails the rank rule
-    raises FullRankError.
+    raises FullRankError. Indices that are not distinct integers in range
+    (n columns or m rows) raise DimensionError, as in :func:`middle_matrix`.
     """
     a = as_matrix(a, "A")
     if mode == "column":
-        return _projection(a, a[:, indices], mode, "column factor A[:, p]")
-    return _projection(a, a[indices, :], mode, "row factor A[s, :]")
+        p = deim.as_indices(indices, a.shape[1], "p")
+        return _projection(a, a[:, p], mode, "column factor A[:, p]")
+    s = deim.as_indices(indices, a.shape[0], "s")
+    return _projection(a, a[s, :], mode, "row factor A[s, :]")
 
 
 def interpolative(a, k, mode="column"):

@@ -280,11 +280,15 @@ def relative_errors(a, b, factors, mode="cur"):
     its projections read the carried bases Q_p and Q_s; B's side on B
     itself, with p and s_b. err_b is None for factors from
     :func:`gcur_only_a`. The factors must come from this same pair, checked
-    as in :func:`evaluate_bounds`.
+    as in :func:`evaluate_bounds`; a B that is zero or not finite cannot have
+    produced them and raises ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
     _, b = _require_factors_of(a, b, factors)
+    matkit.require_finite(b, "B")
+    if not b.any():
+        raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
     err_a = _a_residual_norm(factors, mode) / matkit.spectral_norm(factors.R_a)
     if factors.s_b is None:
         return err_a, None

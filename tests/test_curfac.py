@@ -82,6 +82,20 @@ def test_projection_error_rejects_rank_deficient_factor():
         curfac.projection_error(a[:2], [0, 1, 2], "column")  # more columns than rows
 
 
+@pytest.mark.parametrize("mode, extent", [("column", 6), ("row", 20)])
+def test_projection_error_validates_indices(mode, extent):
+    # a negative index used to wrap to the last column, and an index past the
+    # end or a float index ended in a bare IndexError
+    a = np.random.default_rng(0).standard_normal((20, 6))
+    for bad in ([-1, 0], [99], [1.5], [extent], [0, 0], []):
+        with pytest.raises(DimensionError):
+            curfac.projection_error(a, bad, mode)
+    factor, err = curfac.projection_error(a, [extent - 1, 0], mode)
+    sel = a[:, [extent - 1, 0]] if mode == "column" else a[[extent - 1, 0], :]
+    want = np.linalg.pinv(sel) @ a if mode == "column" else a @ np.linalg.pinv(sel)
+    assert np.allclose(factor, want, atol=1e-12) and np.isfinite(err)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_middle_matrix_optimality(seed):
     # the pseudoinverse middle matrix minimizes the Frobenius-norm error

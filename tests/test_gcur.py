@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,27 @@ def test_bounds_and_errors_reject_a_nan_a(m, only_a):
         for mode in ("cur", "column", "row"):
             with pytest.raises(ContractViolationError, match="column norms"):
                 relative_errors(a_bad, b, f, mode)
+
+
+@pytest.mark.parametrize("mode", ["cur", "column", "row"])
+@pytest.mark.parametrize("bad", ["zero", np.nan, np.inf, -np.inf])
+def test_errors_reject_a_b_that_cannot_have_produced_the_factors(bad, mode):
+    # 0*B used to end in a bare ZeroDivisionError, and a NaN or +-inf entry
+    # in a RuntimeWarning and then ConvergenceError or SingularMatrixError
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    if bad == "zero":
+        b_bad, match = 0.0 * b, "B is zero"
+    else:
+        b_bad, match = b.copy(), "B contains non-finite entries"
+        b_bad[4, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match=match):
+            relative_errors(a, b_bad, f, mode)
+        err_a, err_b = relative_errors(a, b, f, mode)
+    assert np.isfinite(err_a) and np.isfinite(err_b)
 
 
 @pytest.mark.parametrize("only_a", [False, True])

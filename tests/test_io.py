@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_plot_writers(tmp_path):
     assert len(csv_text.strip().splitlines()) == 7
 
 
-# --- Block-wise readers and the run-wise writer against per-value references ---
+# --- Readers and the run-wise writer against per-value references ---
 
 def _reference_read_matrix_market(path):
     """Per-line Matrix Market reader: the reference for read_matrix_market."""
@@ -299,18 +301,51 @@ MM_CASES = {
     "indented_comment_before_size_is_size_line": ARRAY + " % c\n1 1\n1.0\n",
     "zero_dimension": ARRAY + "0 3\n",
     "comment_only_data": ARRAY + "1 1\n% none\n",
+    "rectangular_rows_of_values": ARRAY + "2 2\n1 2\n3 4\n",
+    "coordinate_no_entries": COORD + "3 2 0\n",
+    "coordinate_form_feed_in_entry": COORD + "2 2 1\n1 1\x0c1.0\n",
+    "comment_inside_array_data": ARRAY + "2 2\n1.0\n% note\n2.0\n3.0\n4.0\n",
+    "coordinate_plus_and_leading_zero_index": COORD + "2 2 2\n+1 01 1.5\n02 +2 2.5\n",
+    "coordinate_index_beyond_int64": COORD + "2 2 1\n99999999999999999999 1 1.0\n",
 }
 
 
-@pytest.mark.parametrize("block_chars", [5, 17, 64, None])
 @pytest.mark.parametrize("name", sorted(MM_CASES))
-def test_matrix_market_reader_matches_per_line_reference(tmp_path, monkeypatch, name, block_chars):
-    if block_chars is not None:
-        monkeypatch.setattr(gio, "_BLOCK_CHARS", block_chars)
+def test_matrix_market_reader_matches_per_line_reference(tmp_path, name):
     path = tmp_path / "m.mtx"
     path.write_bytes(MM_CASES[name].encode("ascii"))
     expected = _outcome(_reference_read_matrix_market, str(path))
     assert _outcome(gio.read_matrix_market, str(path)) == expected
+
+
+def test_plain_files_never_reach_the_line_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 4))
+    written = tmp_path / "w.mtx"
+    gio.write_matrix_market(written, a)
+    texts = {
+        "written": written.read_text(),
+        "array": ARRAY + "% c\n\n2 3\n1 2 3\n4 5 6\n\n",
+        "coordinate": COORD + "% c\n3 2 3\n1 1 5.5\n3 2 -1.0\n1 1 0.5\n",
+        "coordinate_no_entries": COORD + "3 2 0\n",
+    }
+    texts.update({f"{name}_crlf": text.replace("\n", "\r\n") for name, text in list(texts.items())})
+    expected = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.mtx"
+        path.write_bytes(text.encode("ascii"))
+        expected[name] = _outcome(_reference_read_matrix_market, str(path))
+        assert expected[name][0] == "ok", name
+
+    def line_parser(fh, path):
+        raise AssertionError(f"{path} reached the line parser")
+
+    monkeypatch.setattr(gio, "_mm_parse", line_parser)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in texts:
+            path = str(tmp_path / f"{name}.mtx")
+            assert _outcome(gio.read_matrix, path) == expected[name], name
 
 
 def test_duplicate_entries_sum_in_file_order(tmp_path):
@@ -330,12 +365,11 @@ def test_array_claiming_1e14_entries_reports_count(tmp_path):
 
 
 def test_bad_token_past_first_block_names_its_line(tmp_path):
-    n = 80_000  # 17-digit values: about 1.6 MB, more than one block
+    n = 80_000  # 17-digit values: about 1.6 MB
     lines = ["0.12345678901234567"] * n
     lines[n - 3] = "1.5e"
     path = tmp_path / "big.mtx"
     path.write_text(ARRAY + f"{n} 1\n" + "\n".join(lines) + "\n")
-    assert path.stat().st_size > 1.5 * gio._BLOCK_CHARS
     with pytest.raises(ParseError, match="'1.5e'") as err:
         gio.read_matrix(str(path))
     assert err.value.line == 2 + n - 2
@@ -349,14 +383,12 @@ def test_large_array_file_round_trips_bit_identically(tmp_path):
     a = rng.standard_normal((900, 150)) * np.logspace(-300, 300, 150)
     path = tmp_path / "a.mtx"
     gio.write_matrix_market(path, a)
-    assert path.stat().st_size > 2 * gio._BLOCK_CHARS
     back = gio.read_matrix_market(str(path))
     assert back.flags.f_contiguous
     assert back.tobytes(order="F") == a.tobytes(order="F")
 
 
-def test_random_files_match_reference(tmp_path, monkeypatch):
-    monkeypatch.setattr(gio, "_BLOCK_CHARS", 11)
+def test_random_files_match_reference(tmp_path):
     rng = np.random.default_rng(20240)
     pieces = ["1.5", "-2", "1e16", "0", "3", "x", "1.0", "+1", "nan", "% c", "", "  "]
     breaks = ["\n", "\n", "\n", "\r\n", "\x0c"]
