@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -310,8 +311,21 @@ MM_CASES = {
 }
 
 
+@pytest.mark.parametrize("chunk_chars", [5, 17, 64, None])
 @pytest.mark.parametrize("name", sorted(MM_CASES))
-def test_matrix_market_reader_matches_per_line_reference(tmp_path, name):
+def test_matrix_market_reader_matches_per_line_reference(tmp_path, monkeypatch, name, chunk_chars):
+    # chunk_chars: characters the reader's text files decode per read, so that
+    # lines, CRLF pairs and the header/data boundary fall across read edges
+    # (None keeps the default).
+    if chunk_chars is not None:
+
+        def small_reads(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            if isinstance(fh, io.TextIOWrapper):
+                fh._CHUNK_SIZE = chunk_chars
+            return fh
+
+        monkeypatch.setattr(gio, "open", small_reads, raising=False)
     path = tmp_path / "m.mtx"
     path.write_bytes(MM_CASES[name].encode("ascii"))
     expected = _outcome(_reference_read_matrix_market, str(path))
