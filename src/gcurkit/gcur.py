@@ -183,7 +183,7 @@ def gcur_only_a(a, b, k):
 
 def reconstruct_a(a, factors):
     """Materialize the rank-k approximation of A from its GCUR factors."""
-    a = matkit.as_matrix(a, "A")
+    a = matkit.require_finite(matkit.as_matrix(a, "A"), "A")
     return a[:, factors.p] @ factors.M_a @ a[factors.s_a, :]
 
 
@@ -191,7 +191,7 @@ def reconstruct_b(b, factors):
     """Materialize the rank-k approximation of B from its GCUR factors."""
     if factors.s_b is None or factors.M_b is None:
         raise DimensionError("factors carry no B-side data (built with gcur_only_a)")
-    b = matkit.as_matrix(b, "B")
+    b = matkit.require_finite(matkit.as_matrix(b, "B"), "B")
     return b[:, factors.p] @ factors.M_b @ b[factors.s_b, :]
 
 
@@ -405,13 +405,22 @@ def svd_subspace_gap(a, q_k):
     k = q_k.shape[1]
     f = matkit.svd(a)
     psi_next = float(f.psi[k]) if k < f.psi.size else 0.0
-    lower = psi_next**2
-    value = matkit.spectral_norm(a - (a @ q_k) @ q_k.T) ** 2
-
     z_k = f.Z[:, :k]
     resid = z_k - q_k @ (q_k.T @ z_k)
     sin_max = min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))
-    upper_coarse = lower + matkit.spectral_norm(a) ** 2 * sin_max**2
     sin_each = np.minimum(1.0, np.linalg.norm(resid, axis=0))
-    upper_refined = lower + float(np.sum(f.psi[:k] ** 2 * sin_each**2))
-    return SubspaceGap(lower, value, upper_coarse, upper_refined)
+    try:
+        with np.errstate(over="raise"):
+            lower = psi_next**2
+            value = matkit.spectral_norm(a - (a @ q_k) @ q_k.T) ** 2
+            upper_coarse = lower + matkit.spectral_norm(a) ** 2 * sin_max**2
+            upper_refined = lower + float(np.sum(f.psi[:k] ** 2 * sin_each**2))
+        gap = SubspaceGap(lower, value, upper_coarse, upper_refined)
+    except (OverflowError, FloatingPointError):  # float ** 2 and numpy squares
+        gap = None
+    # a sum of finite Python floats overflows to inf without raising
+    if gap is None or not np.isfinite(gap).all():
+        raise ContractViolationError(
+            "the squared subspace gap of A is not representable in float64"
+        )
+    return gap

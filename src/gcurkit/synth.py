@@ -204,6 +204,7 @@ def perturb_chol(rchol, seed):
         raise DimensionError(f"Cholesky factor must be square, got {rchol.shape}")
     if np.any(np.tril(rchol, -1) != 0.0):
         raise ContractViolationError("Cholesky factor must be upper triangular")
+    require_finite(rchol, "Rchol")
     rng = np.random.default_rng(seed)
     factors = rng.uniform(0.9, 1.1, size=rchol.shape)
     out = rchol.copy()

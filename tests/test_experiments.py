@@ -14,8 +14,7 @@ from gcurkit.gsvd import gsvd
 
 
 def test_run_trials_order_and_failures():
-    def worker(stack):
-        ids = [child.spawn_key[-1] for child in stack]
+    def worker(ids):
         calls.append(ids)
         for i in ids:
             if i % 2:
@@ -28,10 +27,8 @@ def test_run_trials_order_and_failures():
     stacked = [[0, 1, 2, 3], [0], [1], [2], [3], [4, 5], [4], [5]]
     for size, want_calls in ((1, single), (4, stacked)):
         calls = []
-        results, failures = experiments._run_trials(
-            worker, 6, np.random.SeedSequence(4), size
-        )
-        # trial i runs with the i-th spawned child seed, results in trial-id order
+        results, failures = experiments._run_trials(worker, 6, size)
+        # the worker gets trial ids in order, results in trial-id order
         assert results == [(0, 0), (2, 4), (4, 16)]
         assert failures == ["odd trial 1", "odd trial 3", "odd trial 5"]
         assert calls == want_calls
@@ -111,9 +108,19 @@ def test_intro_angles_stacks_match_the_per_trial_loop(trials):
 def test_intro_angles_failed_trials_keep_their_own_messages(monkeypatch):
     # trials 3 and 300 of the first cell draw NaN noise: their stacks run
     # again trial by trial, so exactly those two fail, with the per-trial
-    # loop's messages in trial-id order, and every other trial still counts
+    # loop's messages in trial-id order, and every other trial still counts.
+    # intro_angles draws through _child_normals, the per-trial oracle
+    # through np.random.default_rng: both are poisoned for the same trials.
     poisoned = {(0, 3), (0, 300)}
+    child_normals = experiments._child_normals
     default_rng = np.random.default_rng
+
+    def draws(seq, ids, shape):
+        out = child_normals(seq, ids, shape)
+        for t, i in enumerate(ids):
+            if seq.spawn_key + (i,) in poisoned:
+                out[t] = np.nan
+        return out
 
     class PoisonedRng:
         def standard_normal(self, shape):
@@ -124,6 +131,7 @@ def test_intro_angles_failed_trials_keep_their_own_messages(monkeypatch):
             return PoisonedRng()
         return default_rng(seed)
 
+    monkeypatch.setattr(experiments, "_child_normals", draws)
     monkeypatch.setattr(np.random, "default_rng", rng)
     trials, eps_values = 520, (5e-2, 5e-3)
     got = experiments.intro_angles(eps_values=eps_values, trials=trials, seed=4)
@@ -134,6 +142,53 @@ def test_intro_angles_failed_trials_keep_their_own_messages(monkeypatch):
     ] * 2
     assert [c["stats"]["SVD"]["trials"] for c in got["cells"]] == [trials - 2, trials]
     assert [c["stats"]["GSVD"]["trials"] for c in got["cells"]] == [trials - 2, trials]
+
+
+def _seeding_masters():
+    return [
+        np.random.SeedSequence(0),
+        np.random.SeedSequence(5),
+        np.random.SeedSequence(2**40 + 3),
+        np.random.SeedSequence(2**130),
+        np.random.SeedSequence([1, 2, 3, 4, 5]),
+        np.random.SeedSequence(),  # OS entropy
+    ]
+
+
+@pytest.mark.parametrize("grandchild", [None, 0, 1, 2])
+@pytest.mark.parametrize("master", range(6))
+def test_child_normals_match_numpys_children_bitwise(master, grandchild):
+    # the derived PCG64 states draw what default_rng(seq.spawn(n)[i]) draws,
+    # for full stacks, partial stacks and single ids
+    seq = _seeding_masters()[master]
+    if grandchild is not None:
+        seq = seq.spawn(3)[grandchild]
+    children = seq.spawn(600)
+    want = np.stack([np.random.default_rng(c).standard_normal((3, 3)) for c in children])
+    for ids in (range(600), range(256), range(512, 600), [0], [599], [7, 8, 9]):
+        ids = list(ids)
+        got = experiments._child_normals(seq, ids, (3, 3))
+        assert np.array_equal(got, want[ids])
+
+
+@pytest.mark.parametrize("master", range(6))
+def test_child_is_numpys_spawned_child(master):
+    seq = _seeding_masters()[master]
+    children = seq.spawn(40)
+    for i in (0, 1, 39):
+        got = experiments._child(seq, i).generate_state(8)
+        assert np.array_equal(got, children[i].generate_state(8))
+
+
+def test_intro_angles_builds_no_generator_per_trial(monkeypatch):
+    # every trial's noise comes from the derived states; a return to one
+    # default_rng per trial would keep every report bit-identical
+    def refuse(seed=None):
+        raise AssertionError("intro_angles built a generator with default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rep = experiments.intro_angles(eps_values=(5e-2,), trials=600, seed=3)
+    assert rep.cells[0]["stats"]["SVD"]["trials"] == 600
 
 
 @pytest.fixture(scope="module")

@@ -503,6 +503,28 @@ def test_bounds_diag_full_truncation():
     assert rep.observed_error <= rep.bound + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_reconstruct_rejects_non_finite_input(side, bad):
+    # a non-finite entry where the reconstruction reads it (row s[0],
+    # column p[0]) raises instead of returning NaN or warning in matmul
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 6))
+    b = rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    assert np.array_equal(reconstruct_a(a, f), a[:, f.p] @ f.M_a @ a[f.s_a, :])
+    assert np.array_equal(reconstruct_b(b, f), b[:, f.p] @ f.M_b @ b[f.s_b, :])
+    if side == "A":
+        a[f.s_a[0], f.p[0]] = bad
+        with pytest.raises(ContractViolationError, match="A contains non-finite"):
+            reconstruct_a(a, f)
+    else:
+        b[f.s_b[0], f.p[0]] = bad
+        with pytest.raises(ContractViolationError, match="B contains non-finite"):
+            reconstruct_b(b, f)
+
+
 def test_subspace_gap_optimal_basis():
     rng = np.random.default_rng(91)
     a = rng.standard_normal((10, 6))
@@ -539,6 +561,30 @@ def test_subspace_gap_sandwich_random(seed):
     assert gap.lower <= gap.value + 1e-10
     assert gap.value <= gap.upper_coarse + 1e-10
     assert gap.value <= gap.upper_refined + 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_subspace_gap_rejects_unrepresentable_squares(scale):
+    # psi^2 of A * 1e154 and beyond overflows float64: a GcurkitError, not a
+    # bare OverflowError; one decade lower the gap is finite and scales
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((10, 6))
+    q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    with pytest.raises(ContractViolationError, match="not representable in float64"):
+        svd_subspace_gap(a * scale, q)
+    small = svd_subspace_gap(a * 1e153, q)
+    unit = svd_subspace_gap(a, q)
+    assert np.isfinite(small).all()
+    assert small.value == pytest.approx(unit.value * 1e306, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subspace_gap_rejects_a_bound_that_sums_to_inf():
+    # every square is finite, but psi_2^2 + ||A||^2 sin^2 is not
+    a = np.diag([1.3e154, 1.3e154, 1.0])
+    with pytest.raises(ContractViolationError, match="not representable in float64"):
+        svd_subspace_gap(a, np.array([[0.0], [0.0], [1.0]]))
 
 
 @pytest.mark.slow

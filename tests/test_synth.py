@@ -240,6 +240,18 @@ def test_perturb_chol_rejects_non_triangular():
         perturb_chol(np.ones((3, 3)), seed=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 3)])
+def test_perturb_chol_rejects_non_finite_input(pos, bad):
+    # on the diagonal or above it, a non-finite entry would pass into the
+    # factor (the diagonal as it is, the rest scaled)
+    r = np.triu(np.random.default_rng(0).standard_normal((5, 5))) + 3 * np.eye(5)
+    r[pos] = bad
+    with pytest.raises(ContractViolationError, match="Rchol contains non-finite"):
+        perturb_chol(r, seed=0)
+
+
 def test_subgroup_shapes_and_labels():
     a, b, labels = subgroup_data(SubgroupSpec(seed=0))
     assert a.shape == (400, 30)
