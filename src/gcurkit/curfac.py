@@ -14,7 +14,10 @@ SingularMatrixError.
 holds: the SVD it selects the indices from, on which the residual is a
 min(m, n)-square matrix and ||A|| = psi_1. It differs from an explicit m x n
 computation at rounding level. ``_residual_norm`` is the one CUR-residual
-routine; ``gcur`` scores its errors and bounds through it too.
+routine, and ``_projection_error`` the one one-sided projection error,
+read from an orthonormal basis of the factor: the basis ``_projection``
+takes, or one that ``_nested_middle_matrices`` returned. ``gcur`` scores
+both of its sides, errors and bounds, through these two.
 """
 
 import warnings
@@ -80,7 +83,10 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     _require_enough_rows(a_s.shape[1], a_s.shape[0], row)
     q_c, t_c = matkit.thin_qr(x[:, p])
     q_r, t_r = matkit.thin_qr(a_s.T)
-    core = (q_c.T @ x) @ q_r
+    # an inf in x outside the selection makes inf * 0 here; the check below
+    # rejects the middle matrix it spoils
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = (q_c.T @ x) @ q_r
     out = []
     for kc, kr in sizes:
         tc, tr = t_c[:kc, :kc], t_r[:kr, :kr]
@@ -142,9 +148,9 @@ def deim_cur(a, k):
     # Z (T - T[:, s] M^T A[:, p]^T) with T = diag(psi) W^T. Either way the
     # residual is r x r, r = min(m, n).
     if a.shape[0] >= a.shape[1]:
-        err = _residual_norm(f.psi[:, None] * f.Z.T, p, middle, a[s, :], "cur", "A")
+        err = _residual_norm(f.psi[:, None] * f.Z.T, p, middle, a[s, :])
     else:
-        err = _residual_norm(f.psi[:, None] * f.W.T, s, middle.T, a[:, p].T, "cur", "A")
+        err = _residual_norm(f.psi[:, None] * f.W.T, s, middle.T, a[:, p].T)
     return CurFactors(p, s, middle, float(err / f.psi[0]))
 
 
@@ -163,41 +169,37 @@ def _projection(x, factor, mode, what):
     _require_enough_rows(basis.shape[0], basis.shape[1], what)
     q, t = matkit.thin_qr(basis)
     _require_full_rank(t, FullRankError, what)
-    if mode == "column":
-        qx = q.T @ x
-        proj, resid = np.linalg.solve(t, qx), x - q @ qx
-    else:
-        xq = x @ q
-        proj, resid = np.linalg.solve(t, xq.T).T, x - xq @ q.T
+    # as for the core of a middle matrix: the check below rejects an inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "column":
+            proj = np.linalg.solve(t, q.T @ x)
+        else:
+            proj = np.linalg.solve(t, (x @ q).T).T
     # written so that NaN fails it too, not only an overflow to inf
     if not np.isfinite(proj).all():
         raise SingularMatrixError(
             f"projection onto {what} is not finite: its inverse overflows "
             "at this scale, or the projected matrix is not finite"
         )
-    return proj, matkit.spectral_norm(resid)
+    return proj, _projection_error(x, q, mode)
 
 
 def _projection_error(x, q, mode):
-    """The error of ``_projection`` from a basis Q it already took: Q of C
-    (mode "column") or of R^T ("row"), with the same products and bits."""
+    """||X - Q Q^T X|| (mode "column", Q a basis of C) or ||X - X Q Q^T||
+    ("row", Q a basis of R^T): the error of ``_projection``, also for a
+    caller that holds a basis a middle matrix already took."""
     if mode == "column":
         return matkit.spectral_norm(x - q @ (q.T @ x))
     return matkit.spectral_norm(x - (x @ q) @ q.T)
 
 
-def _residual_norm(x, p, m, x_s, mode, name):
-    """||X - X[:, p] M X_s|| for mode "cur", or the error of the orthogonal
-    projection of X onto the columns X[:, p] ("column") or the rows X_s ("row").
-
-    The one CUR-residual routine: ``deim_cur``, ``gcur.relative_errors`` and
-    ``gcur.evaluate_bounds`` all score through it.
-    """
-    if mode == "cur":
-        return matkit.spectral_norm(x - x[:, p] @ m @ x_s)
-    if mode == "column":
-        return _projection(x, x[:, p], mode, f"column factor {name}[:, p]")[1]
-    return _projection(x, x_s, mode, f"row factor {name}[s, :]")[1]
+def _residual_norm(x, p, m, x_s):
+    """||X - X[:, p] M X_s||: the one CUR-residual routine, which
+    ``deim_cur``, ``gcur.relative_errors`` and ``gcur.evaluate_bounds`` share.
+    A residual that leaves float64's range raises ContractViolationError."""
+    with matkit._representable("the CUR residual"):
+        resid = x - x[:, p] @ m @ x_s
+    return matkit.spectral_norm(resid)
 
 
 def projection_error(a, indices, mode):

@@ -7,7 +7,7 @@ Selection matrices are never materialized: every "S^T X" is a row gather.
 import numpy as np
 
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
-from .matkit import _require_full_rank, as_matrix
+from .matkit import _require_full_rank, as_matrix, require_finite
 
 # deim_select eliminates this many columns between two trailing updates
 _BLOCK = 32
@@ -56,10 +56,11 @@ def deim_select(basis, k):
     pivots, so a rank-deficient intermediate block shows up there. Raises
     DependentBasisError when that block fails the rule or a pivot is
     exactly 0; the message names the first step whose selected block fails
-    the rule. A non-finite basis fails the rule with ConvergenceError.
-    Raises DimensionError when k exceeds the column count.
+    the rule. A basis with a NaN or inf entry raises ContractViolationError
+    before any elimination. Raises DimensionError when k exceeds the column
+    count.
     """
-    u = as_matrix(basis, "basis")
+    u = require_finite(as_matrix(basis, "basis"), "basis")
     m, r = u.shape
     if r > m:
         raise DimensionError(f"basis needs rows >= cols, got {m}x{r}")
@@ -69,7 +70,7 @@ def deim_select(basis, k):
     f = np.array(u[:, :k], order="F")
     t = np.empty((min(_BLOCK, k), k))  # the current block's rows of U
     s = np.empty(k, dtype=np.int64)
-    # a non-finite basis makes NaNs here; the rank rule below rejects it
+    # a finite basis can still overflow here; the rank rule below rejects it
     with np.errstate(all="ignore"):
         for b0 in range(0, k, _BLOCK):
             b1 = min(b0 + _BLOCK, k)
@@ -112,7 +113,10 @@ def _name_dependent_step(u, s, k):
 
 
 def _selected_block(basis, indices):
-    u = as_matrix(basis, "basis")
+    """Validate a finite basis and its indices; return the basis, the
+    indices, the selected square block and its singular values, after the
+    rank rule on that block."""
+    u = require_finite(as_matrix(basis, "basis"), "basis")
     s = as_indices(indices, u.shape[0])
     if s.size != u.shape[1]:
         raise DimensionError(
@@ -130,29 +134,52 @@ def interp_project(basis, indices, x, side="left"):
     agrees with X on the selected rows. side="right" computes X P with the
     analogous projector acting on columns, so the selected columns of X are
     reproduced exactly.
+
+    A basis or an X with a NaN or inf entry anywhere raises
+    ContractViolationError. A solve with the selected block that is not
+    finite (it scales as 1/||basis||, so it overflows for a basis of
+    subnormal scale) raises SingularMatrixError, as a middle matrix does.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     u, s, sub, _ = _selected_block(basis, indices)
-    x = as_matrix(x, "X")
+    x = require_finite(as_matrix(x, "X"), "X")
     if side == "left":
         if x.shape[0] != u.shape[0]:
             raise DimensionError(
                 f"X needs {u.shape[0]} rows to match the basis, got {x.shape[0]}"
             )
-        return u @ np.linalg.solve(sub, x[s, :])
+        return u @ _finite_solve(sub, x[s, :])
     if x.shape[1] != u.shape[0]:
         raise DimensionError(
             f"X needs {u.shape[0]} columns to match the basis, got {x.shape[1]}"
         )
-    return x[:, s] @ np.linalg.solve(sub.T, u.T)
+    return x[:, s] @ _finite_solve(sub.T, u.T)
+
+
+def _finite_solve(sub, rhs):
+    out = np.linalg.solve(sub, rhs)
+    if not np.isfinite(out).all():
+        raise SingularMatrixError(
+            "interpolatory projector is not finite: the inverse of the selected "
+            "basis submatrix overflows at this scale"
+        )
+    return out
 
 
 def eta(basis, indices):
     """Error constant of the interpolatory projector: ||basis[s, :]^-1||.
 
     For an orthonormal basis this equals the projector's norm. It reads
-    psi_min from the singular values the rank rule already computed.
+    psi_min from the singular values the rank rule already computed. A basis
+    with a NaN or inf entry raises ContractViolationError, and a psi_min
+    whose inverse overflows (a basis of subnormal scale) SingularMatrixError.
     """
-    psi = _selected_block(basis, indices)[3]
-    return float(1.0 / psi[-1])
+    # a Python float division overflows to inf without numpy's warning
+    inv = 1.0 / float(_selected_block(basis, indices)[3][-1])
+    if inv == np.inf:
+        raise SingularMatrixError(
+            "error constant is not finite: the inverse of the selected basis "
+            "submatrix overflows at this scale"
+        )
+    return inv

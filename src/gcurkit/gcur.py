@@ -28,11 +28,14 @@ A_s, and Q_A preserves the 2-norm, so ||A|| = ||R_A|| as well. So A's
 errors and bounds are scored on n x n matrices, and no m x n residual is
 formed.
 
-Each factorization runs once per pair. The thin QRs of R_A[:, p] and
-A_s^T that M_A is built from also give the orthonormal bases of the two
+Each factorization runs once per pair. The thin QRs that each middle
+matrix is built from, of R_A[:, p] and A_s^T for M_A and of B[:, p] and
+B_s^T (B_s = B[s_B, :]) for M_B, also give the orthonormal bases of the
 one-sided projections that :func:`evaluate_bounds` and
-:func:`relative_errors` score for A, so :func:`gcur` keeps them (Q_p and
-Q_s, n x k each) and the scorers take no QR of those factors again.
+:func:`relative_errors` score, so :func:`gcur` keeps all four (Q_p and Q_s
+for A, Qb_p and Qb_s for B) and the scorers take no QR of those factors
+again. One routine scores either side, from its matrix (R_A or B), its
+indices, its middle matrix, its selected rows and its two bases.
 """
 
 from typing import NamedTuple, Optional
@@ -42,7 +45,7 @@ import numpy as np
 from . import curfac, deim, matkit
 from .curfac import _residual_norm
 from .errors import ContractViolationError, DimensionError
-from .gsvd import gsvd
+from .gsvd import _require_pair, gsvd
 
 # evaluate_bounds and relative_errors accept A when its column norms match the
 # carried R_a's to this fraction of R_a's largest; Householder QR keeps them to
@@ -72,9 +75,13 @@ class GcurFactors(NamedTuple):
     in its coordinates (n x k), so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :]
     (k x n), the rows M_a was built from. ``Q_p`` and ``Q_s`` (n x k each)
     are the orthonormal bases of R_a[:, p] and of A_s^T that M_a's thin QRs
-    formed, so the two projections scored for A need no QR of their own.
-    They take m*k + 2*n*n + 4*n*k + n floats, each array owned; Q_A is never
-    formed, and the m x n U and the d x n V are not kept.
+    formed, and ``Qb_p`` (d x k) and ``Qb_s`` (n x k) those of B[:, p] and
+    of B[s_b, :]^T that M_b's formed, so the projections scored for either
+    side need no QR of their own. They take m*k + d*k + 2*n*n + 5*n*k + n
+    floats, each array owned; Q_A is never formed, and the m x n U and the
+    d x n V are not kept. :func:`gcur_only_a` sets ``s_b``, ``M_b``,
+    ``Qb_p`` and ``Qb_s`` to None, and its factors take (d + n)*k floats
+    fewer.
     """
 
     p: np.ndarray
@@ -92,6 +99,8 @@ class GcurFactors(NamedTuple):
     A_s: np.ndarray
     Q_p: np.ndarray
     Q_s: np.ndarray
+    Qb_p: Optional[np.ndarray]
+    Qb_s: Optional[np.ndarray]
 
 
 class BoundReport(NamedTuple):
@@ -153,13 +162,13 @@ def _gcur(a, b, k, with_b):
     s_a = deim.deim_select(u_k, k)
     a_s = a[s_a, :]
     (m_a,), q_p, q_s = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")
-    s_b = m_b = None
+    s_b = m_b = qb_p = qb_s = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k], k)
-        (m_b,), _, _ = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")
+        (m_b,), qb_p, qb_s = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s,
-        q_p, q_s,
+        q_p, q_s, qb_p, qb_s,
     )
 
 
@@ -181,18 +190,41 @@ def gcur_only_a(a, b, k):
     return _gcur(a, b, k, with_b=False)
 
 
+def _reconstruct(x, shape, p, m, s, name):
+    """X[:, p] M X[s, :] for a finite X of the ``shape`` the factors were
+    computed from. An X of another shape raises DimensionError, and a
+    product beyond float64's range ContractViolationError."""
+    x = matkit.require_finite(matkit.as_matrix(x, name), name)
+    if x.shape != shape:
+        raise DimensionError(
+            f"{name} is {x.shape[0]}x{x.shape[1]}, but the factors were computed "
+            f"from a {shape[0]}x{shape[1]} {name}"
+        )
+    with matkit._representable(f"the rank-k approximation of {name}"):
+        return x[:, p] @ m @ x[s, :]
+
+
 def reconstruct_a(a, factors):
-    """Materialize the rank-k approximation of A from its GCUR factors."""
-    a = matkit.require_finite(matkit.as_matrix(a, "A"), "A")
-    return a[:, factors.p] @ factors.M_a @ a[factors.s_a, :]
+    """Materialize the rank-k approximation of A from its GCUR factors.
+
+    An A of another shape than the one the factors came from raises
+    DimensionError; a non-finite A, or an approximation beyond float64's
+    range, raises ContractViolationError.
+    """
+    shape = (factors.U_k.shape[0], factors.Y.shape[0])
+    return _reconstruct(a, shape, factors.p, factors.M_a, factors.s_a, "A")
 
 
 def reconstruct_b(b, factors):
-    """Materialize the rank-k approximation of B from its GCUR factors."""
-    if factors.s_b is None or factors.M_b is None:
+    """Materialize the rank-k approximation of B from its GCUR factors.
+
+    Raises as :func:`reconstruct_a` does, and DimensionError for factors
+    from :func:`gcur_only_a`.
+    """
+    if factors.s_b is None:
         raise DimensionError("factors carry no B-side data (built with gcur_only_a)")
-    b = matkit.require_finite(matkit.as_matrix(b, "B"), "B")
-    return b[:, factors.p] @ factors.M_b @ b[factors.s_b, :]
+    shape = (factors.Qb_p.shape[0], factors.Y.shape[0])
+    return _reconstruct(b, shape, factors.p, factors.M_b, factors.s_b, "B")
 
 
 def _require_columns_of(a, r_a):
@@ -229,28 +261,25 @@ def _require_rows_of(a, s, a_s):
 def _require_factors_of(a, b, factors):
     """Validate (A, B) and check that ``factors`` came from gcur on this pair.
 
-    Returns A and B as float64 matrices. A B of another column count, or
-    carried arrays whose shapes do not fit A (m x n) at k = p.size, raise
-    DimensionError. An R_a without A's column norms, or an A_s that is not
-    A[s_a, :] bit for bit, raises ContractViolationError.
+    Returns A and B as float64 matrices. A pair that ``gsvd`` would reject,
+    or carried arrays whose shapes do not fit A (m x n) and, for factors
+    with B's side, B (d x n) at k = p.size, raise DimensionError. An R_a
+    without A's column norms, or an A_s that is not A[s_a, :] bit for bit,
+    raises ContractViolationError.
     """
-    a = matkit.as_matrix(a, "A")
-    b = matkit.as_matrix(b, "B")
-    m, n = a.shape
-    if b.shape[1] != n:
-        raise DimensionError(
-            f"A and B must share column counts, got {n} and {b.shape[1]}"
-        )
+    a, b = _require_pair(a, b)
+    (m, n), d = a.shape, b.shape[0]
     k = factors.p.size
-    shapes = (factors.s_a, factors.U_k, factors.Ur_k, factors.R_a, factors.A_s,
-              factors.Y, factors.gamma, factors.Q_p, factors.Q_s)
-    want = [(k,), (m, k), (n, k), (n, n), (k, n), (n, n), (n,), (n, k), (n, k)]
-    if [x.shape for x in shapes] != want:
+    want = {"s_a": (k,), "U_k": (m, k), "Ur_k": (n, k), "R_a": (n, n), "A_s": (k, n),
+            "Y": (n, n), "gamma": (n,), "Q_p": (n, k), "Q_s": (n, k)}
+    if factors.s_b is not None:
+        want.update(Qb_p=(d, k), Qb_s=(n, k))
+    bad = [f"{name} {getattr(factors, name).shape}" for name, shape in want.items()
+           if getattr(factors, name).shape != shape]
+    if bad:
         raise DimensionError(
-            f"carried GSVD factors (U_k {factors.U_k.shape}, Y {factors.Y.shape}, "
-            f"R_a {factors.R_a.shape}, Q_p {factors.Q_p.shape}, Q_s "
-            f"{factors.Q_s.shape}) do not match A ({m}x{n}) at k={k}; "
-            "compute the factors with gcur on this pair"
+            f"carried GSVD factors ({', '.join(bad)}) do not match A ({m}x{n}) "
+            f"and B ({d}x{n}) at k={k}; compute the factors with gcur on this pair"
         )
     matkit._require_truncation_rank(k, n)
     _require_columns_of(a, factors.R_a)
@@ -258,30 +287,32 @@ def _require_factors_of(a, b, factors):
     return a, b
 
 
-def _a_residual_norm(factors, mode):
-    """``curfac._residual_norm`` of A's side, on the carried n x n triangle;
-    the "column" and "row" projections read the carried Q_p and Q_s, whose
-    factors passed the rank rule in gcur, and take no QR."""
-    r = factors.R_a
-    if mode == "column":
-        return curfac._projection_error(r, factors.Q_p, mode)
-    if mode == "row":
-        return curfac._projection_error(r, factors.Q_s, mode)
-    return _residual_norm(r, factors.p, factors.M_a, factors.A_s, mode, "A")
+def _side_error(x, p, m, x_s, q_c, q_r, mode):
+    """The absolute 2-norm error of one side X ~= X[:, p] M X_s of a GCUR:
+    the CUR residual (mode "cur"), or the orthogonal projection of X onto
+    X[:, p] ("column") or onto X_s ("row"), read from the bases Q_c and Q_r
+    that the side's middle matrix formed in gcur, whose triangles passed the
+    rank rule there; no QR is taken. A's side passes X = R_a, B's X = B."""
+    if mode == "cur":
+        return _residual_norm(x, p, m, x_s)
+    return curfac._projection_error(x, q_c if mode == "column" else q_r, mode)
 
 
 def relative_errors(a, b, factors, mode="cur"):
     """Relative 2-norm errors (err_a, err_b) of GCUR factors of (A, B).
 
     mode="cur" scores ||A - A[:, p] M_a A[s_a, :]|| / ||A||; "column" and
-    "row" score the one-sided projection of A onto A[:, p] or A[s_a, :].
+    "row" score the one-sided projection of A onto A[:, p] or A[s_a, :],
+    and likewise for B with p and s_b. Both sides are scored by one routine.
     A's side is taken on the carried n x n triangle, as in
-    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||, and
-    its projections read the carried bases Q_p and Q_s; B's side on B
-    itself, with p and s_b. err_b is None for factors from
-    :func:`gcur_only_a`. The factors must come from this same pair, checked
-    as in :func:`evaluate_bounds`; a B that is zero or not finite cannot have
-    produced them and raises ContractViolationError.
+    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||; B's
+    side on B itself. The projections read the carried bases (Q_p and Q_s
+    for A, Qb_p and Qb_s for B) and take no QR. err_b is None for factors
+    from :func:`gcur_only_a`. The factors must come from this same pair,
+    checked as in :func:`evaluate_bounds`, and a B whose row count differs
+    from theirs raises DimensionError; a B that is zero or not finite cannot
+    have produced them and raises ContractViolationError. A residual beyond
+    float64's range raises ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
@@ -289,10 +320,12 @@ def relative_errors(a, b, factors, mode="cur"):
     matkit.require_finite(b, "B")
     if not b.any():
         raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
-    err_a = _a_residual_norm(factors, mode) / matkit.spectral_norm(factors.R_a)
-    if factors.s_b is None:
+    f = factors
+    err_a = _side_error(f.R_a, f.p, f.M_a, f.A_s, f.Q_p, f.Q_s, mode)
+    err_a /= matkit.spectral_norm(f.R_a)
+    if f.s_b is None:
         return err_a, None
-    err_b = _residual_norm(b, factors.p, factors.M_b, b[factors.s_b, :], mode, "B")
+    err_b = _side_error(b, f.p, f.M_b, b[f.s_b, :], f.Qb_p, f.Qb_s, mode)
     return err_a, err_b / matkit.spectral_norm(b)
 
 
@@ -302,16 +335,17 @@ def evaluate_bounds(a, b, factors):
     Does not factor A or compute the GSVD: it reads R_a, U_k, Ur_k, A_s,
     Q_p, Q_s, Y and gamma from ``factors``, which must come from
     :func:`gcur` or :func:`gcur_only_a` on this same pair. Factors whose
-    arrays do not match A's row count, the column count n or k = p.size
-    raise DimensionError. Factors whose R_a does not have A's column norms
-    (to 1e-10 of R_a's largest), or whose A_s is not A[s_a, :] bit for bit,
-    raise ContractViolationError. Its one QR is the thin QR of Y, for the
-    orthonormal column basis Q_k and the triangular blocks T22 (trailing
-    square block) and T_hat (trailing column block), whose norms and
-    smallest singular values come from one SVD each; the two orthogonal
-    projections read the bases of R_a[:, p] and A_s^T that gcur formed for
-    M_a, and whose triangles passed the rank rule there. It checks each
-    inequality to within 1e-9 * ||A||, with ||A|| = ||R_a||.
+    arrays do not match A's row count, B's (for factors from :func:`gcur`),
+    the column count n or k = p.size raise DimensionError. Factors whose
+    R_a does not have A's column norms (to 1e-10 of R_a's largest), or whose
+    A_s is not A[s_a, :] bit for bit, raise ContractViolationError. Its one
+    QR is the thin QR of Y, for the orthonormal column basis Q_k and the
+    triangular blocks T22 (trailing square block) and T_hat (trailing
+    column block), whose norms and smallest singular values come from one
+    SVD each; the two orthogonal projections read the bases of R_a[:, p]
+    and A_s^T that gcur formed for M_a, and whose triangles passed the rank
+    rule there. It checks each inequality to within 1e-9 * ||A||, with
+    ||A|| = ||R_a||.
 
     The interpolatory errors are sandwiched as
 
@@ -351,7 +385,8 @@ def evaluate_bounds(a, b, factors):
     interp_col = matkit.spectral_norm(r - r[:, p] @ np.linalg.solve(q_k[p, :].T, q_k.T))
     interp_row = matkit.spectral_norm(r - ur_k @ np.linalg.solve(u_k[s, :], a_s))
     proj_col, proj_row, observed = (
-        _a_residual_norm(factors, mode) for mode in ("column", "row", "cur")
+        _side_error(r, p, factors.M_a, a_s, factors.Q_p, factors.Q_s, mode)
+        for mode in ("column", "row", "cur")
     )
     bound = gamma_next * (eta_p * norm_t22 + eta_s * norm_t_hat)
     tol = _BOUND_TOL * matkit.spectral_norm(r)

@@ -202,7 +202,7 @@ def _mm_parse(fh, path):
         raise ParseError(f"expected {expected} entries, found {found}", path, lineno)
     if a is None:
         a = np.array(values).reshape((m, n), order="F")
-    return require_finite(a, "matrix")
+    return require_finite(a, f"matrix in {path}")
 
 
 def _mm_loadtxt(fh, path):
@@ -286,7 +286,7 @@ def read_csv_matrix(path, header=False):
     if not parts:
         raise ParseError("no data rows", path, 1)
     values = np.concatenate(parts).reshape(-1, width)
-    return require_finite(np.asfortranarray(values), "matrix")
+    return require_finite(np.asfortranarray(values), f"matrix in {path}")
 
 
 def read_matrix(path, csv_header=False):

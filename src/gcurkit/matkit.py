@@ -10,21 +10,23 @@ operations here are pure functions of their inputs.
 
 ``thin_qr`` forms the whole Q of a thin QR, and runs only where that Q is
 read: the QR of the stacked pair in ``gsvd``, the column and row factors in
-``curfac._nested_middle_matrices`` (whose Q's ``gcur`` keeps for A's
-projections) and ``curfac._projection``, Y's QR in
+``curfac._nested_middle_matrices`` (whose Q's ``gcur`` keeps for the
+projections of both sides) and ``curfac._projection``, Y's QR in
 ``gcur.evaluate_bounds``, and in ``experiments`` the QR of the low-rank
 generators' n x 50 factor Y, whose Q is the noise-recovery scorer's basis
 of A's rows, and (``_factor_in_basis``) the QR of each noise-recovery
 K_eps, which has min(m, n + 50) rows, not m. The public ``thin_qr`` and
 ``svd`` raise ConvergenceError on a non-finite input, which numpy factors
-into NaN without raising. A caller that needs only the triangle, or Q
-applied to a few columns, uses ``_triangle_and_lift``, which keeps the
-Householder reflectors in compact WY form instead of forming Q, for a
-matrix of any shape: the reduction of a tall A in ``gsvd`` and ``gcur``,
-``synth._core_svd`` (the 50 x 50 core of the low-rank generators' factors,
-which ``lowrank_gapped``'s gap check reads), the noise-recovery scorer's
-per-reconstruction triangle, and the noise-recovery trial's one QR of
-[E, F], which lifts the left vectors of every eps to m rows.
+into NaN without raising (``svd`` checks before it factors, since numpy's
+SVD can iterate forever on an inf entry). A caller that needs only the
+triangle, or Q applied to a few columns, uses ``_triangle_and_lift``,
+which keeps the Householder reflectors in compact WY form instead of
+forming Q, for a matrix of any shape: the reduction of a tall A in
+``gsvd`` and ``gcur``, ``synth._core_svd`` (the 50 x 50 core of the
+low-rank generators' factors, which ``lowrank_gapped``'s gap check
+reads), the noise-recovery scorer's per-reconstruction triangle, and the
+noise-recovery trial's one QR of [E, F], which lifts the left vectors of
+every eps to m rows.
 
 The public functions take 2-D matrices only: each validates through
 ``as_matrix``, which rejects any other ndim, and then calls a private core.
@@ -39,6 +41,7 @@ input (a rank test, a non-finite scale or spectrum) raises for the whole
 stack.
 """
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +116,18 @@ def require_finite(a, name="matrix"):
     return a
 
 
+@contextmanager
+def _representable(what):
+    """Run products of finite float64 operands; one that overflows (or the
+    inf - inf it leads to) raises ContractViolationError naming ``what``
+    instead of numpy's RuntimeWarning. Finite results keep their bits."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ContractViolationError(f"{what} is not representable in float64") from None
+
+
 class SvdFactors(NamedTuple):
     """A = W @ diag(psi) @ Z.T with orthonormal-column W, Z and psi >= 0 nonincreasing."""
 
@@ -138,16 +153,22 @@ def svd(a):
 
 
 def _svd(a):
+    # checked first: with an inf entry, numpy's SVD can iterate forever
+    # (20x6 with one inf, 2-core x86) instead of returning NaN
+    if not np.isfinite(a).all():
+        raise ConvergenceError(
+            f"SVD of a {a.shape[-2]}x{a.shape[-1]} matrix with non-finite entries"
+        )
     try:
         w, psi, zt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"SVD iteration did not converge for {a.shape[-2]}x{a.shape[-1]} matrix"
         ) from exc
-    # a NaN entry fails the iteration above; an inf entry comes back as NaN psi
+    # a finite A whose largest singular value is beyond float64's range
     if not np.isfinite(psi).all():
         raise ConvergenceError(
-            f"SVD of a {a.shape[-2]}x{a.shape[-1]} matrix with non-finite entries"
+            f"SVD of a {a.shape[-2]}x{a.shape[-1]} matrix: singular values overflow"
         )
     return SvdFactors(w, psi, zt.swapaxes(-1, -2))
 
@@ -243,7 +264,9 @@ def _triangle_and_lift(a):
 
 
 def _check_orthonormal(u, name):
-    g = u.swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+    # an overflow makes the deviation inf or NaN, which fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = u.swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
     deviation = np.max(np.abs(g), axis=(-2, -1))
     # written so that a NaN deviation fails the test too
     if not np.all(deviation <= ORTHO_TOL):

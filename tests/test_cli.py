@@ -95,6 +95,31 @@ def test_numerical_precondition_exit_code(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("fmt", ["mtx", "csv"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_exit_code_names_the_file(tmp_path, capsys, bad, fmt):
+    # a parse that succeeds on a non-finite value is a numerical error (exit
+    # 4), and its message says which input file holds it
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((12, 6))
+    good, bad_a = tmp_path / f"A.{fmt}", tmp_path / f"A_bad.{fmt}"
+    pb = tmp_path / "B.mtx"
+    gio.write_matrix_market(pb, rng.standard_normal((9, 6)))
+    if fmt == "mtx":
+        gio.write_matrix_market(good, a)
+        lines = good.read_text().splitlines(keepends=True)
+        lines[4] = f"{bad}\n"  # a data value: the banner and size line come first
+        bad_a.write_text("".join(lines))
+    else:
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in a)
+        bad_a.write_text(text.replace(text.split(",")[0], bad, 1) + "\n")
+    for argv in (["gcur", str(bad_a), str(pb), "-k", "3"], ["gsvd", str(bad_a), str(pb)],
+                 ["cur", str(bad_a), "-k", "3"], ["gcur", str(pb), str(bad_a), "-k", "3"]):
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"matrix in {bad_a} contains non-finite entries" in err
+
+
 def test_usage_exit_code_from_argparse():
     assert main(["gcur"]) == EXIT_USAGE
 

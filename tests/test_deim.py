@@ -7,6 +7,7 @@ import pytest
 from gcurkit import matkit, synth
 from gcurkit.deim import deim_select, eta, interp_project
 from gcurkit.errors import (
+    ContractViolationError,
     DependentBasisError,
     DimensionError,
     GcurkitError,
@@ -153,6 +154,59 @@ def test_non_finite_basis_raises_without_warning(bad):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(GcurkitError):
                 call()
+
+
+def _unit_pair():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 6))
+    u = a[:, :3].copy()
+    s = deim_select(u, 3)
+    assert s.tolist() == [2, 13, 10]
+    return a, u, s
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_basis_in_an_unselected_row_raises(bad):
+    # row 1 is not selected, so neither the rank rule nor the solve reads
+    # it; the projector would still carry it into every row of its result
+    a, u, s = _unit_pair()
+    u[1, 2] = bad
+    for call in (
+        lambda: interp_project(u, s, a),
+        lambda: interp_project(u, s, a.T.copy(), "right"),
+        lambda: eta(u, s),
+    ):
+        with pytest.raises(ContractViolationError, match="basis contains non-finite"):
+            call()
+    x = a.copy()
+    x[s[0], 0] = bad  # a non-finite X is rejected as well
+    with pytest.raises(ContractViolationError, match="X contains non-finite"):
+        interp_project(a[:, :3], s, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-305, 1e-310])
+def test_subnormal_scale_basis(scale):
+    # eta = 1/psi_min and the projector's solve scale as 1/scale: at 1e-310
+    # they overflow and raise; above it they keep the bits of the plain formulas
+    a, u, s = _unit_pair()
+    v = u * scale
+    sub = v[s, :]
+    if scale == 1e-310:
+        with pytest.raises(SingularMatrixError, match="error constant is not finite"):
+            eta(v, s)
+        for call in (lambda: interp_project(v, s, a),
+                     lambda: interp_project(v, s, a.T.copy(), "right")):
+            with pytest.raises(SingularMatrixError, match="projector is not finite"):
+                call()
+        return
+    assert eta(v, s) == float(1.0 / np.linalg.svd(sub, compute_uv=False)[-1])
+    left = interp_project(v, s, a)
+    assert np.array_equal(left, v @ np.linalg.solve(sub, a[s, :]))
+    right = interp_project(v, s, a.T.copy(), "right")
+    assert np.array_equal(right, a.T[:, s] @ np.linalg.solve(sub.T, v.T))
+    assert np.isfinite(left).all() and np.isfinite(right).all()
 
 
 def _step_of(call):

@@ -367,16 +367,17 @@ def test_bounds_reject_factors_of_another_shape():
 @pytest.mark.parametrize("only_a", [False, True])
 @pytest.mark.parametrize("m,n,k", [(60, 12, 5), (12, 12, 4), (300, 40, 12)])
 def test_scorers_reuse_the_carried_bases(monkeypatch, m, n, k, only_a):
-    # evaluate_bounds takes one QR, of Y; A's projections read the bases
-    # gcur kept for M_a and give the bits of a fresh QR of each factor
+    # evaluate_bounds takes one QR, of Y; the projections of both sides read
+    # the bases gcur kept for M_a and M_b and give the bits of a fresh QR of
+    # each factor
     rng = np.random.default_rng(20 + m + k)
     a = rng.standard_normal((m, n)) * np.logspace(0, -2, n)
     b = rng.standard_normal((n + 5, n))
     f = (gcur_only_a if only_a else gcur)(a, b, k)
     norm_r = matkit.spectral_norm(f.R_a)
     fresh = {
-        mode: curfac._residual_norm(f.R_a, f.p, f.M_a, f.A_s, mode, "A")
-        for mode in ("column", "row")
+        "column": curfac._projection(f.R_a, f.R_a[:, f.p], "column", "C")[1],
+        "row": curfac._projection(f.R_a, f.A_s, "row", "R")[1],
     }
     factored = []
     thin_qr = matkit.thin_qr
@@ -394,8 +395,35 @@ def test_scorers_reuse_the_carried_bases(monkeypatch, m, n, k, only_a):
     for mode in ("column", "row"):
         err_a, _ = relative_errors(a, b, f, mode)
         assert err_a == fresh[mode] / norm_r
-    # only B's projections, which carry no basis, take a QR
-    assert len(factored) == (0 if only_a else 2)
+    # B's projections read the carried Qb_p and Qb_s, so no side takes a QR
+    assert not factored
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d,n,k", [(9, 6, 3), (70, 60, 20)])
+def test_b_side_carries_the_bases_of_its_middle_matrix(order, d, n, k):
+    # Qb_p and Qb_s are the Q's of fresh QRs of B[:, p] and B[s_b, :]^T, and
+    # B's projections read them with the bits of a fresh projection
+    rng = np.random.default_rng(30 + d)
+    a = rng.standard_normal((d + 11, n))
+    b = np.asarray(rng.standard_normal((d, n)), order=order)
+    f = gcur(a, b, k)
+    assert f.Qb_p.shape == (d, k) and f.Qb_s.shape == (n, k)
+    for x in (f.Qb_p, f.Qb_s):
+        assert x.base is None and x.flags.owndata
+    b_s = b[f.s_b, :]
+    assert np.array_equal(f.Qb_p, matkit.thin_qr(b[:, f.p]).Q)
+    assert np.array_equal(f.Qb_s, matkit.thin_qr(b_s.T).Q)
+    norm_b = matkit.spectral_norm(b)
+    fresh = {
+        "column": curfac._projection(b, b[:, f.p], "column", "C")[1],
+        "row": curfac._projection(b, b_s, "row", "R")[1],
+    }
+    for mode, err in fresh.items():
+        assert relative_errors(a, b, f, mode)[1] == err / norm_b
+    only_a = gcur_only_a(a, b, k)
+    assert only_a.Qb_p is None and only_a.Qb_s is None
+    assert len(f) == len(only_a) == 17
 
 
 @pytest.mark.parametrize("m", [30, 8])
@@ -523,6 +551,50 @@ def test_reconstruct_rejects_non_finite_input(side, bad):
         b[f.s_b[0], f.p[0]] = bad
         with pytest.raises(ContractViolationError, match="B contains non-finite"):
             reconstruct_b(b, f)
+
+
+@pytest.mark.filterwarnings("error")
+def test_products_beyond_float64_raise():
+    # A * 1e300 and B * 1e300 make C M R overflow in matmul: a GcurkitError
+    # that says so, not a RuntimeWarning; at unit scale the bits are the
+    # plain products'
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    for call in (
+        lambda: reconstruct_a(a * 1e300, f),
+        lambda: reconstruct_b(b * 1e300, f),
+        lambda: relative_errors(a, b * 1e300, f),
+    ):
+        with pytest.raises(ContractViolationError, match="not representable in float64"):
+            call()
+    assert np.array_equal(reconstruct_a(a, f), a[:, f.p] @ f.M_a @ a[f.s_a, :])
+    assert np.array_equal(reconstruct_b(b, f), b[:, f.p] @ f.M_b @ b[f.s_b, :])
+    err_b = matkit.spectral_norm(b - b[:, f.p] @ f.M_b @ b[f.s_b, :])
+    assert relative_errors(a, b, f)[1] == err_b / matkit.spectral_norm(b)
+
+
+@pytest.mark.parametrize("side,rows", [("A", 10), ("A", 30), ("B", 6), ("B", 12)])
+def test_a_matrix_of_another_row_count_raises(side, rows):
+    # the factors came from a 20x6 A and a 9x6 B; fewer rows used to end in
+    # a bare IndexError (s_a = [13, 12, 6], s_b = [5, 0, 6]) and more rows
+    # in a silent score or reconstruction of a matrix they never saw
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    assert f.s_a.tolist() == [13, 12, 6] and f.s_b.tolist() == [5, 0, 6]
+    other = np.random.default_rng(1).standard_normal((rows, 6))
+    if side == "A":
+        with pytest.raises(DimensionError, match=f"A is {rows}x6, but .* a 20x6 A"):
+            reconstruct_a(other, f)
+        return
+    with pytest.raises(DimensionError, match=f"B is {rows}x6, but .* a 9x6 B"):
+        reconstruct_b(other, f)
+    for mode in ("cur", "column", "row"):
+        with pytest.raises(DimensionError, match=r"carried GSVD factors \(Qb_p \(9, 3\)\)"):
+            relative_errors(a, other, f, mode)
+    # factors without B's side score A alone, whatever B's row count
+    assert relative_errors(a, other, gcur_only_a(a, b, 3))[1] is None
 
 
 def test_subspace_gap_optimal_basis():

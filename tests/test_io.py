@@ -201,7 +201,8 @@ def _reference_read_matrix_market(path):
                 values.extend(gio._parse_float(tok, path, off) for tok in stripped.split())
         if len(values) != m * n:
             raise ParseError(f"expected {m * n} entries, found {len(values)}", path, len(lines))
-        return gio.require_finite(np.array(values).reshape((m, n), order="F"), "matrix")
+        a = np.array(values).reshape((m, n), order="F")
+        return gio.require_finite(a, f"matrix in {path}")
     if len(size) != 3:
         raise ParseError(
             f"coordinate size line needs 'rows cols nnz', got {lines[pos]!r}", path, lineno
@@ -227,7 +228,7 @@ def _reference_read_matrix_market(path):
         seen += 1
     if seen != nnz:
         raise ParseError(f"expected {nnz} entries, found {seen}", path, len(lines))
-    return gio.require_finite(a, "matrix")
+    return gio.require_finite(a, f"matrix in {path}")
 
 
 def _reference_read_csv(path, header=False):
@@ -249,7 +250,7 @@ def _reference_read_csv(path, header=False):
             rows.append(vals)
     if not rows:
         raise ParseError("no data rows", path, 1)
-    return gio.require_finite(np.asfortranarray(np.array(rows)), "matrix")
+    return gio.require_finite(np.asfortranarray(np.array(rows)), f"matrix in {path}")
 
 
 def _outcome(read, path, **kwargs):

@@ -181,6 +181,31 @@ def test_max_principal_angle_rejects_a_nan_basis():
         matkit.max_principal_angle(nan, basis)
 
 
+@pytest.mark.filterwarnings("error")
+def test_max_principal_angle_rejects_a_basis_whose_gram_overflows():
+    # Q * 1e300 squares beyond float64 in the orthonormality check's Gram:
+    # the inf deviation fails the check, with no overflow warning first
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 3)))[0]
+    with pytest.raises(ContractViolationError, match="U1 does not have orthonormal"):
+        matkit.max_principal_angle(q * 1e300, q)
+    with pytest.raises(ContractViolationError, match="U2 does not have orthonormal"):
+        matkit.max_principal_angle(q, q * 1e300)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_rejects_non_finite_input_before_lapack(monkeypatch, bad):
+    # numpy's SVD of this 20x6 matrix with an inf at (1, 0) never returns,
+    # so a non-finite matrix must not reach it
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the SVD ran on a non-finite matrix")
+
+    a = np.random.default_rng(0).standard_normal((20, 6))
+    a[1, 0] = bad
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    with pytest.raises(ConvergenceError, match="20x6 matrix with non-finite entries"):
+        matkit.svd(a)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_max_principal_angle_symmetry(seed):
     rng = np.random.default_rng(seed)
