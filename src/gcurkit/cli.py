@@ -79,10 +79,13 @@ def _one_based(indices):
 
 def _parse_list(text, flag, kind):
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         what = "integer" if kind is int else "number"
         raise UsageError(f"{flag} expects a comma-separated {what} list, got {text!r}")
+    return values
 
 
 def _read(path, args):
@@ -248,8 +251,8 @@ def cmd_experiment(args):
     """Run a named experiment, passing on only the options the user set:
     every default lives in ``gcurkit.experiments``."""
     name = args.name
-    rank = _parse_list(args.rank, "--rank", int) if args.rank else None
-    eps = _parse_list(args.eps, "--eps", float) if args.eps else None
+    rank = None if args.rank is None else _parse_list(args.rank, "--rank", int)
+    eps = None if args.eps is None else _parse_list(args.eps, "--eps", float)
     opts = {"seed": args.seed}
     if name == "intro-angles":
         run = experiments.intro_angles

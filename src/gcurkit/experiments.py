@@ -21,22 +21,25 @@ alone. A failed trial is recorded under
 that raises runs again one trial at a time, so each failing trial records
 its own message in trial-id order. A grid cell that no trial reaches raises.
 
-Noise recovery factors the noise once per trial. Every noisy matrix of a
-trial is A + eps E, with one unit-level noise draw E for all eps and the
-test matrix built from its factors, A = F Y^T with 50 columns each, so all
-of them lie in range([E, F]). One Householder QR of the m x (n + 50)
-matrix [E, F] = Q_b R_b per trial (``matkit._triangle_and_lift``, which
+Noise recovery forms no m x n matrix. A trial holds the test matrix as its
+factors, A = F Y^T with 50 columns each, and the noise as its raw Gaussian
+draw G (m x n): E = c G R, with R the Cholesky factor of the noise
+covariance and c = ||A|| / ||G R||. One Householder QR of the m x (n + 50)
+matrix [G, F] = Q_b R_b per trial (``matkit._triangle_and_lift``, which
 keeps Q_b as reflectors; Q_b is m x b with b = min(m, n + 50)) gives
+G R = Q_b R_b[:, :n] R and A = Q_b R_b[:, n:] Y^T, so ||A||, ||G R|| and c
+are norms of b x n matrices, and
 
-    A + eps E = Q_b K_eps,    K_eps = eps R_b[:, :n] + R_b[:, n:] Y^T,
+    A + eps E = Q_b K_eps,    K_eps = eps c R_b[:, :n] R + R_b[:, n:] Y^T,
 
 with K_eps b x n (Golub & Van Loan, Matrix Computations, sec. 6.5, on
 updating a QR; LAPACK xTPQRT for the triangular-pentagonal structure).
 Per eps, one thin QR K_eps = Q_s R gives noisy = Q R with Q = Q_b Q_s,
 and R serves both the SVD and the GSVD, which act on the n x n triangle.
 Only the leading kmax left vectors of the two are lifted to m rows, in one
-call of Q_b's lift. The rows the middle matrices read are E[s] eps + A[s],
-which have the bits of (eps E + A)[s]; no m x n noisy matrix is formed.
+call of Q_b's lift. The rows the middle matrices read are
+eps c (G[s] R) + F[s] Y^T, from the rows of [G, F]; the einsum of F[s]
+gives A[s] with the public generator's bits.
 The reconstructions are scored in A's row space. Each of the four lies in
 range(Q), X = Q L R' (TSVD and TGSVD through the left vectors of R's
 factorizations, CUR and GCUR through the column factor
@@ -46,8 +49,8 @@ range(Y): with the thin QR Y = Q_Y T_Y of the generator's n x j factor Y
 Split R' = E' Q_Y^T + H W^T with E' = R' Q_Y and W H^T the thin QR of the
 n x k matrix (R' - E' Q_Y^T)^T = (I - Q_Y Q_Y^T) R'^T, so H is k x k and W
 has orthonormal columns, orthogonal to Q_Y in every column that H uses (a
-column of W that H multiplies by zero drops out). With G = A Q_Y,
-C_Y = Q^T G and P_Y = G - Q C_Y (so Q^T P_Y = 0),
+column of W that H multiplies by zero drops out). With
+C_Y = Q^T A Q_Y and P_Y = A Q_Y - Q C_Y (so Q^T P_Y = 0),
 
     A - X = [Q (C_Y - L E') + P_Y, -Q L H] [Q_Y, W]^T,
 
@@ -58,14 +61,15 @@ and since [Q_Y, W] has orthonormal columns,
 
 a (j + k) x (j + k) eigenproblem. The identity assumes only X in
 range(Q), which holds by construction for all four, so every score is the
-relative error of the explicit m x n residual up to rounding. G lies in
-range(Q_b) too: G = Q_b G' with G' = R_b[:, n:] T_Y^T, so
-C_Y = Q_s^T G' and P_Y = Q_b (G' - Q_s C_Y), and P_Y^T P_Y is the Gram of
-the b-row G' - Q_s C_Y. Per trial, [E, F] costs one m x (n + 50) QR and
+relative error of the explicit m x n residual up to rounding. A Q_Y lies
+in range(Q_b) too: A Q_Y = Q_b F' with F' = R_b[:, n:] T_Y^T, so
+C_Y = Q_s^T F' and P_Y = Q_b (F' - Q_s C_Y), and P_Y^T P_Y is the Gram of
+the b-row F' - Q_s C_Y. Per trial, [G, F] costs one m x (n + 50) QR and
 Q_Y one n x j QR; per eps, K_eps costs a b x n QR, the SVD and GSVD of R
 and an m x b x 2 kmax lift, and C_Y and P_Y b x n x j work; per score,
-(j + k)-sized work. No m-row Q, no m x n residual or noisy matrix, and no
-QR or SVD of A or of a noisy matrix is formed.
+(j + k)-sized work. In the eps loop only [G, F] and its reflectors have m
+rows. No A, E or G R, no m-row Q, no m x n residual or noisy matrix, and
+no QR or SVD of A or of a noisy matrix is formed.
 """
 
 import math
@@ -223,6 +227,12 @@ def _child_normals(seq, ids, shape):
     return out
 
 
+def _require_values(values, name):
+    """An empty grid axis gives a report without cells: raise instead."""
+    if len(values) == 0:
+        raise DimensionError(f"{name} must hold at least one value")
+
+
 def _require_success(results, failures, cell):
     """A grid cell with no successful trial has no statistics: raise instead."""
     if not results:
@@ -284,8 +294,9 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     ``matkit.spectral_norm``, ``matkit.svd``, ``gsvd`` and
     ``matkit.max_principal_angle``, with the results those public functions
     give trial by trial. The fixture and the clean basis are checked once
-    per call.
+    per call. An empty ``eps_values`` raises DimensionError.
     """
+    _require_values(eps_values, "eps_values")
     a = INTRO_MATRIX
     rchol = np.linalg.cholesky(INTRO_COVARIANCE).T
     w2 = matkit.svd(a).W[:, :2]
@@ -355,7 +366,7 @@ def _row_space_scorer(f_coef, y, norm_a):
     b x j coordinate matrix of the factor F in Q_b (F itself when Q_b is
     the identity). Once per trial: the thin QR Y = Q_Y T_Y of the
     generator's n x j factor, whose Q_Y is an exact orthonormal basis of
-    A's rows; then G' = f_coef T_Y^T / ||A|| gives A Q_Y / ||A|| = Q_b G',
+    A's rows; then F' = f_coef T_Y^T / ||A|| gives A Q_Y / ||A|| = Q_b F',
     so the Grams stay near unit scale and each score is the relative error
     ||A - X|| / ||A||. ``in_basis(q_s)`` forms C_Y and the j x j Gram of
     P_Y once per Q_s, from b-row work; each ``score(left, right)`` then
@@ -391,59 +402,63 @@ def _row_space_scorer(f_coef, y, norm_a):
 def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     """Build the per-trial worker for noise recovery; returns nested errors.
 
-    A and its factors come from the generators' one builder
-    (``synth._lowrank``), so A has the bits of ``lowrank_<kind>(m, n,
-    seed)``, and the thin QR of the factor Y gives A's row space. The only
-    core SVD a trial takes is the gapped build's gap check. The noise E is
-    drawn once per trial at unit level and scaled by each eps. The trial
-    takes one QR of [E, F] = Q_b R_b, held as reflectors, and each noisy
-    matrix A + eps E = Q_b K_eps is factored through the b x n K_eps
+    A trial builds A's factors (F, Y) with the generators' one builder
+    (``synth._lowrank``) and never forms A; the only core SVD it takes is
+    the gapped build's gap check. It draws G as ``colored_noise`` does, bit
+    for bit, and takes one QR of [G, F] = Q_b R_b, held as reflectors. With
+    R the noise's Cholesky factor, built once per call, G R = Q_b R_b[:, :n]
+    R and A = Q_b R_b[:, n:] Y^T, so ||A||, ||G R|| and the scale
+    c = ||A|| / ||G R|| that makes E = c G R come from b x n matrices. Each
+    noisy matrix A + eps E = Q_b K_eps is factored through the b x n K_eps
     (:func:`_factor_in_basis`). The middle matrices of every k come from
     one QR per side of the kmax selection, since DEIM prefixes nest. Their
     column factor and core come from the triangle R of K_eps = Q_s R, so
     they have n rows instead of m, and their selected rows are
-    E[s] eps + A[s], the bits of the noisy matrix's rows. The errors are
-    scored in A's row space (:func:`_row_space_scorer`) on b-row work: every
-    score equals the relative error of the explicit m x n residual up to
-    rounding.
+    eps c (G[s] R) + F[s] Y^T, whose A part has the bits of
+    ``lowrank_<kind>(m, n, seed)[s]``. The errors are scored in A's row
+    space (:func:`_row_space_scorer`) on b-row work: every score equals the
+    relative error of the explicit m x n residual up to rounding.
     """
     kmax = max(k_values)
     sizes = [(k, k) for k in k_values]
+    rchol = synth.toeplitz_chol(n, rho)
 
     def run(child):
         seeds = child.spawn(3)
-        a, f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
-        norm_a = matkit.spectral_norm(a)
+        f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
         t0 = time.perf_counter()
-        e_unit, rchol = synth._noise_term(
-            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=rho), norm_a
-        )
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        # [E, F] in Fortran order, which numpy's QR copies only once; its
-        # first n columns keep E's bits for the selected rows
-        ef = np.empty((m, n + f_a.shape[1]), order="F")
-        ef[:, :n], ef[:, n:] = e_unit, f_a
-        e_unit = ef[:, :n]
+        # [G, F] in Fortran order, which numpy's QR copies only once; the
+        # selected rows are read from it
+        gf = np.empty((m, n + f_a.shape[1]), order="F")
+        gf[:, n:] = f_a
         del f_a
-        r_b, lift = matkit._triangle_and_lift(ef)
-        r_e, f_coef = r_b[:, :n], r_b[:, n:]
+        gf[:, :n] = np.random.default_rng(seeds[1]).standard_normal((m, n))
+        r_b, lift = matkit._triangle_and_lift(gf)
+        r_gr, f_coef = r_b[:, :n] @ rchol, r_b[:, n:]
         fy = f_coef @ y_a.T
+        norm_a = matkit.spectral_norm(fy)
+        c = norm_a / matkit.spectral_norm(r_gr)
         in_basis = _row_space_scorer(f_coef, y_a, norm_a)
-        del y_a
+
+        def noisy_rows(s, eps):
+            return (eps * c) * (gf[s, :n] @ rchol) + np.einsum(
+                "ij,kj->ik", gf[s, n:], y_a
+            )
+
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         out = {}
         cell_s = {}
         for eps in eps_values:
             t0 = time.perf_counter()
             q_s, r, f, g, w_k, u_k = _factor_in_basis(
-                eps * r_e + fy, lift, rchol_used, kmax
+                (eps * c) * r_gr + fy, lift, rchol_used, kmax
             )
             p_cur = deim.deim_select(f.Z[:, :kmax], kmax)
             s_cur = deim.deim_select(w_k, kmax)
             p_gc = deim.deim_select(g.Y[:, :kmax], kmax)
             s_gc = deim.deim_select(u_k, kmax)
-            rows_cur = e_unit[s_cur] * eps + a[s_cur]  # noisy[s_cur], bit for bit
-            rows_gc = e_unit[s_gc] * eps + a[s_gc]
+            rows_cur, rows_gc = noisy_rows(s_cur, eps), noisy_rows(s_gc, eps)
             m_cur, _, _ = curfac._nested_middle_matrices(r, p_cur, rows_cur, sizes)
             m_gc, _, _ = curfac._nested_middle_matrices(r, p_gc, rows_gc, sizes)
             score = in_basis(q_s)
@@ -485,11 +500,14 @@ def noise_recovery(
     built from each. ``inexact_chol=True`` hands the pair factorization a
     perturbed covariance factor while the noise itself stays exact. A
     negative eps or a rho outside (0, 1) raises ContractViolationError, and
-    m < n, n < 50 (the generators' rank-50 build) or a k outside 1 <= k < n
-    raises DimensionError, before any trial runs.
+    an empty ``k_values`` or ``eps_values``, m < n, n < 50 (the generators'
+    rank-50 build) or a k outside 1 <= k < n raises DimensionError, before
+    any trial runs.
     """
     if kind not in ("sparse", "gapped"):
         raise ValueError(f"kind must be 'sparse' or 'gapped', got {kind!r}")
+    _require_values(k_values, "k_values")
+    _require_values(eps_values, "eps_values")
     for eps in eps_values:
         if eps < 0:
             raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
@@ -595,8 +613,10 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100):
     selection by the nearest-centroid cross-validation proxy and by the
     separation ratio of the two leading selected columns. Projections onto
     the leading right singular directions (plain and pair-generalized) are
-    scored the same way and returned as plot coordinates.
+    scored the same way and returned as plot coordinates. An empty
+    ``n_columns`` raises DimensionError.
     """
+    _require_values(n_columns, "n_columns")
     spec = synth.SubgroupSpec(points_per_group=points_per_group, seed=seed)
     a, b, labels = synth.subgroup_data(spec, center=True)
     kmax = max(n_columns)

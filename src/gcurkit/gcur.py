@@ -77,10 +77,11 @@ class GcurFactors(NamedTuple):
     are the orthonormal bases of R_a[:, p] and of A_s^T that M_a's thin QRs
     formed, and ``Qb_p`` (d x k) and ``Qb_s`` (n x k) those of B[:, p] and
     of B[s_b, :]^T that M_b's formed, so the projections scored for either
-    side need no QR of their own. They take m*k + d*k + 2*n*n + 5*n*k + n
-    floats, each array owned; Q_A is never formed, and the m x n U and the
-    d x n V are not kept. :func:`gcur_only_a` sets ``s_b``, ``M_b``,
-    ``Qb_p`` and ``Qb_s`` to None, and its factors take (d + n)*k floats
+    side need no QR of their own. ``B_s`` is B[s_b, :] (k x n), the rows
+    M_b was built from. They take m*k + d*k + 2*n*n + 6*n*k + n floats,
+    each array owned; Q_A is never formed, and the m x n U and the d x n V
+    are not kept. :func:`gcur_only_a` sets ``s_b``, ``M_b``, ``Qb_p``,
+    ``Qb_s`` and ``B_s`` to None, and its factors take (d + 2n)*k floats
     fewer.
     """
 
@@ -101,6 +102,7 @@ class GcurFactors(NamedTuple):
     Q_s: np.ndarray
     Qb_p: Optional[np.ndarray]
     Qb_s: Optional[np.ndarray]
+    B_s: Optional[np.ndarray]
 
 
 class BoundReport(NamedTuple):
@@ -162,13 +164,14 @@ def _gcur(a, b, k, with_b):
     s_a = deim.deim_select(u_k, k)
     a_s = a[s_a, :]
     (m_a,), q_p, q_s = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")
-    s_b = m_b = qb_p = qb_s = None
+    s_b = m_b = qb_p = qb_s = b_s = None
     if with_b:
         s_b = deim.deim_select(f.V[:, :k], k)
-        (m_b,), qb_p, qb_s = curfac._nested_middle_matrices(b, p, b[s_b, :], [(k, k)], "B")
+        b_s = b[s_b, :]
+        (m_b,), qb_p, qb_s = curfac._nested_middle_matrices(b, p, b_s, [(k, k)], "B")
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s,
-        q_p, q_s, qb_p, qb_s,
+        q_p, q_s, qb_p, qb_s, b_s,
     )
 
 
@@ -190,41 +193,44 @@ def gcur_only_a(a, b, k):
     return _gcur(a, b, k, with_b=False)
 
 
-def _reconstruct(x, shape, p, m, s, name):
-    """X[:, p] M X[s, :] for a finite X of the ``shape`` the factors were
-    computed from. An X of another shape raises DimensionError, and a
-    product beyond float64's range ContractViolationError."""
+def _reconstruct(x, shape, p, m, s, x_s, name):
+    """X[:, p] M X_s for a finite X of the ``shape`` the factors were
+    computed from, whose rows X[s, :] are the carried X_s. An X of another
+    shape raises DimensionError; other rows, or a product beyond float64's
+    range, ContractViolationError."""
     x = matkit.require_finite(matkit.as_matrix(x, name), name)
     if x.shape != shape:
         raise DimensionError(
             f"{name} is {x.shape[0]}x{x.shape[1]}, but the factors were computed "
             f"from a {shape[0]}x{shape[1]} {name}"
         )
+    _require_rows_of(x, s, x_s, name)
     with matkit._representable(f"the rank-k approximation of {name}"):
-        return x[:, p] @ m @ x[s, :]
+        return x[:, p] @ m @ x_s
 
 
 def reconstruct_a(a, factors):
     """Materialize the rank-k approximation of A from its GCUR factors.
 
     An A of another shape than the one the factors came from raises
-    DimensionError; a non-finite A, or an approximation beyond float64's
-    range, raises ContractViolationError.
+    DimensionError; a non-finite A, an A whose rows A[s_a, :] are not the
+    carried A_s bit for bit, or an approximation beyond float64's range,
+    raises ContractViolationError.
     """
-    shape = (factors.U_k.shape[0], factors.Y.shape[0])
-    return _reconstruct(a, shape, factors.p, factors.M_a, factors.s_a, "A")
+    f = factors
+    return _reconstruct(a, (f.U_k.shape[0], f.Y.shape[0]), f.p, f.M_a, f.s_a, f.A_s, "A")
 
 
 def reconstruct_b(b, factors):
     """Materialize the rank-k approximation of B from its GCUR factors.
 
-    Raises as :func:`reconstruct_a` does, and DimensionError for factors
-    from :func:`gcur_only_a`.
+    Raises as :func:`reconstruct_a` does, with B_s for A_s, and
+    DimensionError for factors from :func:`gcur_only_a`.
     """
-    if factors.s_b is None:
+    f = factors
+    if f.s_b is None:
         raise DimensionError("factors carry no B-side data (built with gcur_only_a)")
-    shape = (factors.Qb_p.shape[0], factors.Y.shape[0])
-    return _reconstruct(b, shape, factors.p, factors.M_b, factors.s_b, "B")
+    return _reconstruct(b, (f.Qb_p.shape[0], f.Y.shape[0]), f.p, f.M_b, f.s_b, f.B_s, "B")
 
 
 def _require_columns_of(a, r_a):
@@ -245,16 +251,18 @@ def _require_columns_of(a, r_a):
         )
 
 
-def _require_rows_of(a, s, a_s):
-    """The carried A_s must be A[s, :] bit for bit; raise otherwise.
+def _require_rows_of(x, s, x_s, name):
+    """The carried rows X_s must be X[s, :] bit for bit; raise otherwise.
 
     Catches an A whose rows were permuted: it keeps the column norms and
-    the triangle R_a, yet the bounds would read the wrong rows.
+    the triangle R_a, yet the bounds would read the wrong rows. B has no
+    other check that the factors came from it.
     """
-    if not np.array_equal(a[s, :].view(np.uint64), a_s.view(np.uint64)):
+    if not np.array_equal(x[s, :].view(np.uint64), x_s.view(np.uint64)):
+        side = name.lower()
         raise ContractViolationError(
-            "rows A[s_a, :] differ from the carried A_s; compute the factors "
-            "with gcur on this pair"
+            f"rows {name}[s_{side}, :] differ from the carried {name}_s; compute "
+            "the factors with gcur on this pair"
         )
 
 
@@ -273,7 +281,7 @@ def _require_factors_of(a, b, factors):
     want = {"s_a": (k,), "U_k": (m, k), "Ur_k": (n, k), "R_a": (n, n), "A_s": (k, n),
             "Y": (n, n), "gamma": (n,), "Q_p": (n, k), "Q_s": (n, k)}
     if factors.s_b is not None:
-        want.update(Qb_p=(d, k), Qb_s=(n, k))
+        want.update(Qb_p=(d, k), Qb_s=(n, k), B_s=(k, n))
     bad = [f"{name} {getattr(factors, name).shape}" for name, shape in want.items()
            if getattr(factors, name).shape != shape]
     if bad:
@@ -283,7 +291,7 @@ def _require_factors_of(a, b, factors):
         )
     matkit._require_truncation_rank(k, n)
     _require_columns_of(a, factors.R_a)
-    _require_rows_of(a, factors.s_a, factors.A_s)
+    _require_rows_of(a, factors.s_a, factors.A_s, "A")
     return a, b
 
 
@@ -310,8 +318,9 @@ def relative_errors(a, b, factors, mode="cur"):
     for A, Qb_p and Qb_s for B) and take no QR. err_b is None for factors
     from :func:`gcur_only_a`. The factors must come from this same pair,
     checked as in :func:`evaluate_bounds`, and a B whose row count differs
-    from theirs raises DimensionError; a B that is zero or not finite cannot
-    have produced them and raises ContractViolationError. A residual beyond
+    from theirs raises DimensionError; a B that is zero or not finite, or
+    whose rows B[s_b, :] are not the carried B_s bit for bit, cannot have
+    produced them and raises ContractViolationError. A residual beyond
     float64's range raises ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
@@ -325,7 +334,8 @@ def relative_errors(a, b, factors, mode="cur"):
     err_a /= matkit.spectral_norm(f.R_a)
     if f.s_b is None:
         return err_a, None
-    err_b = _side_error(b, f.p, f.M_b, b[f.s_b, :], f.Qb_p, f.Qb_s, mode)
+    _require_rows_of(b, f.s_b, f.B_s, "B")
+    err_b = _side_error(b, f.p, f.M_b, f.B_s, f.Qb_p, f.Qb_s, mode)
     return err_a, err_b / matkit.spectral_norm(b)
 
 

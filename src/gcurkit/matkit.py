@@ -25,7 +25,7 @@ forming Q, for a matrix of any shape: the reduction of a tall A in
 ``gsvd`` and ``gcur``, ``synth._core_svd`` (the 50 x 50 core of the
 low-rank generators' factors, which ``lowrank_gapped``'s gap check
 reads), the noise-recovery scorer's per-reconstruction triangle, and the
-noise-recovery trial's one QR of [E, F], which lifts the left vectors of
+noise-recovery trial's one QR of [G, F], which lifts the left vectors of
 every eps to m rows.
 
 The public functions take 2-D matrices only: each validates through

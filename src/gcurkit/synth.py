@@ -10,7 +10,11 @@ A = F Y^T is formed by ``np.einsum`` without ``optimize``, which runs
 numpy's own summation loop. ``F @ Y.T`` is about ten times faster, but the
 BLAS splits that product differently on one thread and on two, and A's last
 bits, and with them the GSVD-derived indices of the experiments, would
-change with the thread count.
+change with the thread count. The same contraction of a subset of F's rows
+gives those rows of A bit for bit. The noise-recovery trial relies on that:
+it holds the factors and the raw draw G of :func:`colored_noise`, takes one
+QR of [G, F], and reads A's rows from F's without forming A or E (see
+``gcurkit.experiments``).
 """
 
 from dataclasses import dataclass
@@ -80,7 +84,7 @@ def lowrank_sparse(m, n, seed):
     factor vectors have expected density 0.025 with uniform nonnegative
     nonzeros. Built by one contraction of the factors (:func:`_lowrank`).
     """
-    return _lowrank("sparse", m, n, seed)[0]
+    return _contract(*_lowrank("sparse", m, n, seed))
 
 
 def lowrank_gapped(m, n, seed):
@@ -92,22 +96,19 @@ def lowrank_gapped(m, n, seed):
     the 50 x 50 core of the factors (:func:`_core_svd`), not on an m x n
     SVD. Built by one contraction of the factors (:func:`_lowrank`).
     """
-    return _lowrank("gapped", m, n, seed)[0]
+    return _contract(*_lowrank("gapped", m, n, seed))
 
 
 def _lowrank(kind, m, n, seed):
-    """A rank-<=50 test matrix A = F Y^T and its factors: returns (A, F, Y).
+    """The factors (F, Y) of a rank-<=50 test matrix A = F Y^T.
 
     The one builder behind :func:`lowrank_sparse` (``kind="sparse"``) and
-    :func:`lowrank_gapped` (``kind="gapped"``), which return A; the
-    noise-recovery trial also reads the factors. The generator draws x_j,
-    then y_j, for j = 1..50, into the columns of X (m x 50) and Y (n x 50),
-    and F = X diag(coeff). A is the single contraction
-    ``np.einsum("ij,kj->ik", F, Y)``, which sums the 50 terms in numpy's
-    own loop and makes no BLAS call, so A's bits do not depend on the BLAS
-    thread count, as those of ``F @ Y.T`` do. A ``kind="gapped"`` build
-    raises ContractViolationError when psi_10 < 10 psi_11, read from the
-    core SVD of its factors (:func:`_core_svd`).
+    :func:`lowrank_gapped` (``kind="gapped"``), which contract the factors
+    (:func:`_contract`); the noise-recovery trial reads the factors alone.
+    The generator draws x_j, then y_j, for j = 1..50, into the columns of
+    X (m x 50) and Y (n x 50), and F = X diag(coeff). A ``kind="gapped"``
+    build raises ContractViolationError when psi_10 < 10 psi_11, read from
+    the core SVD of its factors (:func:`_core_svd`).
     """
     if min(m, n) < 50:
         raise DimensionError(f"need min(m, n) >= 50 for a rank-50 build, got {m}x{n}")
@@ -130,8 +131,14 @@ def _lowrank(kind, m, n, seed):
             raise ContractViolationError(
                 f"spectral gap psi_10/psi_11 = {psi[9] / psi[10]:.2f} < 10"
             )
-    a = np.einsum("ij,kj->ik", f, y)
-    return require_finite(a, "generated matrix"), f, y
+    return f, y
+
+
+def _contract(f, y):
+    """A = F Y^T as ``np.einsum("ij,kj->ik", F, Y)``: the 50 terms are summed
+    in numpy's own loop, with no BLAS call, so A's bits do not depend on the
+    BLAS thread count. Rows F[s] give A[s] bit for bit."""
+    return require_finite(np.einsum("ij,kj->ik", f, y), "generated matrix")
 
 
 def _core_svd(f, y):
@@ -165,31 +172,21 @@ def toeplitz_chol(n, rho):
 def colored_noise(a, model):
     """Perturb A with correlated Gaussian noise of relative 2-norm ``epsilon``.
 
-    Draws G with standard normal entries, correlates the rows as F = G @ R
-    with R the covariance's Cholesky factor, and scales so that
+    Draws G (m x n) with standard normal entries from
+    ``default_rng(model.seed)``, correlates the rows as G @ R with R the
+    covariance's Cholesky factor, and scales so that
     ||E|| = epsilon * ||A||. Returns (A + E, E, R).
     """
     a = as_matrix(a, "A")
-    e, rchol = _noise_term(a, model, None)
-    return a + e, e, rchol
-
-
-def _noise_term(a, model, norm_a):
-    """The (E, R) of :func:`colored_noise` for a validated A, without A + E.
-
-    For a caller that forms its own noisy matrices from E, such as one
-    noise draw scaled by several epsilons. ``norm_a`` is ||A||, or None to
-    have it computed.
-    """
     m, n = a.shape
     rchol = toeplitz_chol(n, model.rho)
-    rng = np.random.default_rng(model.seed)
-    f = rng.standard_normal((m, n)) @ rchol
+    e = np.random.default_rng(model.seed).standard_normal((m, n)) @ rchol
     if model.epsilon == 0.0:
-        return np.zeros_like(a), rchol
-    if norm_a is None:
-        norm_a = matkit.spectral_norm(a)
-    return (model.epsilon * norm_a / matkit.spectral_norm(f)) * f, rchol
+        e = np.zeros_like(a)
+    else:
+        # scaled in place: G R, E and A + E are never held at once
+        e *= model.epsilon * matkit.spectral_norm(a) / matkit.spectral_norm(e)
+    return a + e, e, rchol
 
 
 def perturb_chol(rchol, seed):

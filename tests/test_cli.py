@@ -510,6 +510,32 @@ def test_malformed_experiment_list_is_usage_error(monkeypatch, capsys, argv, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,flag,text",
+    [
+        ("noise-recovery", "--rank", ","),
+        ("noise-recovery", "--rank", ""),
+        ("noise-recovery", "--eps", ","),
+        ("noise-recovery-inexact", "--eps", " , "),
+        ("subgroups", "--rank", ","),
+        ("intro-angles", "--eps", ","),
+    ],
+)
+def test_empty_experiment_list_is_usage_error(monkeypatch, capsys, name, flag, text):
+    # an empty list used to end in a traceback (max() of no ranks) or in a
+    # report without cells; now it is a usage error before any trial
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    monkeypatch.setattr(synth, "subgroup_data", no_trial)
+    monkeypatch.setattr(experiments, "_child_normals", no_trial)
+    rc = main(["experiment", name, flag, text])
+    assert rc == EXIT_USAGE
+    what = "integer" if flag == "--rank" else "number"
+    assert f"{flag} expects a comma-separated {what} list, got {text!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["cur", "gcur"])
 def test_missing_rank_is_usage_error(diag_pair, capsys, command):
     files = diag_pair[:1] if command == "cur" else diag_pair

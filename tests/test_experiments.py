@@ -268,6 +268,28 @@ def test_noise_recovery_rejects_rank_and_shape_before_trials(
 
 
 @pytest.mark.parametrize(
+    "run,kwargs",
+    [
+        (experiments.noise_recovery, dict(k_values=())),
+        (experiments.noise_recovery, dict(eps_values=[])),
+        (experiments.intro_angles, dict(eps_values=())),
+        (experiments.subgroups, dict(n_columns=())),
+    ],
+)
+def test_empty_grid_axis_raises_before_trials(monkeypatch, run, kwargs):
+    # an empty axis used to raise from max() or return a report without cells
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    monkeypatch.setattr(synth, "subgroup_data", no_trial)
+    monkeypatch.setattr(experiments, "_child_normals", no_trial)
+    name = next(iter(kwargs))
+    with pytest.raises(DimensionError, match=f"{name} must hold at least one value"):
+        run(**kwargs)
+
+
+@pytest.mark.parametrize(
     "kwargs,error,match",
     [
         (dict(m=60, n=40), DimensionError, "needs n >= 50 .* got 60x40"),
@@ -306,27 +328,52 @@ def test_recovery_trial_takes_one_core_svd(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", ["gapped", "sparse"])
-def test_recovery_trial_builds_the_public_generators_a(monkeypatch, kind):
-    # each trial's A is lowrank_<kind>(m, n, seed) bit for bit, with the
-    # trial's first child seed
-    built = []
-    lowrank = synth._lowrank
+def test_recovery_trial_reads_the_public_generators_a(monkeypatch, kind):
+    # each trial's factors (F, Y) contract to lowrank_<kind>(m, n, seed) bit
+    # for bit, with the trial's first child seed, and the rows the middle
+    # matrices read are that matrix's selected rows: bit for bit at eps = 0,
+    # and those of A + eps E with colored_noise's E to rounding at eps = 0.1
+    m, n, kmax, eps_values = 120, 60, 5, (0.0, 0.1)
+    built, rows = [], []
+    lowrank, nested = synth._lowrank, curfac._nested_middle_matrices
 
-    def spy(*args):
-        out = lowrank(*args)
-        built.append(out[0])
-        return out
+    def lowrank_spy(*args):
+        built.append(lowrank(*args))
+        return built[-1]
 
-    monkeypatch.setattr(synth, "_lowrank", spy)
-    experiments.noise_recovery(
-        kind=kind, m=120, n=60, k_values=(5,), eps_values=(0.1,), trials=2, seed=9
+    def rows_spy(r, p, x_s, sizes):
+        rows.append(x_s)
+        return nested(r, p, x_s, sizes)
+
+    factors = _record_factors(monkeypatch)
+    monkeypatch.setattr(synth, "_lowrank", lowrank_spy)
+    monkeypatch.setattr(curfac, "_nested_middle_matrices", rows_spy)
+    rep = experiments.noise_recovery(
+        kind=kind, m=m, n=n, k_values=(kmax,), eps_values=eps_values, trials=2, seed=9
     )
-    trial_as = built[:]
+    assert rep.extra["trial_failures"] == []
     gen = synth.lowrank_gapped if kind == "gapped" else synth.lowrank_sparse
     children = np.random.SeedSequence(9).spawn(2)
-    assert len(trial_as) == 2
-    for a, child in zip(trial_as, children):
-        assert np.array_equal(a, gen(120, 60, child.spawn(3)[0]))
+    assert len(built) == 2 and len(factors) == 4 and len(rows) == 8
+    for t, ((f, y), child) in enumerate(zip(built, children)):
+        seeds = child.spawn(3)
+        a = gen(m, n, seeds[0])
+        assert np.array_equal(np.einsum("ij,kj->ik", f, y).view(np.uint64), a.view(np.uint64))
+        _, e_unit, _ = synth.colored_noise(
+            a, synth.NoiseModel(epsilon=1.0, seed=seeds[1], rho=0.99)
+        )
+        for i, eps in enumerate(eps_values):
+            _, _, (_, _, _, _, w_k, u_k) = factors[2 * t + i]
+            s_cur, s_gc = deim.deim_select(w_k, kmax), deim.deim_select(u_k, kmax)
+            got_cur, got_gc = rows[4 * t + 2 * i : 4 * t + 2 * i + 2]
+            if eps == 0.0:
+                assert np.array_equal(got_cur.view(np.uint64), a[s_cur].view(np.uint64))
+                assert np.array_equal(got_gc.view(np.uint64), a[s_gc].view(np.uint64))
+            else:
+                noisy = a + eps * e_unit
+                tol = 1e-13 * np.max(np.abs(noisy))
+                assert np.max(np.abs(got_cur - noisy[s_cur])) <= tol
+                assert np.max(np.abs(got_gc - noisy[s_gc])) <= tol
 
 
 def _align_signs(got, want):
@@ -368,7 +415,7 @@ def _record_factors(monkeypatch):
     ids=["m-is-n", "m-below-n-plus-50", "m-above-n-plus-50"],
 )
 def test_factor_in_basis_matches_the_noisy_matrix_qr(monkeypatch, m, n):
-    # K_eps = eps R_b[:, :n] + R_b[:, n:] Y^T from the QR of [E, F] has the
+    # K_eps = eps c R_b[:, :n] R + R_b[:, n:] Y^T from the QR of [G, F] has the
     # triangle of the explicit noisy matrix A + eps E, and so its psi and
     # gamma, each to 1e-12 relative to its largest entry (the accuracy a
     # backward-stable QR gives); both triangles carry a nonnegative
@@ -380,7 +427,7 @@ def test_factor_in_basis_matches_the_noisy_matrix_qr(monkeypatch, m, n):
     # and Z are those of the m x n matrix. The GSVD's U_k and Y are not
     # compared, and U_k is only checked orthonormal: the GSVD leaves them
     # ill-determined where sigma is small, and they moved by up to 4.3e-5
-    # here. Held for a square A, for m < n + 50 (a wide [E, F]) and for
+    # here. Held for a square A, for m < n + 50 (a wide [G, F]) and for
     # m >= n + 50
     eps_values, kmax = (0.05, 0.2), 10
     calls = _record_factors(monkeypatch)
@@ -482,17 +529,16 @@ def _test_matrix(gen, m, n, seed):
     """A and its factors (F, Y), A = F Y^T, as a recovery trial has them."""
     if gen is _rank7:
         f, y = _rank7(m, n, seed)
-        return np.einsum("ij,kj->ik", f, y), f, y
-    kind = "gapped" if gen is synth.lowrank_gapped else "sparse"
-    return synth._lowrank(kind, m, n, seed)
+    else:
+        f, y = synth._lowrank("gapped" if gen is synth.lowrank_gapped else "sparse", m, n, seed)
+    return np.einsum("ij,kj->ik", f, y), f, y
 
 
 def _reconstructions(a, k, seed):
     """Q of one noisy A and the (left, right) factors of its four rank-k
     reconstructions Q @ left @ right, built from the m-row Q of the noisy
     matrix's own thin QR."""
-    e, rchol = synth._noise_term(a, synth.NoiseModel(epsilon=0.1, seed=seed), None)
-    noisy = a + e
+    noisy, _, rchol = synth.colored_noise(a, synth.NoiseModel(epsilon=0.1, seed=seed))
     q, r = matkit.thin_qr(noisy)
     f, g = matkit.svd(r), gsvd(r, rchol)
     p_cur, s_cur = deim.deim_select(f.Z[:, :k], k), deim.deim_select(q @ f.W[:, :k], k)
@@ -554,12 +600,14 @@ def test_row_space_scorer_matches_direct_svd(monkeypatch, gen, m, n, k):
 def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
     # the only m-row factorizations of a trial are two Householder QRs held
     # as reflectors: the gapped generator's F (for its gap check's core
-    # SVD) and the trial's
-    # one [E, F]. No m-row thin_qr or SVD runs, so no m-row Q is formed,
-    # and each eps is factored through its (n + 50) x n K_eps
+    # SVD) and the trial's one [G, F]. No m-row thin_qr or SVD runs, so no
+    # m-row Q is formed, and each eps is factored through its (n + 50) x n
+    # K_eps. No spectral norm reads an m-row matrix and no einsum forms one:
+    # ||A|| and ||G R|| come from b x n products, and A only as its rows
     m, n, trials = 2000, 300, 2  # noise_recovery's default m x n
-    thin_qr_rows, factorizations = [], []
+    thin_qr_rows, factorizations, norm_rows, einsum_rows = [], [], [], []
     thin_qr, qr, svd = matkit.thin_qr, np.linalg.qr, np.linalg.svd
+    spectral_norm, einsum = matkit.spectral_norm, np.einsum
 
     def thin_qr_spy(x):
         thin_qr_rows.append(np.shape(x)[0])
@@ -574,13 +622,48 @@ def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
 
         return wrapped
 
+    def norm_spy(x):
+        norm_rows.append(np.shape(x)[0])
+        return spectral_norm(x)
+
+    def einsum_spy(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        einsum_rows.append(np.shape(out)[0] if np.ndim(out) else 0)
+        return out
+
     monkeypatch.setattr(matkit, "thin_qr", thin_qr_spy)
     monkeypatch.setattr(np.linalg, "qr", spy("qr", qr))
     monkeypatch.setattr(np.linalg, "svd", spy("svd", svd))
+    monkeypatch.setattr(matkit, "spectral_norm", norm_spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
     rep = experiments.noise_recovery(trials=trials, eps_values=(0.1, 0.2))
     assert rep.extra["trial_failures"] == []
     assert m not in thin_qr_rows and len(thin_qr_rows) > 0
     assert factorizations == [("qr", (m, 50), "raw"), ("qr", (m, n + 50), "raw")] * trials
+    assert norm_rows == [n + 50] * 2 * trials
+    assert m not in einsum_rows and len(einsum_rows) > 0
+
+
+@pytest.mark.parametrize("kind", ["gapped", "sparse"])
+def test_recovery_trial_traced_peak_is_two_m_row_arrays(kind):
+    # [G, F] and the copy numpy's QR factors in place are the only m-row
+    # arrays a trial holds at once: its traced peak stays below
+    # 2.5 m (n + 50) float64s (2.27 here). A trial that forms A, G R, E
+    # and the scaled copies its m-row norms take peaks at 2.80 at this
+    # m x n, and fails
+    import tracemalloc
+
+    m, n = 6000, 60
+    run = experiments._recovery_trial(kind, m, n, (5,), (0.1,), 0.99, False)
+    child = np.random.SeedSequence(3).spawn(1)[0]
+    run(child)  # first calls warm numpy's caches
+    tracemalloc.start()
+    try:
+        run(child)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * (n + 50) * 8
 
 
 def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):

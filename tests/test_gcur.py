@@ -421,9 +421,10 @@ def test_b_side_carries_the_bases_of_its_middle_matrix(order, d, n, k):
     }
     for mode, err in fresh.items():
         assert relative_errors(a, b, f, mode)[1] == err / norm_b
+    assert np.array_equal(f.B_s, b_s)
     only_a = gcur_only_a(a, b, k)
-    assert only_a.Qb_p is None and only_a.Qb_s is None
-    assert len(f) == len(only_a) == 17
+    assert only_a.Qb_p is None and only_a.Qb_s is None and only_a.B_s is None
+    assert len(f) == len(only_a) == 18
 
 
 @pytest.mark.parametrize("m", [30, 8])
@@ -555,23 +556,55 @@ def test_reconstruct_rejects_non_finite_input(side, bad):
 
 @pytest.mark.filterwarnings("error")
 def test_products_beyond_float64_raise():
-    # A * 1e300 and B * 1e300 make C M R overflow in matmul: a GcurkitError
-    # that says so, not a RuntimeWarning; at unit scale the bits are the
-    # plain products'
+    # middle matrices scaled by 1e308 make C M R overflow in matmul: a
+    # GcurkitError that says so, not a RuntimeWarning. A * 1e300 and
+    # B * 1e300 overflowed the same way until the carried rows A_s and B_s
+    # were checked; they now fail that check first. At unit scale the bits
+    # are the plain products'
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
     f = gcur(a, b, 3)
+    huge = f._replace(M_a=f.M_a * 1e308, M_b=f.M_b * 1e308)
+    for call in (
+        lambda: reconstruct_a(a, huge),
+        lambda: reconstruct_b(b, huge),
+        lambda: relative_errors(a, b, huge),
+    ):
+        with pytest.raises(ContractViolationError, match="not representable in float64"):
+            call()
     for call in (
         lambda: reconstruct_a(a * 1e300, f),
         lambda: reconstruct_b(b * 1e300, f),
         lambda: relative_errors(a, b * 1e300, f),
     ):
-        with pytest.raises(ContractViolationError, match="not representable in float64"):
+        with pytest.raises(ContractViolationError, match="differ from the carried"):
             call()
     assert np.array_equal(reconstruct_a(a, f), a[:, f.p] @ f.M_a @ a[f.s_a, :])
     assert np.array_equal(reconstruct_b(b, f), b[:, f.p] @ f.M_b @ b[f.s_b, :])
     err_b = matkit.spectral_norm(b - b[:, f.p] @ f.M_b @ b[f.s_b, :])
     assert relative_errors(a, b, f)[1] == err_b / matkit.spectral_norm(b)
+
+
+def test_a_foreign_matrix_of_the_same_shape_is_not_scored_or_rebuilt():
+    # factors of (A, B) used to score a same-shape B2 silently (err_b 1.534
+    # in "cur" mode, against 0.896 for B; 0.856 and 0.836 in the projection
+    # modes) and to rebuild it; B with its rows reversed scored 1.687. The
+    # carried B_s = B[s_b, :] now has to match bit for bit, as A_s does
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    for other in (np.random.default_rng(5).standard_normal((9, 6)), b[::-1]):
+        for mode in ("cur", "column", "row"):
+            with pytest.raises(ContractViolationError, match=r"rows B\[s_b, :\] differ"):
+                relative_errors(a, other, f, mode)
+        with pytest.raises(ContractViolationError, match=r"rows B\[s_b, :\] differ"):
+            reconstruct_b(other, f)
+    with pytest.raises(ContractViolationError, match=r"rows A\[s_a, :\] differ"):
+        reconstruct_a(np.random.default_rng(5).standard_normal((20, 6)), f)
+    # the same B in another storage order is the same matrix
+    same = np.asfortranarray(b)
+    assert relative_errors(a, same, f) == relative_errors(a, b, f)
+    assert np.array_equal(reconstruct_b(same, f), reconstruct_b(b, f))
 
 
 @pytest.mark.parametrize("side,rows", [("A", 10), ("A", 30), ("B", 6), ("B", 12)])

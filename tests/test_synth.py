@@ -109,12 +109,12 @@ def test_lowrank_factors_follow_the_draw_sequence(kind, loop, coeff, m, n, seed)
     # for bit, A is their one contraction, and the public generator returns
     # that A
     a_ref, x, y = loop(m, n, seed)
-    a, f, y_got = synth._lowrank(kind, m, n, seed)
+    f, y_got = synth._lowrank(kind, m, n, seed)
     assert np.array_equal(f, x * coeff)
     assert np.array_equal(y_got, y)
-    assert np.array_equal(a, np.einsum("ij,kj->ik", f, y_got))
     public = lowrank_gapped if kind == "gapped" else lowrank_sparse
-    assert np.array_equal(public(m, n, seed), a)
+    a = public(m, n, seed)
+    assert np.array_equal(a, np.einsum("ij,kj->ik", f, y_got))
     assert a.flags.c_contiguous
 
 
@@ -191,17 +191,54 @@ def test_colored_noise_norm_ratio():
         assert ratio == pytest.approx(eps, abs=1e-12)
 
 
-def test_noise_term_is_colored_noises_e_and_r():
-    # the helper draws the same E and R bit for bit, without forming A + E
-    a = lowrank_gapped(120, 60, seed=3)
-    norm_a = matkit.spectral_norm(a)
-    for eps, given in ((1.0, None), (0.1, norm_a), (0.0, None)):
-        model = NoiseModel(epsilon=eps, seed=5, rho=0.99)
-        noisy, e, rchol = colored_noise(a, model)
-        e_got, rchol_got = synth._noise_term(a, model, given)
-        assert np.array_equal(e_got, e)
-        assert np.array_equal(rchol_got, rchol)
-        assert np.array_equal(noisy, a + e_got)
+def _restated_lowrank(kind, m, n, seed):
+    """lowrank_<kind> as it was built when it also returned its factors to
+    the noise-recovery trial: the draw loop, F = X diag(coeff), and one
+    einsum contraction."""
+    j = np.arange(1, 51)
+    big = 1000.0 if kind == "gapped" else 2.0
+    coeff = np.where(j <= 10, big, 1.0) / j
+    rng = np.random.default_rng(seed)
+    f, y = np.empty((m, 50)), np.empty((n, 50))
+    for col in range(50):
+        if kind == "gapped":
+            f[:, col], y[:, col] = rng.standard_normal(m), rng.standard_normal(n)
+        else:
+            f[:, col] = synth._sparse_uniform(rng, m)
+            y[:, col] = synth._sparse_uniform(rng, n)
+    f *= coeff
+    return np.einsum("ij,kj->ik", f, y)
+
+
+def _restated_colored_noise(a, model):
+    """colored_noise as it was built on its former helper for (E, R)."""
+    m, n = a.shape
+    rchol = toeplitz_chol(n, model.rho)
+    f = np.random.default_rng(model.seed).standard_normal((m, n)) @ rchol
+    if model.epsilon == 0.0:
+        e = np.zeros_like(a)
+    else:
+        norm_a = matkit.spectral_norm(a)
+        e = (model.epsilon * norm_a / matkit.spectral_norm(f)) * f
+    return a + e, e, rchol
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["gapped", "sparse"])
+@pytest.mark.parametrize("m,n,seed", [(120, 60, 3), (60, 130, 6), (300, 50, 11)])
+def test_public_generators_keep_their_bits(kind, m, n, seed):
+    # the trial reads the factors alone now; lowrank_* and colored_noise
+    # still return the bits of the algorithm restated here
+    public = lowrank_gapped if kind == "gapped" else lowrank_sparse
+    a = public(m, n, seed)
+    assert np.array_equal(_bits(a), _bits(_restated_lowrank(kind, m, n, seed)))
+    for eps in (1.0, 0.1, 0.0):
+        model = NoiseModel(epsilon=eps, seed=seed + 1, rho=0.99)
+        for got, want in zip(colored_noise(a, model), _restated_colored_noise(a, model)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_colored_noise_covariance_structure():
