@@ -83,8 +83,8 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
     _require_enough_rows(a_s.shape[1], a_s.shape[0], row)
     q_c, t_c = matkit.thin_qr(x[:, p])
     q_r, t_r = matkit.thin_qr(a_s.T)
-    # an inf in x outside the selection makes inf * 0 here; the check below
-    # rejects the middle matrix it spoils
+    # x near float64's limit can overflow here; the check below rejects the
+    # middle matrix it spoils
     with np.errstate(over="ignore", invalid="ignore"):
         core = (q_c.T @ x) @ q_r
     out = []
@@ -98,7 +98,7 @@ def _nested_middle_matrices(x, p, a_s, sizes, name="A"):
         if not np.isfinite(m).all():
             raise SingularMatrixError(
                 f"middle matrix of {name} is not finite: the inverses of {col} "
-                f"and {row} overflow at this scale, or {name} is not finite"
+                f"and {row} overflow at this scale"
             )
         out.append(m)
     return out, q_c, q_r
@@ -169,7 +169,7 @@ def _projection(x, factor, mode, what):
     _require_enough_rows(basis.shape[0], basis.shape[1], what)
     q, t = matkit.thin_qr(basis)
     _require_full_rank(t, FullRankError, what)
-    # as for the core of a middle matrix: the check below rejects an inf * 0
+    # as for the core of a middle matrix: the check below rejects an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "column":
             proj = np.linalg.solve(t, q.T @ x)
@@ -179,7 +179,7 @@ def _projection(x, factor, mode, what):
     if not np.isfinite(proj).all():
         raise SingularMatrixError(
             f"projection onto {what} is not finite: its inverse overflows "
-            "at this scale, or the projected matrix is not finite"
+            "at this scale"
         )
     return proj, _projection_error(x, q, mode)
 

@@ -7,7 +7,7 @@ Selection matrices are never materialized: every "S^T X" is a row gather.
 import numpy as np
 
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
-from .matkit import _require_full_rank, as_matrix, require_finite
+from .matkit import _require_full_rank, as_matrix
 
 # deim_select eliminates this many columns between two trailing updates
 _BLOCK = 32
@@ -57,15 +57,15 @@ def deim_select(basis, k):
     DependentBasisError when that block fails the rule or a pivot is
     exactly 0; the message names the first step whose selected block fails
     the rule. A basis with a NaN or inf entry raises ContractViolationError
-    before any elimination. Raises DimensionError when k exceeds the column
-    count.
+    (``as_matrix``) before any elimination. Raises DimensionError when k is
+    not an integer or exceeds the column count.
     """
-    u = require_finite(as_matrix(basis, "basis"), "basis")
+    u = as_matrix(basis, "basis")
     m, r = u.shape
     if r > m:
         raise DimensionError(f"basis needs rows >= cols, got {m}x{r}")
-    if not 1 <= k <= r:
-        raise DimensionError(f"k={k} outside 1..{r} (columns available)")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= r:
+        raise DimensionError(f"k={k!r} outside 1..{r} (columns available)")
     # column j becomes its residual, then its multipliers (column j of L)
     f = np.array(u[:, :k], order="F")
     t = np.empty((min(_BLOCK, k), k))  # the current block's rows of U
@@ -113,10 +113,10 @@ def _name_dependent_step(u, s, k):
 
 
 def _selected_block(basis, indices):
-    """Validate a finite basis and its indices; return the basis, the
-    indices, the selected square block and its singular values, after the
-    rank rule on that block."""
-    u = require_finite(as_matrix(basis, "basis"), "basis")
+    """Validate a basis and its indices; return the basis, the indices, the
+    selected square block and its singular values, after the rank rule on
+    that block."""
+    u = as_matrix(basis, "basis")
     s = as_indices(indices, u.shape[0])
     if s.size != u.shape[1]:
         raise DimensionError(
@@ -136,14 +136,15 @@ def interp_project(basis, indices, x, side="left"):
     reproduced exactly.
 
     A basis or an X with a NaN or inf entry anywhere raises
-    ContractViolationError. A solve with the selected block that is not
-    finite (it scales as 1/||basis||, so it overflows for a basis of
-    subnormal scale) raises SingularMatrixError, as a middle matrix does.
+    ContractViolationError (``as_matrix``). A solve with the selected block
+    that is not finite (it scales as 1/||basis||, so it overflows for a
+    basis of subnormal scale) raises SingularMatrixError, as a middle matrix
+    does.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     u, s, sub, _ = _selected_block(basis, indices)
-    x = require_finite(as_matrix(x, "X"), "X")
+    x = as_matrix(x, "X")
     if side == "left":
         if x.shape[0] != u.shape[0]:
             raise DimensionError(
@@ -172,8 +173,9 @@ def eta(basis, indices):
 
     For an orthonormal basis this equals the projector's norm. It reads
     psi_min from the singular values the rank rule already computed. A basis
-    with a NaN or inf entry raises ContractViolationError, and a psi_min
-    whose inverse overflows (a basis of subnormal scale) SingularMatrixError.
+    with a NaN or inf entry raises ContractViolationError (``as_matrix``),
+    and a psi_min whose inverse overflows (a basis of subnormal scale)
+    SingularMatrixError.
     """
     # a Python float division overflows to inf without numpy's warning
     inv = 1.0 / float(_selected_block(basis, indices)[3][-1])

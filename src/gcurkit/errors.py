@@ -14,7 +14,8 @@ class DimensionError(GcurkitError, ValueError):
 
 
 class ContractViolationError(GcurkitError, ValueError):
-    """Input values violate a documented contract (e.g. non-orthonormal basis)."""
+    """Input values violate a documented contract (e.g. a NaN or inf entry,
+    a non-orthonormal basis)."""
 
 
 class SingularMatrixError(GcurkitError):
@@ -30,7 +31,8 @@ class FullRankError(GcurkitError):
 
 
 class ConvergenceError(GcurkitError):
-    """An underlying factorization iteration failed to converge."""
+    """An underlying factorization iteration failed to converge, or an
+    intermediate result overflowed float64."""
 
 
 class ParseError(GcurkitError):

@@ -309,7 +309,8 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
 
     def worker(eps, eps_seq):
         def run(ids):
-            f = _child_normals(eps_seq, ids, (3, 3)) @ rchol
+            # the stack bypasses as_matrix; this is the check spectral_norm(f) makes
+            f = matkit.require_finite(_child_normals(eps_seq, ids, (3, 3)) @ rchol, "A")
             e = (eps * (matkit._spectral_norm(f) / norm_a))[:, None, None] * f
             noisy = a + e
             svd_angles = angle(matkit._svd(noisy).W[..., :2])

@@ -45,7 +45,7 @@ import numpy as np
 from . import curfac, deim, matkit
 from .curfac import _residual_norm
 from .errors import ContractViolationError, DimensionError
-from .gsvd import _require_pair, gsvd
+from .gsvd import _reduced_gsvd, _require_pair
 
 # evaluate_bounds and relative_errors accept A when its column norms match the
 # carried R_a's to this fraction of R_a's largest; Householder QR keeps them to
@@ -147,16 +147,12 @@ def _ratio_gap(factors, k):
 
 
 def _gcur(a, b, k, with_b):
-    a = matkit.as_matrix(a, "A")
-    b = matkit.as_matrix(b, "B")
-    m, n = a.shape
-    matkit._require_truncation_rank(k, n)
-    if m > n:
-        # the reduction gsvd makes too, but only U_k is lifted to m rows
-        r_a, lift = matkit._triangle_and_lift(a)
-    else:
-        r_a, lift = a.copy(), None  # gsvd raises for m < n
-    f = gsvd(r_a, b)
+    a, b = _require_pair(a, b)
+    matkit._require_truncation_rank(k, a.shape[1])
+    # gsvd's reduction, but only U_k is lifted to m rows
+    f, r_a, lift = _reduced_gsvd(a, b)
+    if lift is None:
+        r_a = r_a.copy()  # A itself; the factors own their arrays
     ur_k = f.U[:, :k].copy()
     u_k = ur_k.copy() if lift is None else lift(ur_k)
     del lift  # holds the m x n reflectors
@@ -194,11 +190,11 @@ def gcur_only_a(a, b, k):
 
 
 def _reconstruct(x, shape, p, m, s, x_s, name):
-    """X[:, p] M X_s for a finite X of the ``shape`` the factors were
-    computed from, whose rows X[s, :] are the carried X_s. An X of another
-    shape raises DimensionError; other rows, or a product beyond float64's
-    range, ContractViolationError."""
-    x = matkit.require_finite(matkit.as_matrix(x, name), name)
+    """X[:, p] M X_s for an X of the ``shape`` the factors were computed
+    from, whose rows X[s, :] are the carried X_s. An X of another shape
+    raises DimensionError; other rows, or a product beyond float64's range,
+    ContractViolationError."""
+    x = matkit.as_matrix(x, name)
     if x.shape != shape:
         raise DimensionError(
             f"{name} is {x.shape[0]}x{x.shape[1]}, but the factors were computed "
@@ -213,9 +209,9 @@ def reconstruct_a(a, factors):
     """Materialize the rank-k approximation of A from its GCUR factors.
 
     An A of another shape than the one the factors came from raises
-    DimensionError; a non-finite A, an A whose rows A[s_a, :] are not the
-    carried A_s bit for bit, or an approximation beyond float64's range,
-    raises ContractViolationError.
+    DimensionError; a non-finite A (``matkit.as_matrix``), an A whose rows
+    A[s_a, :] are not the carried A_s bit for bit, or an approximation
+    beyond float64's range, raises ContractViolationError.
     """
     f = factors
     return _reconstruct(a, (f.U_k.shape[0], f.Y.shape[0]), f.p, f.M_a, f.s_a, f.A_s, "A")
@@ -242,8 +238,7 @@ def _require_columns_of(a, r_a):
     norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
     norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
     gap = float(np.max(np.abs(norms_a - norms_r)))
-    # written so that a NaN gap (a NaN in A or R_a) fails the test too; the
-    # scale is R_a's, which is finite, so an inf in A fails it as well
+    # written so that a NaN gap (a NaN in the carried R_a) fails the test too
     if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_r)):
         raise ContractViolationError(
             f"column norms of A and of the carried triangle R_a differ by "
@@ -318,15 +313,15 @@ def relative_errors(a, b, factors, mode="cur"):
     for A, Qb_p and Qb_s for B) and take no QR. err_b is None for factors
     from :func:`gcur_only_a`. The factors must come from this same pair,
     checked as in :func:`evaluate_bounds`, and a B whose row count differs
-    from theirs raises DimensionError; a B that is zero or not finite, or
-    whose rows B[s_b, :] are not the carried B_s bit for bit, cannot have
-    produced them and raises ContractViolationError. A residual beyond
-    float64's range raises ContractViolationError.
+    from theirs raises DimensionError; a B that is zero, or whose rows
+    B[s_b, :] are not the carried B_s bit for bit, cannot have produced them
+    and raises ContractViolationError, as a non-finite A or B does
+    (``matkit.as_matrix``). A residual beyond float64's range raises
+    ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
     _, b = _require_factors_of(a, b, factors)
-    matkit.require_finite(b, "B")
     if not b.any():
         raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
     f = factors

@@ -121,10 +121,11 @@ def gsvd(a, b):
     """Reduced GSVD of the pair (A, B); see the module docstring for the form.
 
     Raises DimensionError unless A and B share a column count n with at least
-    n rows each, and FullRankError when the stacked pair [A; B] is column-rank
-    deficient (then no nonsingular Y exists). A rank-deficient B with a
-    full-rank stack is handled: those directions get sigma = 0, sort first,
-    and their V columns are completed by orthogonalization.
+    n rows each, ContractViolationError for a NaN or +-inf entry in either
+    (``matkit.as_matrix``), and FullRankError when the stacked pair [A; B] is
+    column-rank deficient (then no nonsingular Y exists). A rank-deficient B
+    with a full-rank stack is handled: those directions get sigma = 0, sort
+    first, and their V columns are completed by orthogonalization.
     """
     f, _, lift = _reduced_gsvd(*_require_pair(a, b))
     return f if lift is None else f._replace(U=lift(f.U))

@@ -307,7 +307,11 @@ def read_matrix(path, csv_header=False):
 
 
 def write_matrix_market(path, a):
-    """Write a dense matrix in Matrix Market array format, lossless round-trip."""
+    """Write a dense matrix in Matrix Market array format, lossless round-trip.
+
+    A NaN or +-inf entry raises ContractViolationError (``matkit.as_matrix``):
+    the readers refuse one, so it would not read back.
+    """
     a = as_matrix(a, "matrix")
     m, n = a.shape
     flat = a.ravel(order="F")

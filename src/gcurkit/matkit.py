@@ -15,10 +15,7 @@ projections of both sides) and ``curfac._projection``, Y's QR in
 ``gcur.evaluate_bounds``, and in ``experiments`` the QR of the low-rank
 generators' n x 50 factor Y, whose Q is the noise-recovery scorer's basis
 of A's rows, and (``_factor_in_basis``) the QR of each noise-recovery
-K_eps, which has min(m, n + 50) rows, not m. The public ``thin_qr`` and
-``svd`` raise ConvergenceError on a non-finite input, which numpy factors
-into NaN without raising (``svd`` checks before it factors, since numpy's
-SVD can iterate forever on an inf entry). A caller that needs only the
+K_eps, which has min(m, n + 50) rows, not m. A caller that needs only the
 triangle, or Q applied to a few columns, uses ``_triangle_and_lift``,
 which keeps the Householder reflectors in compact WY form instead of
 forming Q, for a matrix of any shape: the reduction of a tall A in
@@ -28,8 +25,13 @@ reads), the noise-recovery scorer's per-reconstruction triangle, and the
 noise-recovery trial's one QR of [G, F], which lifts the left vectors of
 every eps to m rows.
 
-The public functions take 2-D matrices only: each validates through
-``as_matrix``, which rejects any other ndim, and then calls a private core.
+Input is validated once, at the public boundary: every public function of
+the package passes each matrix argument through ``as_matrix``, which rejects
+any ndim but 2, an empty matrix (DimensionError) and a NaN or +-inf entry
+(ContractViolationError "<name> contains non-finite entries"). Past that
+point a non-finite value is an intermediate that overflowed, and the checks
+on results (a spectrum, a solve, a product) raise for it. A public function
+here validates and then calls a private core.
 The cores ``_svd``, ``_thin_qr`` (with the sign fix ``_diag_signs``),
 ``_spectral_norm`` and ``_lambda_max``, ``_max_principal_angle`` and
 ``_check_orthonormal``, and ``_require_full_rank`` also take a stack of
@@ -38,7 +40,8 @@ of the stack in one numpy call. numpy's stacked LAPACK and matmul calls give
 each matrix the bits it gets alone, so a stack changes no result; the
 intro-angles experiment runs its trials that way. A core that rejects its
 input (a rank test, a non-finite scale or spectrum) raises for the whole
-stack.
+stack. The cores do not call ``as_matrix``, so ``_svd`` and
+``_spectral_norm`` keep their own finiteness checks.
 """
 
 from contextlib import contextmanager
@@ -69,9 +72,10 @@ def _require_full_rank(a, error, what):
     """Raise ``error`` when A is numerically rank deficient (psi_min negligible).
 
     Returns A's singular values, nonincreasing, for callers that need them.
-    On a stack, raises when any matrix is, naming the first. A non-finite A
-    raises ConvergenceError: its SVD either does not converge or, with an
-    inf entry, returns NaN singular values, which no comparison would flag.
+    On a stack, raises when any matrix is, naming the first. An A that
+    overflowed on its way here raises ConvergenceError: its SVD either does
+    not converge or, with an inf entry, returns NaN singular values, which
+    no comparison would flag.
     """
     try:
         psi = np.linalg.svd(a, compute_uv=False)
@@ -90,28 +94,36 @@ def _require_full_rank(a, error, what):
 
 
 def as_matrix(a, name="matrix"):
-    """Validate ``a`` as a nonempty 2-D real matrix and return it as float64.
+    """Validate ``a`` as a nonempty, finite 2-D real matrix; return it as float64.
 
-    A float64 array comes back as itself, in its own storage order; anything
-    else is converted once.
+    The one input check of the package (module docstring). A float64 array
+    comes back as itself, in its own storage order; anything else is
+    converted once. Raises DimensionError for another ndim or an empty
+    matrix, and ContractViolationError naming ``name`` for a NaN or +-inf
+    entry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise DimensionError(f"{name} must be nonempty, got shape {a.shape}")
-    return a
+    return require_finite(a, name)
 
 
 def _require_truncation_rank(k, n):
-    """A rank-k truncation of n directions needs 1 <= k < n (a nonempty tail)."""
-    if not 1 <= k < n:
-        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k}")
+    """A rank-k truncation of n directions needs an integer k with 1 <= k < n
+    (a nonempty tail)."""
+    if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
+        raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k!r}")
 
 
 def require_finite(a, name="matrix"):
-    """Reject NaN/Inf entries; used on generator output and file ingestion."""
-    if not np.isfinite(a).all():
+    """Reject a NaN or +-inf entry of a nonempty array; return the array.
+
+    max and min propagate NaN and show an inf at one end, so no bool
+    temporary of A's size is formed.
+    """
+    if not (np.isfinite(a.max()) and np.isfinite(a.min())):
         raise ContractViolationError(f"{name} contains non-finite entries")
     return a
 
@@ -147,13 +159,14 @@ def svd(a):
     """Full (thin) singular value decomposition of a nonempty matrix.
 
     Returns rank r = min(m, n) factors; delegates to the LAPACK dense kernel.
-    A non-finite A raises ConvergenceError.
+    A non-finite A raises ContractViolationError (``as_matrix``).
     """
     return _svd(as_matrix(a, "A"))
 
 
 def _svd(a):
-    # checked first: with an inf entry, numpy's SVD can iterate forever
+    # checked first, for a stack that bypasses as_matrix: with an inf entry
+    # (a noisy stack that overflowed, say), numpy's SVD can iterate forever
     # (20x6 with one inf, 2-core x86) instead of returning NaN
     if not np.isfinite(a).all():
         raise ConvergenceError(
@@ -177,8 +190,9 @@ def thin_qr(a):
     """Thin QR factorization A = Q @ T (rows >= cols) with nonnegative diag(T).
 
     The sign convention makes factor comparisons deterministic across runs.
-    A non-finite A, which numpy's QR factors into NaN without raising,
-    raises ConvergenceError.
+    A non-finite A raises ContractViolationError (``as_matrix``); a finite A
+    whose triangle overflows (column norms beyond float64's range), which
+    numpy's QR returns without raising, raises ConvergenceError.
     """
     a = as_matrix(a, "A")
     m, n = a.shape
@@ -186,7 +200,7 @@ def thin_qr(a):
         raise DimensionError(f"thin QR needs rows >= cols, got {m}x{n}")
     out = _thin_qr(a)
     if not np.isfinite(out.T).all():
-        raise ConvergenceError(f"thin QR of a {m}x{n} matrix with non-finite entries")
+        raise ConvergenceError(f"thin QR of a {m}x{n} matrix: the triangle overflows")
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matkit
 from .errors import ContractViolationError, DimensionError, SingularMatrixError
-from .matkit import as_matrix, require_finite
+from .matkit import as_matrix
 
 #: Group names of the four-subgroup target data set, in row-block order.
 SUBGROUP_NAMES = ("blue", "yellow", "orange", "purple")
@@ -138,7 +138,7 @@ def _contract(f, y):
     """A = F Y^T as ``np.einsum("ij,kj->ik", F, Y)``: the 50 terms are summed
     in numpy's own loop, with no BLAS call, so A's bits do not depend on the
     BLAS thread count. Rows F[s] give A[s] bit for bit."""
-    return require_finite(np.einsum("ij,kj->ik", f, y), "generated matrix")
+    return np.einsum("ij,kj->ik", f, y)
 
 
 def _core_svd(f, y):
@@ -201,7 +201,6 @@ def perturb_chol(rchol, seed):
         raise DimensionError(f"Cholesky factor must be square, got {rchol.shape}")
     if np.any(np.tril(rchol, -1) != 0.0):
         raise ContractViolationError("Cholesky factor must be upper triangular")
-    require_finite(rchol, "Rchol")
     rng = np.random.default_rng(seed)
     factors = rng.uniform(0.9, 1.1, size=rchol.shape)
     out = rchol.copy()
@@ -244,6 +243,4 @@ def subgroup_data(spec, center=False):
     if center:
         a = a - a.mean(axis=0)
         b = b - b.mean(axis=0)
-    require_finite(a, "target matrix")
-    require_finite(b, "background matrix")
     return a, b, labels

@@ -6,7 +6,12 @@ import pytest
 
 from gcurkit import curfac, deim, gcur, matkit
 from gcurkit.curfac import deim_cur, interpolative, middle_matrix
-from gcurkit.errors import DimensionError, FullRankError, SingularMatrixError
+from gcurkit.errors import (
+    ContractViolationError,
+    DimensionError,
+    FullRankError,
+    SingularMatrixError,
+)
 
 
 def reconstruct(a, factors):
@@ -319,11 +324,11 @@ def test_subnormal_scale_raises_instead_of_a_non_finite_projection(mode):
 
 
 def test_middle_matrix_rejects_nan_that_reaches_only_the_core():
-    # a NaN outside the selected rows and columns passes both rank tests
-    # and spoils only the core Q_c^T A Q_r
+    # a NaN outside the selected rows and columns would pass both rank tests
+    # and spoil only the core Q_c^T A Q_r; it is refused at the boundary
     a, _ = _fixture_pair()
     a[10, 5] = np.nan
-    with pytest.raises(SingularMatrixError, match="not finite"):
+    with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
         middle_matrix(a, [0, 1, 2], [0, 1, 2])
 
 

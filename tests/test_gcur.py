@@ -6,7 +6,7 @@ import pytest
 
 from gcurkit import curfac, deim, matkit
 from gcurkit.curfac import deim_cur, middle_matrix
-from gcurkit.errors import ContractViolationError, ConvergenceError, DimensionError
+from gcurkit.errors import ContractViolationError, DimensionError
 from gcurkit.gcur import (
     evaluate_bounds,
     gcur,
@@ -444,9 +444,8 @@ def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
 @pytest.mark.parametrize("only_a", [False, True])
 @pytest.mark.parametrize("m", [20, 8])
 def test_bounds_and_errors_reject_a_nan_a(m, only_a):
-    # a NaN anywhere in A makes its column-norm gap NaN, and a +-inf makes
-    # it inf; either must fail the same-pair check instead of scoring the
-    # factors of the clean A
+    # a NaN or +-inf anywhere in A, even outside the selected rows, is
+    # refused at the boundary instead of scoring the factors of the clean A
     rng = np.random.default_rng(0)
     a = rng.standard_normal((m, 6))
     b = rng.standard_normal((9, 6))
@@ -455,10 +454,10 @@ def test_bounds_and_errors_reject_a_nan_a(m, only_a):
     for bad in (np.nan, np.inf, -np.inf):
         a_bad = a.copy()
         a_bad[row, 2] = bad
-        with pytest.raises(ContractViolationError, match="column norms"):
+        with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
             evaluate_bounds(a_bad, b, f)
         for mode in ("cur", "column", "row"):
-            with pytest.raises(ContractViolationError, match="column norms"):
+            with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
                 relative_errors(a_bad, b, f, mode)
 
 
@@ -712,12 +711,14 @@ def test_only_a_is_faster_at_scale():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input_raises_convergence_error(bad):
-    # gcur's GSVD of (R_A, B) fails its rank test's SVD: ConvergenceError,
-    # not numpy's bare LinAlgError
+def test_non_finite_input_raises_contract_violation(bad):
+    # refused at the boundary, before gcur's GSVD of (R_A, B) would fail its
+    # rank test's SVD (ConvergenceError there, not numpy's bare LinAlgError)
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
     a[3, 2] = bad
     for run in (gcur, gcur_only_a):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
             run(a, b, 3)
+        with pytest.raises(ContractViolationError, match="B contains non-finite entries"):
+            run(b, a, 3)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from gcurkit import matkit
-from gcurkit.errors import ConvergenceError, DimensionError, FullRankError
+from gcurkit.errors import (
+    ContractViolationError,
+    ConvergenceError,
+    DimensionError,
+    FullRankError,
+)
 from gcurkit.gsvd import _stacked_gsvd, gsvd, gsvd_diagnostics
 
 
@@ -117,10 +122,13 @@ def test_truncate_diag_example_k1():
 
 def test_truncate_bounds_errors():
     # the truncation rank must satisfy 1 <= k < n, and it is checked before
-    # the factorization, which would fail on this NaN B
+    # the factorization, which fails on this zero pair
+    zero = np.zeros((3, 3))
     for k in (0, 3):
         with pytest.raises(DimensionError, match="truncation rank"):
-            gsvd_diagnostics(np.eye(3), np.full((3, 3), np.nan), k)
+            gsvd_diagnostics(zero, zero, k)
+    with pytest.raises(FullRankError, match="stacked pair"):
+        gsvd_diagnostics(zero, zero, 1)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -300,14 +308,19 @@ def test_stacked_core_rejects_a_stack_with_a_rank_deficient_pair():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input_raises_convergence_error(bad):
-    # the SVD of the stacked pair's rank test does not converge; that ends in
-    # ConvergenceError, as in matkit.svd, not in numpy's bare LinAlgError
+def test_non_finite_input_raises_contract_violation(bad):
+    # refused at the boundary; a stacked pair that bypasses it fails the SVD
+    # of its rank test, which ends in ConvergenceError, not in numpy's bare
+    # LinAlgError
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
     a[3, 2] = bad
-    with pytest.raises(ConvergenceError, match="stacked pair"):
+    with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
         gsvd(a, b)
+    with pytest.raises(ContractViolationError, match="B contains non-finite entries"):
+        gsvd(b, a)
+    with pytest.raises(ConvergenceError, match="stacked pair"):
+        _stacked_gsvd(a, b)
 
 
 @pytest.mark.parametrize("m", [40, 200])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcurkit import io as gio
-from gcurkit.errors import ParseError
+from gcurkit.errors import ContractViolationError, ParseError
 
 
 def test_array_roundtrip_bit_identical(tmp_path):
@@ -68,6 +68,15 @@ def test_malformed_token_named(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\nbogus\n")
     with pytest.raises(ParseError, match="bogus"):
         gio.read_matrix(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_what_the_readers_refuse(tmp_path, bad):
+    # a lossless round trip cannot hold a value the readers reject
+    path = tmp_path / "a.mtx"
+    with pytest.raises(ContractViolationError, match="matrix contains non-finite entries"):
+        gio.write_matrix_market(path, np.array([[1.0, bad]]))
+    assert not path.exists()
 
 
 def test_unsupported_variants_rejected(tmp_path):

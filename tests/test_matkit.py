@@ -1,16 +1,21 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from gcurkit import matkit
+import gcurkit as gk
+from gcurkit import experiments, matkit
 from gcurkit.gsvd import gsvd, gsvd_diagnostics
 from gcurkit.errors import (
     ContractViolationError,
     ConvergenceError,
     DimensionError,
 )
+
+_rng = np.random.default_rng(0)
+_A, _B = _rng.standard_normal((20, 6)), _rng.standard_normal((9, 6))
 
 
 def test_svd_identity():
@@ -172,13 +177,16 @@ def test_max_principal_angle_rejects_non_orthonormal():
 
 
 def test_max_principal_angle_rejects_a_nan_basis():
-    # a NaN deviation from orthonormality must fail the check, not reach
-    # the SVD as a bare LinAlgError
+    # a NaN basis is refused at the boundary, not reach the SVD as a bare
+    # LinAlgError; the orthonormality check on its own (which the stacked
+    # intro-angles bases reach without as_matrix) fails a NaN deviation too
     basis, nan = np.eye(3)[:, :2], np.full((3, 2), np.nan)
-    with pytest.raises(ContractViolationError, match="U2 does not have orthonormal"):
+    with pytest.raises(ContractViolationError, match="U2 contains non-finite entries"):
         matkit.max_principal_angle(basis, nan)
-    with pytest.raises(ContractViolationError, match="U1 does not have orthonormal"):
+    with pytest.raises(ContractViolationError, match="U1 contains non-finite entries"):
         matkit.max_principal_angle(nan, basis)
+    with pytest.raises(ContractViolationError, match="U does not have orthonormal"):
+        matkit._check_orthonormal(nan, "U")
 
 
 @pytest.mark.filterwarnings("error")
@@ -195,15 +203,18 @@ def test_max_principal_angle_rejects_a_basis_whose_gram_overflows():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_svd_rejects_non_finite_input_before_lapack(monkeypatch, bad):
     # numpy's SVD of this 20x6 matrix with an inf at (1, 0) never returns,
-    # so a non-finite matrix must not reach it
+    # so a non-finite matrix must not reach it: svd refuses it at the
+    # boundary, and the core, which stacks reach without as_matrix, itself
     def no_lapack(*args, **kwargs):
         raise AssertionError("the SVD ran on a non-finite matrix")
 
     a = np.random.default_rng(0).standard_normal((20, 6))
     a[1, 0] = bad
     monkeypatch.setattr(np.linalg, "svd", no_lapack)
-    with pytest.raises(ConvergenceError, match="20x6 matrix with non-finite entries"):
+    with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
         matkit.svd(a)
+    with pytest.raises(ConvergenceError, match="20x6 matrix with non-finite entries"):
+        matkit._svd(a)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -261,16 +272,19 @@ def test_spectral_norm_rejects_non_finite(bad):
     x[2, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
             matkit.spectral_norm(x)
+        with pytest.raises(ConvergenceError, match="6x4 matrix with non-finite entries"):
+            matkit._spectral_norm(x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf), (np.nan, -np.inf)])
 @pytest.mark.parametrize("pos", [(0, 0), (5, 3), (0, 3), (5, 0)])
 @pytest.mark.parametrize("fill", [1.0, -1.0])
 def test_spectral_norm_rejects_non_finite_anywhere(bad, pos, fill):
-    # the scale reads max(a) and min(a): a non-finite entry at either end of
-    # the storage, among entries of either sign, must still be refused
+    # as_matrix and the core's scale both read max(a) and min(a): a
+    # non-finite entry at either end of the storage, among entries of either
+    # sign, must still be refused by each
     x = np.full((6, 4), fill)
     if isinstance(bad, tuple):
         x[pos], x[5 - pos[0], 3 - pos[1]] = bad
@@ -278,21 +292,52 @@ def test_spectral_norm_rejects_non_finite_anywhere(bad, pos, fill):
         x[pos] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
             matkit.spectral_norm(x)
+        with pytest.raises(ConvergenceError, match="6x4 matrix with non-finite entries"):
+            matkit._spectral_norm(x)
 
 
 @pytest.mark.parametrize("factor", [matkit.svd, matkit.thin_qr])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factorizations_reject_non_finite(factor, bad):
     # numpy's SVD fails on a NaN entry but returns NaN factors for an inf
-    # one, and its QR returns NaN factors for either
+    # one, and its QR returns NaN factors for either: as_matrix refuses both
     x = np.ones((6, 4))
     x[2, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="6x4 matrix"):
+        with pytest.raises(ContractViolationError, match="A contains non-finite entries"):
             factor(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_thin_qr_rejects_a_triangle_that_overflows():
+    # a finite A whose column norms exceed float64's range: numpy's QR
+    # returns an inf triangle without raising or warning
+    with pytest.raises(ConvergenceError, match="4x2 matrix: the triangle overflows"):
+        matkit.thin_qr(np.full((4, 2), 1.5e308))
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, np.float64(2.0), "2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: gk.gcur(_A, _B, k),
+        lambda k: gk.gcur_only_a(_A, _B, k),
+        lambda k: gk.deim_select(_A[:, :3], k),
+        lambda k: gk.deim_cur(_A, k),
+        lambda k: gk.interpolative(_A, k),
+        lambda k: gk.gsvd_diagnostics(_A, _B, k),
+        lambda k: experiments.noise_recovery(m=60, n=50, k_values=(k,), trials=1),
+    ],
+    ids=["gcur", "gcur_only_a", "deim_select", "deim_cur", "interpolative",
+         "gsvd_diagnostics", "noise_recovery"],
+)
+def test_a_rank_that_is_not_an_integer_raises_dimension_error(call, k):
+    # a float or string k used to end in a bare TypeError or IndexError
+    with pytest.raises(DimensionError, match=re.escape(repr(k))):
+        call(k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

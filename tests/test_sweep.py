@@ -17,7 +17,7 @@ import pytest
 
 import gcurkit as gk
 from gcurkit import curfac
-from gcurkit.errors import GcurkitError
+from gcurkit.errors import ContractViolationError, GcurkitError
 
 _rng = np.random.default_rng(0)
 A, B = _rng.standard_normal((20, 6)), _rng.standard_normal((9, 6))
@@ -117,3 +117,16 @@ def test_spoiled_input_gives_finite_output_or_a_gcurkit_error(name, pos, spoil):
         except GcurkitError:
             return
     assert _finite(out), f"{name} returned non-finite output"
+
+
+@pytest.mark.parametrize(
+    "name,pos,spoil", [p for p in _PARAMS if p.values[2] in ("nan", "inf", "-inf")]
+)
+def test_non_finite_input_raises_one_error_at_the_boundary(name, pos, spoil):
+    # a NaN or +-inf entry in any matrix argument is refused before any work,
+    # with one class and one message, whichever routine it is given to
+    fn, args = CASES[name]
+    call = list(args)
+    call[pos] = _spoiled(args[pos], spoil, [pos, SPOILS.index(spoil), len(name)])
+    with pytest.raises(ContractViolationError, match="contains non-finite entries$"):
+        fn(*call)
