@@ -7,7 +7,7 @@ Selection matrices are never materialized: every "S^T X" is a row gather.
 import numpy as np
 
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
-from .matkit import _require_full_rank, as_matrix
+from .matkit import _is_integer, _require_full_rank, as_matrix
 
 # deim_select eliminates this many columns between two trailing updates
 _BLOCK = 32
@@ -64,7 +64,7 @@ def deim_select(basis, k):
     m, r = u.shape
     if r > m:
         raise DimensionError(f"basis needs rows >= cols, got {m}x{r}")
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= r:
+    if not _is_integer(k) or not 1 <= k <= r:
         raise DimensionError(f"k={k!r} outside 1..{r} (columns available)")
     # column j becomes its residual, then its multipliers (column j of L)
     f = np.array(u[:, :k], order="F")

@@ -110,10 +110,15 @@ def as_matrix(a, name="matrix"):
     return require_finite(a, name)
 
 
+def _is_integer(k):
+    """A Python or numpy integer that is not a bool: a valid rank or count."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _require_truncation_rank(k, n):
     """A rank-k truncation of n directions needs an integer k with 1 <= k < n
     (a nonempty tail)."""
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
+    if not _is_integer(k) or not 1 <= k < n:
         raise DimensionError(f"truncation rank must satisfy 1 <= k < {n}, got {k!r}")
 
 

@@ -177,9 +177,10 @@ def test_max_principal_angle_rejects_non_orthonormal():
 
 
 def test_max_principal_angle_rejects_a_nan_basis():
-    # a NaN basis is refused at the boundary, not reach the SVD as a bare
-    # LinAlgError; the orthonormality check on its own (which the stacked
-    # intro-angles bases reach without as_matrix) fails a NaN deviation too
+    # a NaN basis is refused at the boundary instead of reaching the SVD as
+    # a bare LinAlgError; the orthonormality check on its own (which the
+    # stacked intro-angles bases reach without as_matrix) fails a NaN
+    # deviation too
     basis, nan = np.eye(3)[:, :2], np.full((3, 2), np.nan)
     with pytest.raises(ContractViolationError, match="U2 contains non-finite entries"):
         matkit.max_principal_angle(basis, nan)
@@ -204,7 +205,7 @@ def test_max_principal_angle_rejects_a_basis_whose_gram_overflows():
 def test_svd_rejects_non_finite_input_before_lapack(monkeypatch, bad):
     # numpy's SVD of this 20x6 matrix with an inf at (1, 0) never returns,
     # so a non-finite matrix must not reach it: svd refuses it at the
-    # boundary, and the core, which stacks reach without as_matrix, itself
+    # boundary, and so does the core, which stacks reach without as_matrix
     def no_lapack(*args, **kwargs):
         raise AssertionError("the SVD ran on a non-finite matrix")
 
@@ -319,7 +320,7 @@ def test_thin_qr_rejects_a_triangle_that_overflows():
         matkit.thin_qr(np.full((4, 2), 1.5e308))
 
 
-@pytest.mark.parametrize("k", [2.0, 2.5, np.float64(2.0), "2"])
+@pytest.mark.parametrize("k", [2.0, 2.5, np.float64(2.0), "2", True])
 @pytest.mark.parametrize(
     "call",
     [
@@ -335,7 +336,7 @@ def test_thin_qr_rejects_a_triangle_that_overflows():
          "gsvd_diagnostics", "noise_recovery"],
 )
 def test_a_rank_that_is_not_an_integer_raises_dimension_error(call, k):
-    # a float or string k used to end in a bare TypeError or IndexError
+    # a float, string or bool k used to end in a bare TypeError or IndexError
     with pytest.raises(DimensionError, match=re.escape(repr(k))):
         call(k)
 

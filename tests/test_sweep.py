@@ -7,7 +7,9 @@ at a seeded position, or the whole matrix zero, times 1e-310 (subnormal)
 or times 1e300. The other arguments stay clean, and GCUR factors are
 built from the clean pair. Each call must return finite output or raise a
 GcurkitError subclass; a RuntimeWarning fails the call, and only the
-UserWarning on a degenerate spectrum is allowed.
+UserWarning on a degenerate spectrum is allowed. A NaN or +-inf spoil must
+raise the one boundary error, ContractViolationError "<name> contains
+non-finite entries" (``matkit.as_matrix``).
 """
 
 import warnings
