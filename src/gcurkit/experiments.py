@@ -1,25 +1,25 @@
 """Reproducible experiment harness: colored-noise recovery, the 3x3
 subspace-angle study, and four-subgroup column selection.
 
-Every experiment takes a master seed, and trial i gets the random stream
-of child seed ``seq.spawn(n)[i]`` of its ``numpy.random.SeedSequence``, so
-each trial's stream depends only on the master seed and the trial id, and
-results are bit-identical for a fixed seed. Everything runs in the calling
-thread; the dense kernels run on the threads the BLAS library is given. One
-trial loop runs every experiment: it hands its worker stacks of trial ids
-in order. Noise recovery takes one trial per stack and builds that one
-child seed. The 3x3 subspace-angle study takes ``INTRO_STACK`` trials per
-stack and builds no child: numpy fixes the ``SeedSequence`` hash and the
-``PCG64`` seeding (NEP 19), so the PCG64 states of the whole stack's
-children are derived in one vectorized pass (:func:`_child_normals`), and
-one reused generator draws each trial's noise from its child's state. Each
-stage after the draw (the noise product, its norm, the SVD, the GSVD and
-the two angles) is one stacked numpy call on the private ``matkit`` and
-``gsvd`` cores for the whole stack, which gives each trial the bits it gets
-alone. A failed trial is recorded under
-``trial_failures`` and left out of the statistics. A stack of several trials
-that raises runs again one trial at a time, so each failing trial records
-its own message in trial-id order. A grid cell that no trial reaches raises.
+Every experiment takes a master seed. One trial loop runs every
+experiment: it hands its worker stacks of trial ids in order, and stack j
+gets the random stream of child seed ``seq.spawn(n)[j]`` of its
+``numpy.random.SeedSequence``, so each stack's stream depends only on the
+master seed and the stack id, and results are bit-identical for a fixed
+seed. Everything runs in the calling thread; the dense kernels run on the
+threads the BLAS library is given. Noise recovery takes one trial per
+stack, so trial i gets child i. The 3x3 subspace-angle study takes
+``INTRO_STACK`` trials per stack: stack j draws its noise in one
+``standard_normal((INTRO_STACK, 3, 3))`` call from child j, and trial i
+takes row i mod ``INTRO_STACK`` of it, so ``INTRO_STACK`` is part of the
+seeding rule. Each stage after the draw (the noise product, its norm, the
+SVD, the GSVD and the two angles) is one stacked numpy call on the private
+``matkit`` and ``gsvd`` cores for the whole stack, which gives each trial
+the bits it gets alone. A failed trial is recorded under
+``trial_failures`` and left out of the statistics. A stack of several
+trials that raises runs again one trial at a time, on the same draws, so
+each failing trial records its own message in trial-id order. A grid
+cell that no trial reaches raises.
 
 Noise recovery forms no m x n matrix. A trial holds the test matrix as its
 factors, A = F Y^T with 50 columns each, and the noise as its raw Gaussian
@@ -97,13 +97,6 @@ INTRO_STACK = 256
 # A trial that raises one of these is recorded as failed; anything else is a bug.
 _TRIAL_ERRORS = (GcurkitError, np.linalg.LinAlgError)
 
-# numpy's SeedSequence hash and PCG64 seeding constants (NEP 19 fixes both)
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 def _run_trials(worker, trials, size):
     """Run ``worker(ids)`` on lists of up to ``size`` trial ids in trial-id
@@ -137,94 +130,6 @@ def _child(seq, i):
     return np.random.SeedSequence(
         seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size
     )
-
-
-def _words(value):
-    """Little-endian 32-bit words of an int, or of each int of a sequence in
-    turn, as ``SeedSequence`` splits its entropy and spawn key (0 is one word)."""
-    if not isinstance(value, (int, np.integer)):
-        return [w for v in value for w in _words(v)]
-    value = int(value)
-    out = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        out.append(value & _MASK32)
-    return out
-
-
-def _mul_xorshift(value, mult):
-    """The multiply and xor-shift that end each step of ``SeedSequence``'s
-    hash, on a 32-bit word or a uint32 array."""
-    value = (value * mult) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    """``SeedSequence``'s mix of two pool words."""
-    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _child_normals(seq, ids, shape):
-    """``np.stack([default_rng(_child(seq, i)).standard_normal(shape) for i
-    in ids])``, bit for bit, without building a child seed or generator.
-
-    ``SeedSequence`` and ``PCG64`` seeding are fixed by numpy's RNG policy
-    (NEP 19). A child's entropy words are ``seq``'s entropy, padded with
-    zeros to the pool size, then its spawn key ``seq.spawn_key + (i,)``; the
-    trial id i is the last word, one 32-bit word for any trial count that
-    fits in memory. The hash constants run in a fixed order whatever the
-    data, so every word but the last is mixed once in Python ints, and the
-    id word and ``generate_state(4, uint64)`` run on uint32 arrays over all
-    ids (array arithmetic wraps at 2**32 silently). Each PCG64 state then
-    follows ``pcg64_set_seed``, and one reused generator draws every trial.
-    """
-    words = _words(seq.entropy)
-    words += [0] * (seq.pool_size - len(words))
-    words += _words(seq.spawn_key)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        return _mul_xorshift(value, const)
-
-    pool = [hashmix(w) for w in words[: seq.pool_size]]
-    for src in range(seq.pool_size):
-        for dst in range(seq.pool_size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[seq.pool_size :] + [np.asarray(ids, dtype=np.uint32)]:
-        for dst in range(seq.pool_size):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-
-    const = _INIT_B
-    state = []
-    for j in range(8):
-        value = pool[j % seq.pool_size] ^ const
-        const = const * _MULT_B & _MASK32
-        state.append(_mul_xorshift(value, const).astype(np.uint64))
-    s0, s1, i0, i1 = (
-        (state[j] | state[j + 1] << 32).tolist() for j in range(0, 8, 2)
-    )
-
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    out = np.empty((len(ids), *shape))
-    for t in range(len(ids)):
-        inc = (i0[t] << 65 | i1[t] << 1 | 1) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {
-                "state": ((inc + (s0[t] << 64 | s1[t])) * _PCG_MULT + inc) & _MASK128,
-                "inc": inc,
-            },
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(shape, out=out[t])
-    return out
 
 
 def _require_values(values, name):
@@ -287,10 +192,12 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     covariance's Cholesky factor as its second matrix.
 
     The trials of each eps run as stacks of ``INTRO_STACK`` (see the module
-    docstring). Trial i of an eps draws its noise from the stream of that
-    eps's ``spawn(trials)[i]``, with the PCG64 states of a stack derived in
-    one pass (:func:`_child_normals`) and no seed or generator built per
-    trial. Then one stacked call per stage runs on the private cores of
+    docstring). Stack j of an eps draws all ``INTRO_STACK`` noise matrices
+    from the stream of that eps's ``spawn(n)[j]``, also when the stack is
+    the partial last one or a failed stack runs again trial by trial, and
+    trial i takes draw i mod ``INTRO_STACK``: its noise depends only on the
+    seed, the eps and i, not on ``trials`` or on the BLAS thread count.
+    Then one stacked call per stage runs on the private cores of
     ``matkit.spectral_norm``, ``matkit.svd``, ``gsvd`` and
     ``matkit.max_principal_angle``, with the results those public functions
     give trial by trial. The fixture and the clean basis are checked once
@@ -309,8 +216,10 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
 
     def worker(eps, eps_seq):
         def run(ids):
+            child = _child(eps_seq, ids[0] // INTRO_STACK)
+            draws = np.random.default_rng(child).standard_normal((INTRO_STACK, 3, 3))
             # the stack bypasses as_matrix; this is the check spectral_norm(f) makes
-            f = matkit.require_finite(_child_normals(eps_seq, ids, (3, 3)) @ rchol, "A")
+            f = matkit.require_finite(draws[np.remainder(ids, INTRO_STACK)] @ rchol, "A")
             e = (eps * (matkit._spectral_norm(f) / norm_a))[:, None, None] * f
             noisy = a + e
             svd_angles = angle(matkit._svd(noisy).W[..., :2])

@@ -48,7 +48,7 @@ from .errors import ContractViolationError, DimensionError
 from .gsvd import _reduced_gsvd, _require_pair
 
 # evaluate_bounds and relative_errors accept A when its column norms match the
-# carried R_a's to this fraction of R_a's largest; Householder QR keeps them to
+# carried R_a's to this fraction of A's largest; Householder QR keeps them to
 # a few ulps.
 _COLUMN_NORM_TOL = 1e-10
 
@@ -232,17 +232,23 @@ def reconstruct_b(b, factors):
 def _require_columns_of(a, r_a):
     """R_a of A = Q_A R_A keeps A's column norms; raise when they differ.
 
-    One O(mn) pass in A's own layout, with no m x n temporary. A mismatch
-    means the factors were computed from another matrix of the same shape.
+    Both are divided by s = max|a_ij| first, as ``matkit._spectral_norm``
+    scales, so the squares neither overflow nor underflow at any finite
+    scale of A. A mismatch means the factors were computed from another
+    matrix of the same shape.
     """
-    norms_a = np.sqrt(np.einsum("ij,ij->j", a, a))
-    norms_r = np.sqrt(np.einsum("ij,ij->j", r_a, r_a))
-    gap = float(np.max(np.abs(norms_a - norms_r)))
-    # written so that a NaN gap (a NaN in the carried R_a) fails the test too
-    if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_r)):
+    scale = max(float(a.max()), -float(a.min())) or 1.0
+    x = a / scale
+    norms_a = np.sqrt(np.einsum("ij,ij->j", x, x))
+    # a carried R_a far larger than A can overflow here; the test below fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = r_a / scale
+        gap = float(np.max(np.abs(norms_a - np.sqrt(np.einsum("ij,ij->j", x, x)))))
+    # written so that a NaN or inf gap (a non-finite carried R_a) fails the test too
+    if not gap <= _COLUMN_NORM_TOL * float(np.max(norms_a)):
         raise ContractViolationError(
             f"column norms of A and of the carried triangle R_a differ by "
-            f"{gap:.3e}; compute the factors with gcur on this pair"
+            f"{gap * scale:.3e}; compute the factors with gcur on this pair"
         )
 
 
@@ -313,22 +319,22 @@ def relative_errors(a, b, factors, mode="cur"):
     for A, Qb_p and Qb_s for B) and take no QR. err_b is None for factors
     from :func:`gcur_only_a`. The factors must come from this same pair,
     checked as in :func:`evaluate_bounds`, and a B whose row count differs
-    from theirs raises DimensionError; a B that is zero, or whose rows
-    B[s_b, :] are not the carried B_s bit for bit, cannot have produced them
-    and raises ContractViolationError, as a non-finite A or B does
-    (``matkit.as_matrix``). A residual beyond float64's range raises
-    ContractViolationError.
+    from theirs raises DimensionError; for factors with B's side, a B that
+    is zero, or whose rows B[s_b, :] are not the carried B_s bit for bit,
+    cannot have produced them and raises ContractViolationError, as a
+    non-finite A or B does (``matkit.as_matrix``). A residual beyond
+    float64's range raises ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
     _, b = _require_factors_of(a, b, factors)
-    if not b.any():
-        raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
     f = factors
     err_a = _side_error(f.R_a, f.p, f.M_a, f.A_s, f.Q_p, f.Q_s, mode)
     err_a /= matkit.spectral_norm(f.R_a)
     if f.s_b is None:
         return err_a, None
+    if not b.any():
+        raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
     _require_rows_of(b, f.s_b, f.B_s, "B")
     err_b = _side_error(b, f.p, f.M_b, f.B_s, f.Qb_p, f.Qb_s, mode)
     return err_a, err_b / matkit.spectral_norm(b)
@@ -341,16 +347,16 @@ def evaluate_bounds(a, b, factors):
     Q_p, Q_s, Y and gamma from ``factors``, which must come from
     :func:`gcur` or :func:`gcur_only_a` on this same pair. Factors whose
     arrays do not match A's row count, B's (for factors from :func:`gcur`),
-    the column count n or k = p.size raise DimensionError. Factors whose
-    R_a does not have A's column norms (to 1e-10 of R_a's largest), or whose
-    A_s is not A[s_a, :] bit for bit, raise ContractViolationError. Its one
-    QR is the thin QR of Y, for the orthonormal column basis Q_k and the
-    triangular blocks T22 (trailing square block) and T_hat (trailing
-    column block), whose norms and smallest singular values come from one
-    SVD each; the two orthogonal projections read the bases of R_a[:, p]
-    and A_s^T that gcur formed for M_a, and whose triangles passed the rank
-    rule there. It checks each inequality to within 1e-9 * ||A||, with
-    ||A|| = ||R_a||.
+    the column count n or k = p.size raise DimensionError. Factors whose R_a
+    does not have A's column norms (to 1e-10 of A's largest, at any finite
+    scale of A), or whose A_s is not A[s_a, :] bit for bit, raise
+    ContractViolationError. Its one QR is the thin QR of Y, for the
+    orthonormal column basis Q_k and the triangular blocks T22 (trailing
+    square block) and T_hat (trailing column block), whose norms and
+    smallest singular values come from one SVD each; the two orthogonal
+    projections read the bases of R_a[:, p] and A_s^T that gcur formed for
+    M_a, and whose triangles passed the rank rule there. It checks each
+    inequality to within 1e-9 * ||A||, with ||A|| = ||R_a||.
 
     The interpolatory errors are sandwiched as
 

@@ -351,7 +351,9 @@ def spectral_norm(a):
     The eigensolver's error is relative to ||G|| = lambda_max, so sigma_max
     keeps full relative accuracy. Only sigma_max is read this way: squaring
     loses the small singular values, which the rank rule needs, so it keeps
-    the SVD.
+    the SVD. A finite A whose norm is beyond float64's range (a 20x6
+    standard-normal A times 5e307, say) raises ConvergenceError, as its SVD
+    does, for a stack as for one matrix.
     """
     return float(_spectral_norm(as_matrix(a, "A")))
 
@@ -368,4 +370,9 @@ def _spectral_norm(a):
     x = a / np.where(zero, 1.0, scale)[..., None, None]
     xt = x.swapaxes(-1, -2)
     gram = xt @ x if m >= n else x @ xt
-    return np.where(zero, 0.0, scale * np.sqrt(_lambda_max(gram)))
+    # a finite A whose largest singular value is beyond float64's range
+    with np.errstate(over="ignore"):
+        norm = np.where(zero, 0.0, scale * np.sqrt(_lambda_max(gram)))
+    if not np.isfinite(norm).all():
+        raise ConvergenceError(f"spectral norm of a {m}x{n} matrix overflows")
+    return norm

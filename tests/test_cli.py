@@ -529,7 +529,7 @@ def test_empty_experiment_list_is_usage_error(monkeypatch, capsys, name, flag, t
 
     monkeypatch.setattr(synth, "_lowrank", no_trial)
     monkeypatch.setattr(synth, "subgroup_data", no_trial)
-    monkeypatch.setattr(experiments, "_child_normals", no_trial)
+    monkeypatch.setattr(experiments, "_child", no_trial)
     rc = main(["experiment", name, flag, text])
     assert rc == EXIT_USAGE
     what = "integer" if flag == "--rank" else "number"

@@ -57,7 +57,10 @@ def test_intro_angles_seed_changes_results():
 
 def _intro_angles_oracle(eps_values, trials, seed):
     """Reference: the per-trial loop of the intro-angles study, one public
-    call per stage, as the report dict with no timing."""
+    call per stage, as the report dict with no timing. Trial i takes row
+    i mod INTRO_STACK of the full draw of its stack's child seed,
+    ``spawn(n)[i // INTRO_STACK]``, whatever ``trials`` is."""
+    stack = experiments.INTRO_STACK
     a = experiments.INTRO_MATRIX
     rchol = np.linalg.cholesky(experiments.INTRO_COVARIANCE).T
     w2 = matkit.svd(a).W[:, :2]
@@ -66,9 +69,11 @@ def _intro_angles_oracle(eps_values, trials, seed):
     cells, failures = [], []
     for eps, eps_seq in zip(eps_values, per_eps):
         angles = {"SVD": [], "GSVD": []}
-        for child in eps_seq.spawn(trials):
+        children = eps_seq.spawn(-(-trials // stack))
+        for i in range(trials):
             try:
-                f = np.random.default_rng(child).standard_normal((3, 3)) @ rchol
+                rng = np.random.default_rng(children[i // stack])
+                f = rng.standard_normal((stack, 3, 3))[i % stack] @ rchol
                 noisy = a + eps * (matkit.spectral_norm(f) / norm_a) * f
                 svd_angle = matkit.max_principal_angle(w2, matkit.svd(noisy).W[:, :2])
                 gsvd_angle = matkit.max_principal_angle(w2, gsvd(noisy, rchol).U[:, :2])
@@ -109,29 +114,26 @@ def test_intro_angles_failed_trials_keep_their_own_messages(monkeypatch):
     # trials 3 and 300 of the first cell draw NaN noise: their stacks run
     # again trial by trial, so exactly those two fail, with the per-trial
     # loop's messages in trial-id order, and every other trial still counts.
-    # intro_angles draws through _child_normals, the per-trial oracle
-    # through np.random.default_rng: both are poisoned for the same trials.
-    poisoned = {(0, 3), (0, 300)}
-    child_normals = experiments._child_normals
+    # Both intro_angles and the per-trial oracle draw through
+    # np.random.default_rng, which poisons the rows of those two trials in
+    # the draws of their stacks' child seeds (spawn key (cell, stack)).
+    stack = experiments.INTRO_STACK
+    poisoned = {(0, i // stack): i % stack for i in (3, 300)}
     default_rng = np.random.default_rng
 
-    def draws(seq, ids, shape):
-        out = child_normals(seq, ids, shape)
-        for t, i in enumerate(ids):
-            if seq.spawn_key + (i,) in poisoned:
-                out[t] = np.nan
-        return out
-
     class PoisonedRng:
+        def __init__(self, seed, row):
+            self.rng, self.row = default_rng(seed), row
+
         def standard_normal(self, shape):
-            return np.full(shape, np.nan)
+            out = self.rng.standard_normal(shape)
+            out[self.row] = np.nan
+            return out
 
     def rng(seed):
-        if getattr(seed, "spawn_key", None) in poisoned:
-            return PoisonedRng()
-        return default_rng(seed)
+        row = poisoned.get(getattr(seed, "spawn_key", None))
+        return default_rng(seed) if row is None else PoisonedRng(seed, row)
 
-    monkeypatch.setattr(experiments, "_child_normals", draws)
     monkeypatch.setattr(np.random, "default_rng", rng)
     trials, eps_values = 520, (5e-2, 5e-3)
     got = experiments.intro_angles(eps_values=eps_values, trials=trials, seed=4)
@@ -153,22 +155,6 @@ def _seeding_masters():
     ]
 
 
-@pytest.mark.parametrize("grandchild", [None, 0, 1, 2])
-@pytest.mark.parametrize("master", range(6))
-def test_child_normals_match_numpys_children_bitwise(master, grandchild):
-    # the derived PCG64 states draw what default_rng(seq.spawn(n)[i]) draws,
-    # for full stacks, partial stacks and single ids
-    seq = _seeding_masters()[master]
-    if grandchild is not None:
-        seq = seq.spawn(3)[grandchild]
-    children = seq.spawn(600)
-    want = np.stack([np.random.default_rng(c).standard_normal((3, 3)) for c in children])
-    for ids in (range(600), range(256), range(512, 600), [0], [599], [7, 8, 9]):
-        ids = list(ids)
-        got = experiments._child_normals(seq, ids, (3, 3))
-        assert np.array_equal(got, want[ids])
-
-
 @pytest.mark.parametrize("master", range(6))
 def test_child_is_numpys_spawned_child(master):
     seq = _seeding_masters()[master]
@@ -176,17 +162,6 @@ def test_child_is_numpys_spawned_child(master):
     for i in (0, 1, 39):
         got = experiments._child(seq, i).generate_state(8)
         assert np.array_equal(got, children[i].generate_state(8))
-
-
-def test_intro_angles_builds_no_generator_per_trial(monkeypatch):
-    # every trial's noise comes from the derived states; a return to one
-    # default_rng per trial would keep every report bit-identical
-    def refuse(seed=None):
-        raise AssertionError("intro_angles built a generator with default_rng")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    rep = experiments.intro_angles(eps_values=(5e-2,), trials=600, seed=3)
-    assert rep.cells[0]["stats"]["SVD"]["trials"] == 600
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +256,7 @@ def test_empty_grid_axis_raises_before_trials(monkeypatch, run, kwargs):
 
     monkeypatch.setattr(synth, "_lowrank", no_trial)
     monkeypatch.setattr(synth, "subgroup_data", no_trial)
-    monkeypatch.setattr(experiments, "_child_normals", no_trial)
+    monkeypatch.setattr(experiments, "_child", no_trial)
     name = next(iter(kwargs))
     with pytest.raises(DimensionError, match=f"{name} must hold at least one value"):
         run(**kwargs)

@@ -441,6 +441,37 @@ def test_bounds_reject_a_foreign_matrix_of_the_same_shape(m):
     assert evaluate_bounds(np.ascontiguousarray(a), b, f) == evaluate_bounds(a, b, f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_bounds_reject_a_non_finite_or_huge_carried_triangle(bad):
+    # an inf in the carried R_a made the gap and its scale both inf, so the
+    # check passed and numpy warned in a later matmul instead
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    r_a = f.R_a.copy()
+    r_a[0, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match="column norms"):
+            evaluate_bounds(a, b, f._replace(R_a=r_a))
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e307])
+def test_same_pair_check_holds_at_any_finite_scale(scale):
+    # squaring A's entries overflowed from a column norm of about 1.3e154
+    # on, and the check refused the factors gcur had just built from A
+    rng = np.random.default_rng(0)
+    a, b = scale * rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    f = gcur(a, b, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(evaluate_bounds(a, b, f).checks.values())
+        for mode in ("cur", "column", "row"):
+            assert np.isfinite(relative_errors(a, b, f, mode)).all()
+        with pytest.raises(ContractViolationError, match="column norms"):
+            evaluate_bounds(2.0 * a, b, f)
+
+
 @pytest.mark.parametrize("only_a", [False, True])
 @pytest.mark.parametrize("m", [20, 8])
 def test_bounds_and_errors_reject_a_nan_a(m, only_a):

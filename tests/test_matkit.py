@@ -279,6 +279,21 @@ def test_spectral_norm_rejects_non_finite(bad):
             matkit._spectral_norm(x)
 
 
+def test_spectral_norm_that_overflows_raises():
+    # a finite A whose norm is beyond float64's range used to give inf with a
+    # RuntimeWarning; its SVD raises, and so does every stack that holds it
+    x = np.random.default_rng(0).standard_normal((20, 6)) * 5e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="spectral norm of a 20x6 matrix overflows"):
+            matkit.spectral_norm(x)
+        with pytest.raises(ConvergenceError, match="singular values overflow"):
+            matkit.svd(x)
+        with pytest.raises(ConvergenceError, match="spectral norm of a 20x6 matrix overflows"):
+            matkit._spectral_norm(np.stack([x / 5e307, x]))
+        assert matkit.spectral_norm(x / 10.0) > 1e307
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf), (np.nan, -np.inf)])
 @pytest.mark.parametrize("pos", [(0, 0), (5, 3), (0, 3), (5, 0)])
 @pytest.mark.parametrize("fill", [1.0, -1.0])

@@ -3,13 +3,20 @@
 Every export of ``gcurkit.__all__`` that takes a matrix, plus
 ``curfac.middle_matrix`` and ``curfac.projection_error``, is called with
 each of its matrix arguments in turn spoiled: one NaN, +inf or -inf entry
-at a seeded position, or the whole matrix zero, times 1e-310 (subnormal)
-or times 1e300. The other arguments stay clean, and GCUR factors are
-built from the clean pair. Each call must return finite output or raise a
-GcurkitError subclass; a RuntimeWarning fails the call, and only the
-UserWarning on a degenerate spectrum is allowed. A NaN or +-inf spoil must
-raise the one boundary error, ContractViolationError "<name> contains
-non-finite entries" (``matkit.as_matrix``).
+at a seeded position, or the whole matrix zero, times 1e-310 (subnormal),
+times 1e300 or times 5e307 (a norm beyond float64's range). The other
+arguments stay clean, and GCUR factors are built from the clean pair. Each
+call must return finite output or raise a GcurkitError subclass; a
+RuntimeWarning fails the call, and only the UserWarning on a degenerate
+spectrum is allowed. A NaN or +-inf spoil must raise the one boundary
+error, ContractViolationError "<name> contains non-finite entries"
+(``matkit.as_matrix``).
+
+The scorers of GCUR factors are also given factors built from the spoiled
+pair itself, for each finite spoil of A or of B: those factors came from
+that very pair, so each scorer must return finite output or raise a
+GcurkitError other than the same-pair check's "... on this pair". A pair
+that ``gcur`` or ``gcur_only_a`` itself refuses has no factors to score.
 """
 
 import warnings
@@ -63,13 +70,23 @@ CASES = {
     "projection_error-row": (curfac.projection_error, (A, S, "row")),
 }
 
-SPOILS = ["nan", "inf", "-inf", "zero", "1e-310", "1e300"]
+# name -> scorer of GCUR factors, called as scorer(A, B, factors)
+SCORERS = {
+    "relative_errors-cur": lambda a, b, f: gk.relative_errors(a, b, f, "cur"),
+    "relative_errors-column": lambda a, b, f: gk.relative_errors(a, b, f, "column"),
+    "relative_errors-row": lambda a, b, f: gk.relative_errors(a, b, f, "row"),
+    "evaluate_bounds": gk.evaluate_bounds,
+    "reconstruct_a": lambda a, b, f: gk.reconstruct_a(a, f),
+    "reconstruct_b": lambda a, b, f: gk.reconstruct_b(b, f),
+}
+
+SPOILS = ["nan", "inf", "-inf", "zero", "1e-310", "1e300", "5e307"]
 
 
 def _spoiled(x, spoil, seed):
     if spoil == "zero":
         return np.zeros_like(x)
-    if spoil in ("1e-310", "1e300"):
+    if spoil in ("1e-310", "1e300", "5e307"):
         return x * float(spoil)
     y = x.copy()
     i, j = (int(np.random.default_rng(seed).integers(d)) for d in x.shape)
@@ -132,3 +149,29 @@ def test_non_finite_input_raises_one_error_at_the_boundary(name, pos, spoil):
     call[pos] = _spoiled(args[pos], spoil, [pos, SPOILS.index(spoil), len(name)])
     with pytest.raises(ContractViolationError, match="contains non-finite entries$"):
         fn(*call)
+
+
+@pytest.mark.parametrize("build", [gk.gcur, gk.gcur_only_a], ids=["gcur", "gcur_only_a"])
+@pytest.mark.parametrize("spoil", ["zero", "1e-310", "1e300", "5e307"])
+@pytest.mark.parametrize("pos", [0, 1], ids=["A", "B"])
+def test_scorers_take_factors_of_the_spoiled_pair_itself(pos, spoil, build):
+    # the same-pair check used to square A's entries, so from 1e154 on it
+    # refused the factors gcur had just built from that very pair
+    pair = [A, B]
+    pair[pos] = _spoiled(pair[pos], spoil, None)
+    problems = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # a degenerate spectrum
+        try:
+            factors = build(*pair, 3)
+        except GcurkitError:
+            return  # no factors: the build's own sweep case covers it
+        for name, scorer in SCORERS.items():
+            try:
+                if not _finite(scorer(*pair, factors)):
+                    problems.append(f"{name} returned non-finite output")
+            except GcurkitError as exc:
+                if "on this pair" in str(exc):
+                    problems.append(f"{name} refused its own pair: {exc}")
+    assert problems == []
