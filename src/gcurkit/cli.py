@@ -41,17 +41,10 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if not np.isfinite(f):
-            return repr(f)
-        return f
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
     return obj
 
 

@@ -9,9 +9,6 @@ import numpy as np
 from .errors import DependentBasisError, DimensionError, SingularMatrixError
 from .matkit import _is_integer, _require_full_rank, as_matrix
 
-# deim_select eliminates this many columns between two trailing updates
-_BLOCK = 32
-
 
 def as_indices(indices, extent, name="indices"):
     """Validate an index vector: 1-D, integer, distinct, within [0, extent)."""
@@ -43,13 +40,11 @@ def deim_select(basis, k):
     eliminations subtract, so the greedy argmax is the pivot search and the
     selected rows are the pivot rows. So one elimination pass selects all k
     indices, with no j x j solve per step. It runs on a Fortran-order copy
-    of the first k columns, in blocks of ``_BLOCK`` columns: inside a block
-    each column takes the updates of the block's earlier pivots as one
-    matrix-vector product (left-looking), and each pivot's row of U is
-    formed for every later column (Crout); after a block the later columns
-    take its update as one GEMM. The residuals agree with those of per-step
-    solves to rounding, so the indices agree too unless two residual
-    entries tie to rounding.
+    of the first k columns: each column takes the updates of all earlier
+    pivots as one matrix-vector product (left-looking), and each pivot's row
+    of U is formed for every later column (Crout). The residuals agree with
+    those of per-step solves to rounding, so the indices agree too unless
+    two residual entries tie to rounding.
 
     The rank rule (``matkit.RANK_TOL``) runs once, on the final k x k block
     ``basis[s, :k]``: its determinant is, up to sign, the product of the
@@ -68,27 +63,20 @@ def deim_select(basis, k):
         raise DimensionError(f"k={k!r} outside 1..{r} (columns available)")
     # column j becomes its residual, then its multipliers (column j of L)
     f = np.array(u[:, :k], order="F")
-    t = np.empty((min(_BLOCK, k), k))  # the current block's rows of U
+    t = np.empty((k, k))  # the pivots' rows of U
     s = np.empty(k, dtype=np.int64)
     # a finite basis can still overflow here; the rank rule below rejects it
     with np.errstate(all="ignore"):
-        for b0 in range(0, k, _BLOCK):
-            b1 = min(b0 + _BLOCK, k)
-            for j in range(b0, b1):
-                i = j - b0
-                col = f[:, j]
-                if i:
-                    col -= f[:, b0:j] @ t[:i, j]
-                    col[s[b0:j]] = 0.0
-                s[j] = piv_row = int(np.argmax(np.abs(col)))
-                piv = col[piv_row]
-                if piv == 0.0:
-                    _name_dependent_step(u, s[: j + 1], k)
-                t[i, j + 1 :] = f[piv_row, j + 1 :] - f[piv_row, b0:j] @ t[:i, j + 1 :]
-                col /= piv
-            if b1 < k:
-                f[:, b1:] -= f[:, b0:b1] @ t[: b1 - b0, b1:]
-                f[s[b0:b1], b1:] = 0.0
+        for j in range(k):
+            col = f[:, j]
+            col -= f[:, :j] @ t[:j, j]
+            col[s[:j]] = 0.0
+            s[j] = piv_row = int(np.argmax(np.abs(col)))
+            piv = col[piv_row]
+            if piv == 0.0:
+                _name_dependent_step(u, s[: j + 1], k)
+            t[j, j + 1 :] = f[piv_row, j + 1 :] - f[piv_row, :j] @ t[:j, j + 1 :]
+            col /= piv
     try:
         _require_full_rank(u[s, :k], DependentBasisError, f"selected {k}x{k} block")
     except DependentBasisError:

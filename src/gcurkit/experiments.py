@@ -523,52 +523,46 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100):
     selection by the nearest-centroid cross-validation proxy and by the
     separation ratio of the two leading selected columns. Projections onto
     the leading right singular directions (plain and pair-generalized) are
-    scored the same way and returned as plot coordinates. An empty
-    ``n_columns`` raises DimensionError.
+    scored the same way and returned as plot coordinates; the two leading
+    coordinates are scored and returned even when every entry of
+    ``n_columns`` is 1. An empty ``n_columns`` raises DimensionError.
     """
     _require_values(n_columns, "n_columns")
     spec = synth.SubgroupSpec(points_per_group=points_per_group, seed=seed)
     a, b, labels = synth.subgroup_data(spec, center=True)
-    kmax = max(n_columns)
+    # the two leading coordinates are scored at every rank; DEIM prefixes
+    # nest, so selecting more columns leaves the first ones as they are
+    kmax = max(2, max(n_columns))
     t0 = time.perf_counter()
 
     cur = curfac.deim_cur(a, kmax)
     gc = gcur_only_a(a, b, kmax)
     f = matkit.svd(a)
     x_right = np.linalg.inv(gc.Y).T  # right generalized directions, from gcur's Y
+    coords = {  # each method's first n coordinates of the target
+        "CUR": lambda n: a[:, cur.p[:n]],
+        "GCUR": lambda n: a[:, gc.p[:n]],
+        "TSVD": lambda n: a @ f.Z[:, :n],
+        "TGSVD": lambda n: a @ x_right[:, :n],
+    }
 
     cells = []
-    for n_cols in n_columns:
-        stats = {}
-        stats["CUR"] = {
-            "cv_error": nearest_centroid_cv(a[:, cur.p[:n_cols]], labels),
-            "columns": [int(c) + 1 for c in cur.p[:n_cols]],
+    for n in n_columns:
+        stats = {
+            name: {"cv_error": nearest_centroid_cv(of(n), labels)} for name, of in coords.items()
         }
-        stats["GCUR"] = {
-            "cv_error": nearest_centroid_cv(a[:, gc.p[:n_cols]], labels),
-            "columns": [int(c) + 1 for c in gc.p[:n_cols]],
-        }
-        stats["TSVD"] = {"cv_error": nearest_centroid_cv(a @ f.Z[:, :n_cols], labels)}
-        stats["TGSVD"] = {
-            "cv_error": nearest_centroid_cv(a @ x_right[:, :n_cols], labels)
-        }
-        cells.append({"n_columns": n_cols, "stats": stats})
+        stats["CUR"]["columns"] = [int(c) + 1 for c in cur.p[:n]]
+        stats["GCUR"]["columns"] = [int(c) + 1 for c in gc.p[:n]]
+        cells.append({"n_columns": n, "stats": stats})
 
-    separation = {
-        "CUR": separation_ratio(a[:, cur.p[:2]], labels),
-        "GCUR": separation_ratio(a[:, gc.p[:2]], labels),
-        "TSVD": separation_ratio(a @ f.Z[:, :2], labels),
-        "TGSVD": separation_ratio(a @ x_right[:, :2], labels),
-    }
+    leading = {name: of(2) for name, of in coords.items()}
+    separation = {name: separation_ratio(x, labels) for name, x in leading.items()}
     extra = {
         "separation_ratio_two_leading": separation,
         "projections": {
             "labels": labels.tolist(),
             "group_names": list(synth.SUBGROUP_NAMES),
-            "CUR": a[:, cur.p[:2]].tolist(),
-            "GCUR": a[:, gc.p[:2]].tolist(),
-            "TSVD": (a @ f.Z[:, :2]).tolist(),
-            "TGSVD": (a @ x_right[:, :2]).tolist(),
+            **{name: x.tolist() for name, x in leading.items()},
         },
     }
     params = {

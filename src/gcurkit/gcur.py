@@ -455,18 +455,13 @@ def svd_subspace_gap(a, q_k):
     resid = z_k - q_k @ (q_k.T @ z_k)
     sin_max = min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))
     sin_each = np.minimum(1.0, np.linalg.norm(resid, axis=0))
-    try:
-        with np.errstate(over="raise"):
-            lower = psi_next**2
-            value = matkit.spectral_norm(a - (a @ q_k) @ q_k.T) ** 2
-            upper_coarse = lower + matkit.spectral_norm(a) ** 2 * sin_max**2
-            upper_refined = lower + float(np.sum(f.psi[:k] ** 2 * sin_each**2))
+    with matkit._representable("the squared subspace gap of A"):
+        lower = psi_next**2
+        value = matkit.spectral_norm(a - (a @ q_k) @ q_k.T) ** 2
+        upper_coarse = lower + matkit.spectral_norm(a) ** 2 * sin_max**2
+        upper_refined = lower + float(np.sum(f.psi[:k] ** 2 * sin_each**2))
         gap = SubspaceGap(lower, value, upper_coarse, upper_refined)
-    except (OverflowError, FloatingPointError):  # float ** 2 and numpy squares
-        gap = None
-    # a sum of finite Python floats overflows to inf without raising
-    if gap is None or not np.isfinite(gap).all():
-        raise ContractViolationError(
-            "the squared subspace gap of A is not representable in float64"
-        )
+        # a sum of finite Python floats overflows to inf without raising
+        if not np.isfinite(gap).all():
+            raise OverflowError
     return gap

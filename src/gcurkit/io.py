@@ -43,7 +43,6 @@ content) or flat CSV; plot data can also be rendered as a minimal SVG.
 
 import csv
 import io as _io
-import itertools
 import json
 import warnings
 from functools import partial
@@ -77,31 +76,13 @@ def _parse_int(token, path, lineno):
         raise ParseError(f"invalid integer token {token!r}", path, lineno) from None
 
 
-def _floats(tokens, reparse):
-    """Convert a block of tokens to a float64 array with one numpy call.
-
-    numpy parses each string with Python's ``float``. If the call fails,
-    ``reparse()`` parses the block again one token at a time and raises a
-    ``ParseError`` naming the first bad token and its line.
-    """
-    try:
-        return np.array(tokens, dtype=np.float64)
-    except ValueError:
-        return reparse()
-
-
-def _parse_each(numbered, path):
-    """Parse ``(line number, tokens)`` pairs one token at a time."""
-    return np.array(
-        [_parse_float(tok, path, lineno) for lineno, toks in numbered for tok in toks],
-        dtype=np.float64,
-    )
-
-
 def _decoded(chunks, path, encoding):
     """Pass text through, turning an undecodable byte into a ParseError."""
     try:
-        yield from chunks
+        # Not ``yield from chunks``: that would close an open file when the
+        # generator is dropped, and the fast path reads on after the header.
+        for chunk in chunks:
+            yield chunk
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(f"not {encoding} text (byte 0x{byte:02x})", path) from None
@@ -129,15 +110,10 @@ def _lines(fh, path):
     ``str.splitlines`` splits the whole text; an undecodable byte is a
     ParseError."""
     lineno = 0
-    try:
-        # Not ``yield from fh``: that would close fh when the generator is
-        # dropped, and the fast path reads on after the header.
-        for text in fh:
-            for line in text.splitlines():
-                lineno += 1
-                yield lineno, line
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not ASCII text (byte 0x{exc.object[exc.start]:02x})", path) from None
+    for text in _decoded(fh, path, "ASCII"):
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
 
 
 def _mm_header(lines, path):
@@ -252,10 +228,19 @@ def read_matrix_market(path):
 
 
 def _csv_block(rows, path):
-    """Values of the pending CSV ``(line number, record)`` rows, flattened."""
-    tokens = list(itertools.chain.from_iterable(record for _, record in rows))
-    numbered = ((lineno, [tok.strip() for tok in record]) for lineno, record in rows)
-    return _floats(tokens, partial(_parse_each, numbered, path))
+    """Values of the pending CSV ``(line number, record)`` rows, flattened.
+
+    One numpy call converts the block's tokens, parsing each string with
+    Python's ``float``. Only if it fails is the block parsed again one token
+    at a time, which raises a ``ParseError`` naming the first bad token and
+    its line.
+    """
+    try:
+        return np.array([tok for _, record in rows for tok in record], dtype=np.float64)
+    except ValueError:
+        return np.array(
+            [_parse_float(tok.strip(), path, lineno) for lineno, record in rows for tok in record]
+        )
 
 
 def read_csv_matrix(path, header=False):

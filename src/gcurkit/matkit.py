@@ -135,13 +135,14 @@ def require_finite(a, name="matrix"):
 
 @contextmanager
 def _representable(what):
-    """Run products of finite float64 operands; one that overflows (or the
-    inf - inf it leads to) raises ContractViolationError naming ``what``
-    instead of numpy's RuntimeWarning. Finite results keep their bits."""
+    """Run arithmetic on finite float64 operands; numpy's overflow (or the
+    inf - inf it leads to) and Python's ``OverflowError`` (a float ``**``)
+    raise ContractViolationError naming ``what`` instead of a RuntimeWarning
+    or a bare OverflowError. Finite results keep their bits."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         raise ContractViolationError(f"{what} is not representable in float64") from None
 
 

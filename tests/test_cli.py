@@ -577,3 +577,42 @@ def test_csv_report_joins_list_fields(tmp_path):
             columns = cell["stats"][method]["columns"]
             assert got[f"stats.{method}.columns"] == ";".join(map(str, columns))
         assert int(got["n_columns"]) == cell["n_columns"]
+
+
+def test_subgroups_below_rank_two_scores_two_leading_coordinates(tmp_path):
+    # the plot and the two-leading scores need two coordinates per method
+    plot = tmp_path / "s.svg"
+    out = tmp_path / "s.json"
+    rc = main(["experiment", "subgroups", "--rank", "1", "--seed", "0", "--no-timestamp",
+               "--plot-out", str(plot), "--out", str(out)])
+    assert rc == 0
+    assert plot.read_text().startswith("<svg")
+    rep = json.loads(out.read_text())
+    for method in ("CUR", "GCUR", "TSVD", "TGSVD"):
+        assert {len(row) for row in rep["projections"][method]} == {2}
+        assert rep["cells"][0]["stats"][method]["cv_error"] >= 0.0
+    assert len(rep["cells"][0]["stats"]["CUR"]["columns"]) == 1
+
+
+def test_jsonable_numpy_scalars():
+    # every numpy scalar goes through tolist(); a non-finite float is its repr
+    values = {
+        "f32": np.float32(1.1),
+        "f32_inf": np.float32(np.inf),
+        "f32_ninf": np.float32(-np.inf),
+        "f32_nan": np.float32(np.nan),
+        "f64": np.float64(0.1),
+        "f64_inf": np.float64(np.inf),
+        "f64_ninf": np.float64(-np.inf),
+        "f64_nan": np.float64(np.nan),
+        "i32": np.int32(-7),
+        "i64": np.int64(2**40),
+        "true": np.bool_(True),
+        "false": np.bool_(False),
+    }
+    assert gio.report_json(cli._jsonable(values)) == (
+        '{\n  "f32": 1.100000023841858,\n  "f32_inf": "inf",\n  "f32_nan": "nan",\n'
+        '  "f32_ninf": "-inf",\n  "f64": 0.1,\n  "f64_inf": "inf",\n  "f64_nan": "nan",\n'
+        '  "f64_ninf": "-inf",\n  "false": false,\n  "i32": -7,\n  "i64": 1099511627776,\n'
+        '  "true": true\n}\n'
+    )

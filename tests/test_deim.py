@@ -90,8 +90,7 @@ def test_zero_column_errors():
         deim_select(u, 3)
 
 
-# 31..33 and 64, 65 straddle the ends of deim_select's column blocks
-@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100])
+@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100, 299])
 @pytest.mark.parametrize("seed", range(3))
 def test_matches_per_step_reference_on_orthonormal_bases(seed, k):
     rng = np.random.default_rng(900 + seed)
@@ -110,8 +109,7 @@ def gsvd_bases(request):
     return {"U": f.U, "V": f.V, "Y": f.Y}
 
 
-# 31..33 and 64, 65 straddle the ends of deim_select's column blocks
-@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100])
+@pytest.mark.parametrize("k", [1, 5, 30, 31, 32, 33, 64, 65, 100, 149])
 @pytest.mark.parametrize("name", ["U", "V", "Y"])
 def test_matches_per_step_reference_on_gsvd_bases(gsvd_bases, name, k):
     basis = gsvd_bases[name][:, :k]

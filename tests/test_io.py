@@ -1,3 +1,4 @@
+import gc
 import io
 import warnings
 
@@ -495,3 +496,17 @@ def test_writer_bytes_match_per_value_reference(tmp_path, monkeypatch, shape, wr
         gio.write_matrix_market(path, a)
         assert path.read_bytes() == _reference_write(a)
         assert gio.read_matrix(str(path)).tobytes(order="F") == a.tobytes(order="F")
+
+
+def test_dropped_header_reader_leaves_the_file_open(tmp_path):
+    # the fast path reads the header through _lines, drops the generator and
+    # hands the same file to np.loadtxt
+    path = tmp_path / "a.mtx"
+    path.write_text(gio.MM_ARRAY_HEADER + "\n% c\n2 1\n1.5\n2.5\n", encoding="ascii")
+    with open(path, encoding="ascii") as fh:
+        lines = gio._lines(fh, str(path))
+        assert gio._mm_header(lines, str(path))[:2] == (3, [2, 1])
+        del lines
+        gc.collect()
+        assert not fh.closed
+        assert fh.read() == "1.5\n2.5\n"
