@@ -38,8 +38,10 @@ Per eps, one thin QR K_eps = Q_s R gives noisy = Q R with Q = Q_b Q_s,
 and R serves both the SVD and the GSVD, which act on the n x n triangle.
 Only the leading kmax left vectors of the two are lifted to m rows, in one
 call of Q_b's lift. The rows the middle matrices read are
-eps c (G[s] R) + F[s] Y^T, from the rows of [G, F]; the einsum of F[s]
-gives A[s] with the public generator's bits.
+eps c (G R)[s] + F[s] Y^T. Once the QR returns, F is copied out of [G, F]
+and [G, F] is dropped: (G R)[s] is read as rows s of Q_b (R_b[:, :n] R)
+through the lift's row-gather form, whose one b x n solve runs once per
+trial, and the einsum of F[s] gives A[s] with the public generator's bits.
 The reconstructions are scored in A's row space. Each of the four lies in
 range(Q), X = Q L R' (TSVD and TGSVD through the left vectors of R's
 factorizations, CUR and GCUR through the column factor
@@ -64,12 +66,13 @@ range(Q), which holds by construction for all four, so every score is the
 relative error of the explicit m x n residual up to rounding. A Q_Y lies
 in range(Q_b) too: A Q_Y = Q_b F' with F' = R_b[:, n:] T_Y^T, so
 C_Y = Q_s^T F' and P_Y = Q_b (F' - Q_s C_Y), and P_Y^T P_Y is the Gram of
-the b-row F' - Q_s C_Y. Per trial, [G, F] costs one m x (n + 50) QR and
-Q_Y one n x j QR; per eps, K_eps costs a b x n QR, the SVD and GSVD of R
-and an m x b x 2 kmax lift, and C_Y and P_Y b x n x j work; per score,
-(j + k)-sized work. In the eps loop only [G, F] and its reflectors have m
-rows. No A, E or G R, no m-row Q, no m x n residual or noisy matrix, and
-no QR or SVD of A or of a noisy matrix is formed.
+the b-row F' - Q_s C_Y. Per trial, [G, F] costs one m x (n + 50) QR,
+the row-gather form one b x b x n solve and Q_Y one n x j QR; per eps,
+K_eps costs a b x n QR, the SVD and GSVD of R and an m x b x 2 kmax lift,
+the selected rows 2 kmax x b x n work, and C_Y and P_Y b x n x j work;
+per score, (j + k)-sized work. In the eps loop only Q_b's reflectors and
+F have m rows. No A, E or G R, no m-row Q, no m x n residual or noisy
+matrix, and no QR or SVD of A or of a noisy matrix is formed.
 """
 
 import math
@@ -138,11 +141,33 @@ def _require_values(values, name):
         raise DimensionError(f"{name} must hold at least one value")
 
 
+def _require_seed(seed):
+    """A seed that numpy's SeedSequence rejects (a negative integer, say)
+    raises ContractViolationError, before any trial runs."""
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
+def _require_trial_grid(eps_values, trials):
+    """The trial experiments' grid, checked before any trial runs: at least
+    one eps, each finite and >= 0 (ContractViolationError; an empty axis
+    raises DimensionError), and at least one trial."""
+    _require_values(eps_values, "eps_values")
+    for eps in eps_values:
+        if not math.isfinite(eps):
+            raise ContractViolationError(f"epsilon must be finite, got {eps}")
+        if eps < 0:
+            raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
+    if trials < 1:
+        raise ContractViolationError(f"trials must be >= 1, got {trials}")
+
+
 def _require_success(results, failures, cell):
     """A grid cell with no successful trial has no statistics: raise instead."""
     if not results:
-        first = failures[0] if failures else "no trials were run"
-        raise GcurkitError(f"no successful trial for {cell}; first failure: {first}")
+        raise GcurkitError(f"no successful trial for {cell}; first failure: {failures[0]}")
 
 
 def _stats(values):
@@ -201,9 +226,12 @@ def intro_angles(eps_values=(5e-2, 5e-3, 5e-4), trials=1000, seed=0):
     ``matkit.spectral_norm``, ``matkit.svd``, ``gsvd`` and
     ``matkit.max_principal_angle``, with the results those public functions
     give trial by trial. The fixture and the clean basis are checked once
-    per call. An empty ``eps_values`` raises DimensionError.
+    per call. Before any trial runs, an empty ``eps_values`` raises
+    DimensionError, and a negative or non-finite eps, ``trials`` < 1 or a
+    seed that ``numpy.random.SeedSequence`` rejects ContractViolationError.
     """
-    _require_values(eps_values, "eps_values")
+    _require_trial_grid(eps_values, trials)
+    _require_seed(seed)
     a = INTRO_MATRIX
     rchol = np.linalg.cholesky(INTRO_COVARIANCE).T
     w2 = matkit.svd(a).W[:, :2]
@@ -315,16 +343,19 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     A trial builds A's factors (F, Y) with the generators' one builder
     (``synth._lowrank``) and never forms A; the only core SVD it takes is
     the gapped build's gap check. It draws G as ``colored_noise`` does, bit
-    for bit, and takes one QR of [G, F] = Q_b R_b, held as reflectors. With
-    R the noise's Cholesky factor, built once per call, G R = Q_b R_b[:, :n]
-    R and A = Q_b R_b[:, n:] Y^T, so ||A||, ||G R|| and the scale
-    c = ||A|| / ||G R|| that makes E = c G R come from b x n matrices. Each
-    noisy matrix A + eps E = Q_b K_eps is factored through the b x n K_eps
-    (:func:`_factor_in_basis`). The middle matrices of every k come from
-    one QR per side of the kmax selection, since DEIM prefixes nest. Their
-    column factor and core come from the triangle R of K_eps = Q_s R, so
-    they have n rows instead of m, and their selected rows are
-    eps c (G[s] R) + F[s] Y^T, whose A part has the bits of
+    for bit, and takes one QR of [G, F] = Q_b R_b, held as reflectors; then
+    it copies F out and drops [G, F], and drops R_b once the b x n blocks
+    below are formed. With R the noise's Cholesky factor, built once per
+    call, G R = Q_b R_b[:, :n] R and A = Q_b R_b[:, n:] Y^T, so ||A||,
+    ||G R|| and the scale c = ||A|| / ||G R|| that makes E = c G R come
+    from b x n matrices. Each noisy matrix A + eps E = Q_b K_eps is
+    factored through the b x n K_eps (:func:`_factor_in_basis`). The middle
+    matrices of every k come from one QR per side of the kmax selection,
+    since DEIM prefixes nest. Their column factor and core come from the
+    triangle R of K_eps = Q_s R, so they have n rows instead of m, and
+    their selected rows are eps c (G R)[s] + F[s] Y^T: (G R)[s] from rows s
+    of the reflectors (the lift's row-gather form of R_b[:, :n] R, set up
+    once per trial), and the A part with the bits of
     ``lowrank_<kind>(m, n, seed)[s]``. The errors are scored in A's row
     space (:func:`_row_space_scorer`) on b-row work: every score equals the
     relative error of the explicit m x n residual up to rounding.
@@ -338,23 +369,26 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
         f_a, y_a = synth._lowrank(kind, m, n, seeds[0])
         t0 = time.perf_counter()
         rchol_used = synth.perturb_chol(rchol, seeds[2]) if inexact else rchol
-        # [G, F] in Fortran order, which numpy's QR copies only once; the
-        # selected rows are read from it
+        # [G, F] in Fortran order, which numpy's QR copies only once. F is
+        # copied out only after the QR, so the QR holds no more than [G, F]
+        # and its copy, and the eps loop holds only the reflectors and F
         gf = np.empty((m, n + f_a.shape[1]), order="F")
         gf[:, n:] = f_a
         del f_a
         gf[:, :n] = np.random.default_rng(seeds[1]).standard_normal((m, n))
         r_b, lift = matkit._triangle_and_lift(gf)
+        f_a = gf[:, n:].copy()
+        del gf
         r_gr, f_coef = r_b[:, :n] @ rchol, r_b[:, n:]
         fy = f_coef @ y_a.T
         norm_a = matkit.spectral_norm(fy)
         c = norm_a / matkit.spectral_norm(r_gr)
         in_basis = _row_space_scorer(f_coef, y_a, norm_a)
+        del r_b, f_coef
+        gr_rows = lift(r_gr, gather=True)  # s -> (G R)[s] = (Q_b R_b[:, :n] R)[s]
 
         def noisy_rows(s, eps):
-            return (eps * c) * (gf[s, :n] @ rchol) + np.einsum(
-                "ij,kj->ik", gf[s, n:], y_a
-            )
+            return (eps * c) * gr_rows(s) + np.einsum("ij,kj->ik", f_a[s], y_a)
 
         trial_s = (time.perf_counter() - t0) / max(1, len(eps_values))
         out = {}
@@ -409,18 +443,17 @@ def noise_recovery(
     carrying the noise covariance factor, and the index-based reconstructions
     built from each. ``inexact_chol=True`` hands the pair factorization a
     perturbed covariance factor while the noise itself stays exact. A
-    negative eps or a rho outside (0, 1) raises ContractViolationError, and
-    an empty ``k_values`` or ``eps_values``, m < n, n < 50 (the generators'
-    rank-50 build) or a k outside 1 <= k < n raises DimensionError, before
-    any trial runs.
+    negative or non-finite eps, ``trials`` < 1, a seed that
+    ``numpy.random.SeedSequence`` rejects or a rho outside (0, 1) raises
+    ContractViolationError, and an empty ``k_values`` or ``eps_values``,
+    m < n, n < 50 (the generators' rank-50 build) or a k outside
+    1 <= k < n raises DimensionError, before any trial runs.
     """
     if kind not in ("sparse", "gapped"):
         raise ValueError(f"kind must be 'sparse' or 'gapped', got {kind!r}")
     _require_values(k_values, "k_values")
-    _require_values(eps_values, "eps_values")
-    for eps in eps_values:
-        if eps < 0:
-            raise ContractViolationError(f"epsilon must be >= 0, got {eps}")
+    _require_trial_grid(eps_values, trials)
+    _require_seed(seed)
     if not 0.0 < rho < 1.0:
         raise ContractViolationError(f"rho must be in (0, 1), got {rho}")
     if m < n:
@@ -525,9 +558,11 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100):
     the leading right singular directions (plain and pair-generalized) are
     scored the same way and returned as plot coordinates; the two leading
     coordinates are scored and returned even when every entry of
-    ``n_columns`` is 1. An empty ``n_columns`` raises DimensionError.
+    ``n_columns`` is 1. An empty ``n_columns`` raises DimensionError, and a
+    seed that ``numpy.random.SeedSequence`` rejects ContractViolationError.
     """
     _require_values(n_columns, "n_columns")
+    _require_seed(seed)
     spec = synth.SubgroupSpec(points_per_group=points_per_group, seed=seed)
     a, b, labels = synth.subgroup_data(spec, center=True)
     # the two leading coordinates are scored at every rank; DEIM prefixes

@@ -23,7 +23,8 @@ forming Q, for a matrix of any shape: the reduction of a tall A in
 low-rank generators' factors, which ``lowrank_gapped``'s gap check
 reads), the noise-recovery scorer's per-reconstruction triangle, and the
 noise-recovery trial's one QR of [G, F], which lifts the left vectors of
-every eps to m rows.
+every eps to m rows and reads the noise's selected rows through the
+lift's row-gather form.
 
 Input is validated once, at the public boundary: every public function of
 the package passes each matrix argument through ``as_matrix``, which rejects
@@ -245,11 +246,18 @@ def _triangle_and_lift(a):
 
     That is one m x p Gram, taken at the first call and kept, and two thin
     products per call, against forming all of Q (xORGQR, about 4mp^2
-    flops) and multiplying by it. A reflector with tau = 0 (the last one
-    of a square or wide A, say) is the identity and is left out. A
-    Fortran-order A is factored without a copy of its own beyond the one
-    numpy's QR makes. ``thin_qr`` stays the routine for callers that need
-    all of Q.
+    flops) and multiplying by it. V's unit diagonal and the zeros above it
+    are set at the first call too, so a caller that reads only T pays for
+    the QR and for V's copy in Fortran order (none for a Fortran-order A).
+    A reflector with tau = 0 (the last one of a square or wide A, say) is
+    the identity and is left out. A Fortran-order A is factored without a
+    copy of its own beyond the one numpy's QR makes, and V overwrites that
+    copy.
+    ``thin_qr`` stays the routine for callers that need all of Q.
+
+    ``lift(x, gather=True)`` is the row-gather form: it returns a function
+    that maps row indices s to (Q @ X)[s, :], from rows s of V, without
+    forming Q @ X. Its one solve runs at this call, not once per s.
     """
     p = min(a.shape)
     h, tau = np.linalg.qr(a, mode="raw")
@@ -261,20 +269,30 @@ def _triangle_and_lift(a):
     d = _diag_signs(t[:, :p])
     t *= d[:, None]
     v = v[:, :p]
-    v[np.triu_indices(p, 1)] = 0.0
-    np.fill_diagonal(v, 1.0)
-    keep = tau != 0.0
-    if not keep.all():
-        v, tau = v[:, keep], tau[keep]
     s_inv = None
 
-    def lift(x):
-        nonlocal s_inv
+    def lift(x, gather=False):
+        nonlocal v, tau, s_inv
         if s_inv is None:
+            v[np.triu_indices(p, 1)] = 0.0
+            np.fill_diagonal(v, 1.0)
+            keep = tau != 0.0
+            if not keep.all():
+                v, tau = v[:, keep], tau[keep]
             s_inv = np.triu(v.T @ v, 1)
             s_inv[np.diag_indices_from(s_inv)] = 1.0 / tau
         dx = d[:, None] * x
         w = np.linalg.solve(s_inv, v[:p].T @ dx)
+        if gather:
+
+            def rows(s):
+                out = v[s] @ w
+                np.negative(out, out=out)
+                top = s < p
+                out[top] += dx[s[top]]
+                return out
+
+            return rows
         out = np.matmul(v, w, order="F")
         np.negative(out, out=out)
         out[:p] += dx

@@ -388,6 +388,36 @@ def test_negative_eps_exit_code(capsys):
     assert "epsilon must be >= 0, got -0.1" in capsys.readouterr().err
 
 
+_BAD_SEED = "seed must be a non-negative integer, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["intro-angles", "--trials", "2", "--seed", "-1"], _BAD_SEED),
+        (["noise-recovery", "--trials", "1", "--seed", "-1"], _BAD_SEED),
+        (["subgroups", "--seed", "-1"], _BAD_SEED),
+        (["intro-angles", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["noise-recovery", "--trials", "-2"], "trials must be >= 1, got -2"),
+        (["intro-angles", "--eps", "-0.1"], "epsilon must be >= 0, got -0.1"),
+        (["intro-angles", "--eps", "0.1,nan"], "epsilon must be finite, got nan"),
+        (["noise-recovery", "--eps", "inf"], "epsilon must be finite, got inf"),
+    ],
+)
+def test_bad_seed_or_grid_exits_before_any_trial(monkeypatch, capsys, argv, message):
+    # a negative seed used to end in numpy's traceback, a negative eps ran
+    # in intro-angles, and a non-finite eps failed every trial
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    monkeypatch.setattr(synth, "subgroup_data", no_trial)
+    monkeypatch.setattr(experiments, "_child", no_trial)
+    rc = main(["experiment", *argv])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"gcurkit: numerical error: {message}\n"
+
+
 def test_gcur_report_deterministic_bytes(tmp_path, diag_pair):
     out1 = tmp_path / "g1.json"
     out2 = tmp_path / "g2.json"

@@ -639,6 +639,40 @@ def test_recovery_trial_traced_peak_is_two_m_row_arrays(kind):
     assert peak < 2.5 * m * (n + 50) * 8
 
 
+@pytest.mark.parametrize("kind", ["gapped", "sparse"])
+def test_recovery_trial_eps_loop_holds_the_reflectors_and_f(monkeypatch, kind):
+    # [G, F] is dropped once its QR returns, and F is copied out of it: from
+    # the first K_eps factorization to the trial's end the m-row arrays are
+    # the reflectors (m (n + 50)) and F (m x 50), so the traced peak of that
+    # span stays below 2 m (n + 50) float64s. It reads 1.72 here; a trial
+    # that keeps [G, F] through its eps loop reads 2.26 and fails
+    import tracemalloc
+
+    m, n = 6000, 60
+    factor = experiments._factor_in_basis
+    first = []
+
+    def reset_at_first_call(*args):
+        if not first:
+            first.append(True)
+            tracemalloc.reset_peak()
+        return factor(*args)
+
+    monkeypatch.setattr(experiments, "_factor_in_basis", reset_at_first_call)
+    run = experiments._recovery_trial(kind, m, n, (5,), (0.1,), 0.99, False)
+    child = np.random.SeedSequence(3).spawn(1)[0]
+    run(child)  # first calls warm numpy's caches
+    first.clear()
+    tracemalloc.start()
+    try:
+        run(child)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [True]
+    assert peak < 2.0 * m * (n + 50) * 8
+
+
 def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):
     # a NaN middle matrix must fail the trial with a message, never score;
     # at n = 50 the rank-50 A leaves r + k >= n, at n = 60 r + k < n
@@ -656,9 +690,49 @@ def test_noise_recovery_nan_reconstruction_fails_its_trial(monkeypatch):
             )
 
 
-def test_noise_recovery_rejects_negative_eps_before_trials():
-    with pytest.raises(ContractViolationError, match="epsilon must be >= 0, got -0.1"):
-        experiments.noise_recovery(m=60, n=50, k_values=(5,), eps_values=(0.1, -0.1))
+def _no_trial(monkeypatch):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    monkeypatch.setattr(synth, "subgroup_data", no_trial)
+    monkeypatch.setattr(experiments, "_child", no_trial)
+
+
+@pytest.mark.parametrize(
+    "run,kwargs",
+    [
+        (experiments.intro_angles, dict(trials=2)),
+        (experiments.noise_recovery, dict(m=60, n=50, k_values=(5,), trials=2)),
+        (experiments.subgroups, dict()),
+    ],
+)
+def test_negative_seed_raises_before_trials(monkeypatch, run, kwargs):
+    # numpy's SeedSequence used to reject it inside the run, with a traceback
+    _no_trial(monkeypatch)
+    with pytest.raises(ContractViolationError, match="seed must be a non-negative integer, got -1"):
+        run(seed=-1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        (dict(eps_values=(0.1, -0.1)), "epsilon must be >= 0, got -0.1"),
+        (dict(eps_values=(float("nan"),)), "epsilon must be finite, got nan"),
+        (dict(eps_values=(0.1, float("inf"))), "epsilon must be finite, got inf"),
+        (dict(trials=0), "trials must be >= 1, got 0"),
+        (dict(trials=-3), "trials must be >= 1, got -3"),
+    ],
+)
+@pytest.mark.parametrize("run", [experiments.intro_angles, experiments.noise_recovery])
+def test_trial_grid_is_checked_before_trials(monkeypatch, run, kwargs, match):
+    # intro_angles ran a negative eps, both experiments ran a nan or inf
+    # eps and failed every trial, and no trials ended in "no trials were run"
+    _no_trial(monkeypatch)
+    if run is experiments.noise_recovery:
+        kwargs = dict(m=60, n=50, k_values=(5,), **kwargs)
+    with pytest.raises(ContractViolationError, match=match):
+        run(**kwargs)
 
 
 def test_noise_recovery_rejects_unknown_kind():

@@ -160,6 +160,12 @@ def test_triangle_and_lift_match_complete_qr(shape, order):
     assert np.max(np.abs(q @ t - a)) <= 1e-14 * np.max(np.abs(a)) * p
     # the lift's Gram is taken once: a second call gives the same bits
     assert np.array_equal(lift(x), qx)
+    # the row-gather form gives rows of Q @ X, above and below row p, in
+    # any order and with repeats
+    rows = lift(x, gather=True)
+    s = np.concatenate([np.arange(shape[0])[::-1], [0, shape[0] - 1]])
+    assert np.max(np.abs(rows(s) - qx[s])) <= 1e-15 * np.max(np.abs(x)) * p
+    assert rows(s[:0]).shape == (0, 3)
 
 
 def test_max_principal_angle_examples():
