@@ -252,8 +252,7 @@ def _triangle_and_lift(a):
     A reflector with tau = 0 (the last one of a square or wide A, say) is
     the identity and is left out. A Fortran-order A is factored without a
     copy of its own beyond the one numpy's QR makes, and V overwrites that
-    copy.
-    ``thin_qr`` stays the routine for callers that need all of Q.
+    copy. ``thin_qr`` stays the routine for callers that need all of Q.
 
     ``lift(x, gather=True)`` is the row-gather form: it returns a function
     that maps row indices s to (Q @ X)[s, :], from rows s of V, without
