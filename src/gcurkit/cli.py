@@ -15,7 +15,6 @@ computation at rounding level.
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -46,18 +45,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def _base_report(command, params, no_timestamp):
-    report = {
-        "schema": experiments.REPORT_SCHEMA,
-        "version": __version__,
-        "command": command,
-        "params": _jsonable(params),
-    }
-    if not no_timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return report
 
 
 def _emit(report, args):
@@ -99,11 +86,8 @@ def cmd_gsvd(args):
         _require_rank(args.rank, a.shape[1])
     g = gsvd_diagnostics(a, b, args.rank)
     f = g.factors
-    report = _base_report(
-        "gsvd",
-        {"file_a": args.file_a, "file_b": args.file_b, "k": args.rank},
-        args.no_timestamp,
-    )
+    params = {"file_a": args.file_a, "file_b": args.file_b, "k": args.rank}
+    report = experiments._report_head("command", "gsvd", params, not args.no_timestamp)
     report.update(
         {
             "gamma": f.gamma,
@@ -143,8 +127,8 @@ def cmd_cur(args):
     a = _read(args.file_a, args)
     _require_rank(args.rank, min(a.shape), "min(rows, cols)")
     f = curfac.deim_cur(a, args.rank)
-    report = _base_report(
-        "cur", {"file_a": args.file_a, "k": args.rank}, args.no_timestamp
+    report = experiments._report_head(
+        "command", "cur", {"file_a": args.file_a, "k": args.rank}, not args.no_timestamp
     )
     report.update(
         {
@@ -162,7 +146,8 @@ def cmd_gcur(args):
     a = _read(args.file_a, args)
     b = _read(args.file_b, args)
     _require_rank(args.rank, a.shape[1])
-    report = _base_report(
+    report = experiments._report_head(
+        "command",
         "gcur",
         {
             "file_a": args.file_a,
@@ -171,7 +156,7 @@ def cmd_gcur(args):
             "only_a": args.only_a,
             "id_mode": args.id_mode,
         },
-        args.no_timestamp,
+        not args.no_timestamp,
     )
     f = gcur_only_a(a, b, args.rank) if args.only_a else gcur(a, b, args.rank)
     err_a, err_b = relative_errors(a, b, f, args.id_mode or "cur")
@@ -269,8 +254,6 @@ def cmd_experiment(args):
         run = experiments.subgroups
         opts.update(n_columns=rank, points_per_group=args.points_per_group)
     rep = run(**{key: value for key, value in opts.items() if value is not None})
-    rep.experiment = name
-
     report = rep.to_dict(include_timing=not args.no_timestamp)
     if args.plot_out:
         series = _experiment_plot_series(report)

@@ -89,6 +89,16 @@ from .gsvd import _stacked_gsvd, gsvd
 
 REPORT_SCHEMA = "gcurkit-report/1"
 
+
+def _report_head(kind, name, params, include_timing):
+    """Every report's header; ``kind`` is "command" or "experiment". Its
+    timestamp is the one wall-clock value outside ``timing``."""
+    head = {"schema": REPORT_SCHEMA, "version": __version__, kind: name, "params": params}
+    if include_timing:
+        head["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return head
+
+
 #: The 3x3 rank-2 fixture and its noise covariance for the subspace-angle study.
 INTRO_MATRIX = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
 INTRO_COVARIANCE = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
@@ -179,7 +189,8 @@ def _stats(values):
 
 @dataclass
 class ExperimentReport:
-    """Structured experiment output: parameters, per-cell statistics, timing."""
+    """Experiment output: params, per-cell statistics, extra fields and
+    ``timing``, which holds every wall-clock value but the timestamp."""
 
     experiment: str
     params: dict
@@ -188,21 +199,11 @@ class ExperimentReport:
     timing: dict = field(default_factory=dict)
 
     def to_dict(self, include_timing=True):
-        cells = self.cells
-        if not include_timing:
-            # wall-clock fields vary run to run; strip for byte-stable output
-            cells = [{k: v for k, v in c.items() if k != "wall_s"} for c in cells]
-        out = {
-            "schema": REPORT_SCHEMA,
-            "version": __version__,
-            "experiment": self.experiment,
-            "params": self.params,
-            "cells": cells,
-        }
+        out = _report_head("experiment", self.experiment, self.params, include_timing)
+        out["cells"] = self.cells
         out.update(self.extra)
         if include_timing:
             out["timing"] = self.timing
-            out["timestamp"] = datetime.now(timezone.utc).isoformat()
         return out
 
 
@@ -345,13 +346,10 @@ def _recovery_trial(kind, m, n, k_values, eps_values, rho, inexact):
     the gapped build's gap check. It draws G as ``colored_noise`` does, bit
     for bit, and takes one QR of [G, F] = Q_b R_b, held as reflectors; then
     it copies F out and drops [G, F], and drops R_b once the b x n blocks
-    below are formed. With R the noise's Cholesky factor, built once per
-    call, G R = Q_b R_b[:, :n] R and A = Q_b R_b[:, n:] Y^T, so ||A||,
-    ||G R|| and the scale c = ||A|| / ||G R|| that makes E = c G R come
-    from b x n matrices. Each noisy matrix A + eps E = Q_b K_eps is
-    factored through the b x n K_eps (:func:`_factor_in_basis`). The middle
-    matrices of every k come from one QR per side of the kmax selection,
-    since DEIM prefixes nest. Their column factor and core come from the
+    that give ||A||, ||G R|| and c are formed. Each noisy matrix
+    A + eps E = Q_b K_eps is factored through the b x n K_eps
+    (:func:`_factor_in_basis`). The middle matrices of every k come from
+    one QR per side of the kmax selection, since DEIM prefixes nest. Their column factor and core come from the
     triangle R of K_eps = Q_s R, so they have n rows instead of m, and
     their selected rows are eps c (G R)[s] + F[s] Y^T: (G R)[s] from rows s
     of the reflectors (the lift's row-gather form of R_b[:, :n] R, set up
@@ -472,18 +470,17 @@ def noise_recovery(
         lambda ids: [worker(_child(master, ids[0]))], trials, 1
     )
 
-    cells = []
+    cells, timing = [], {}
     for eps in eps_values:
         for k in k_values:
-            _require_success(results, failures, f"eps={eps:g}, k={k}")
+            cell = f"eps={eps:g}, k={k}"
+            _require_success(results, failures, cell)
             per_method = {}
             for method in ("TSVD", "TGSVD", "CUR", "GCUR"):
                 vals = [r[0][eps][k][method] for r in results]
                 per_method[method] = _stats(vals)
-            wall = sum(r[1][(eps, k)] for r in results)
-            cells.append(
-                {"eps": eps, "k": k, "stats": per_method, "wall_s": round(wall, 3)}
-            )
+            cells.append({"eps": eps, "k": k, "stats": per_method})
+            timing[cell] = round(sum(r[1][(eps, k)] for r in results), 3)
     params = {
         "kind": kind,
         "m": m,
@@ -496,8 +493,9 @@ def noise_recovery(
         "inexact_chol": inexact_chol,
     }
     extra = {"trial_failures": failures}
-    timing = {"total_s": round(time.perf_counter() - t0, 3)}
-    return ExperimentReport("noise-recovery", params, cells, extra=extra, timing=timing)
+    timing["total_s"] = round(time.perf_counter() - t0, 3)
+    name = "noise-recovery-inexact" if inexact_chol else "noise-recovery"
+    return ExperimentReport(name, params, cells, extra=extra, timing=timing)
 
 
 def nearest_centroid_cv(x, labels):

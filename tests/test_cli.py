@@ -646,3 +646,51 @@ def test_jsonable_numpy_scalars():
         '  "f64_ninf": "-inf",\n  "false": false,\n  "i32": -7,\n  "i64": 1099511627776,\n'
         '  "true": true\n}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gcur", "-k", "2"],
+        ["gcur", "-k", "2", "--id-mode", "column"],
+        ["gcur", "-k", "2", "--id-mode", "row"],
+        ["gcur", "-k", "1", "--only-a"],
+        ["gsvd", "-k", "2"],
+        ["cur", "-k", "2"],
+        ["experiment", "intro-angles", "--trials", "5"],
+        ["experiment", "noise-recovery", "--trials", "1", "--rank", "5", "--eps", "0.1"],
+        ["experiment", "noise-recovery-inexact", "--trials", "1", "--rank", "5",
+         "--eps", "0.1"],
+        ["experiment", "subgroups", "--seed", "0"],
+    ],
+    ids=["gcur", "gcur-column", "gcur-row", "gcur-only-a", "gsvd", "cur", "intro-angles",
+         "noise-recovery", "noise-recovery-inexact", "subgroups"],
+)
+def test_timed_report_is_deterministic_report_plus_timing(tmp_path, diag_pair, argv):
+    # every wall-clock value is the timestamp or under timing, and
+    # --no-timestamp drops exactly those two keys
+    if argv[0] != "experiment":
+        files = diag_pair[:1] if argv[0] == "cur" else list(diag_pair)
+        argv = [argv[0], *files, *argv[1:]]
+    timed = run_json(tmp_path, argv)
+    assert "timestamp" in timed
+    assert ("timing" in timed) == (argv[0] == "experiment")
+    del timed["timestamp"]
+    timed.pop("timing", None)
+    assert timed == run_json(tmp_path, argv + ["--no-timestamp"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gcur", "-k", "2", "--bounds"], ["experiment", "intro-angles", "--trials", "5"]],
+    ids=["gcur", "intro-angles"],
+)
+def test_default_output_is_stdout(tmp_path, diag_pair, capsys, argv):
+    # without --out the report goes to stdout, with the bytes --out writes
+    if argv[0] == "gcur":
+        argv = [argv[0], *diag_pair, *argv[1:]]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--no-timestamp", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--no-timestamp"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

@@ -185,7 +185,8 @@ def test_noise_recovery_report_shape(tiny_recovery):
         for stats in cell["stats"].values():
             assert stats["trials"] == 3
             assert stats["mean"] >= 0.0
-        assert cell["wall_s"] >= 0.0
+        assert rep.timing[f"eps={cell['eps']:g}, k={cell['k']}"] >= 0.0
+    assert set(rep.timing) == {"eps=0.1, k=5", "eps=0.1, k=8", "total_s"}
     assert rep.extra["trial_failures"] == []
 
 
@@ -198,9 +199,18 @@ def test_noise_recovery_rerun_determinism():
     b = experiments.noise_recovery(**kwargs)
     da, db = a.to_dict(include_timing=False), b.to_dict(include_timing=False)
     assert da == db
-    # wall-clock fields only appear when timing is requested
-    assert all("wall_s" not in c for c in da["cells"])
-    assert all("wall_s" in c for c in a.to_dict(include_timing=True)["cells"])
+    # wall-clock values sit under timing, which only appears when requested
+    assert "timing" not in da and "timestamp" not in da
+    assert set(a.to_dict(include_timing=True)["timing"]) == {"eps=0.1, k=5", "total_s"}
+
+
+def test_noise_recovery_inexact_names_its_report():
+    rep = experiments.noise_recovery(
+        kind="gapped", m=60, n=50, k_values=(5,), eps_values=(0.1,),
+        trials=1, seed=5, inexact_chol=True,
+    )
+    assert rep.experiment == "noise-recovery-inexact"
+    assert rep.to_dict()["experiment"] == "noise-recovery-inexact"
 
 
 def test_noise_recovery_sparse_kind_runs():
@@ -619,11 +629,11 @@ def test_noise_recovery_takes_one_m_row_reduction_per_trial(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["gapped", "sparse"])
 def test_recovery_trial_traced_peak_is_two_m_row_arrays(kind):
-    # [G, F] and the copy numpy's QR factors in place are the only m-row
-    # arrays a trial holds at once: its traced peak stays below
-    # 2.5 m (n + 50) float64s (2.27 here). A trial that forms A, G R, E
-    # and the scaled copies its m-row norms take peaks at 2.80 at this
-    # m x n, and fails
+    # the peak is just after the QR, when [G, F], numpy's QR copy of it
+    # (which becomes the reflectors) and F's copy, 50/(n + 50) of it, all
+    # exist: 2.478 m (n + 50) float64s here for both kinds, under the 2.5
+    # bound. A trial that forms A, G R, E and the scaled copies its m-row
+    # norms take peaks at 2.80 at this m x n, and fails
     import tracemalloc
 
     m, n = 6000, 60
