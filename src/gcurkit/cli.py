@@ -6,10 +6,10 @@ experiment grid cell in which no trial succeeded). The commands only parse
 arguments and format reports; every computation lives in the library.
 ``gsvd`` prints what ``gsvd.gsvd_diagnostics`` returns, ``cur`` what
 ``curfac.deim_cur`` returns, and ``gcur`` what ``gcur``/``gcur_only_a``,
-``relative_errors`` and ``evaluate_bounds`` return. A's residuals and errors
-are scored on factors the library already holds (A's n x n triangle, or the
-SVD ``deim_cur`` selects from), so they differ from an explicit m x n
-computation at rounding level.
+``relative_errors`` and ``evaluate_bounds`` return. Residuals and errors
+are scored on factors the library already holds (each matrix's n x n
+triangle, or the SVD ``deim_cur`` selects from), so they differ from an
+explicit computation on the full matrices at rounding level.
 """
 
 import argparse

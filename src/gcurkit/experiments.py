@@ -452,8 +452,6 @@ def noise_recovery(
     _require_values(k_values, "k_values")
     _require_trial_grid(eps_values, trials)
     _require_seed(seed)
-    if not 0.0 < rho < 1.0:
-        raise ContractViolationError(f"rho must be in (0, 1), got {rho}")
     if m < n:
         raise DimensionError(f"noise recovery needs m >= n, got {m}x{n}")
     if n < 50:
@@ -556,13 +554,17 @@ def subgroups(n_columns=(2, 5, 10), seed=0, points_per_group=100):
     the leading right singular directions (plain and pair-generalized) are
     scored the same way and returned as plot coordinates; the two leading
     coordinates are scored and returned even when every entry of
-    ``n_columns`` is 1. An empty ``n_columns`` raises DimensionError, and a
-    seed that ``numpy.random.SeedSequence`` rejects ContractViolationError.
+    ``n_columns`` is 1. An empty ``n_columns``, or an entry n outside
+    1 <= n < 30 (the data's feature count), raises DimensionError before
+    any selection, and a seed that ``numpy.random.SeedSequence`` rejects
+    ContractViolationError.
     """
     _require_values(n_columns, "n_columns")
     _require_seed(seed)
     spec = synth.SubgroupSpec(points_per_group=points_per_group, seed=seed)
     a, b, labels = synth.subgroup_data(spec, center=True)
+    for n in n_columns:
+        matkit._require_truncation_rank(n, a.shape[1])
     # the two leading coordinates are scored at every rank; DEIM prefixes
     # nest, so selecting more columns leaves the first ones as they are
     kmax = max(2, max(n_columns))

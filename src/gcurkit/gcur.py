@@ -15,26 +15,30 @@ products that minimize the Frobenius reconstruction error for the chosen
 indices, computed from one thin QR of the column factor and one of the
 transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
 
-A taller than wide (m > n) is reduced once to its n x n triangle,
-A = Q_A R_A, and the GSVD runs on (R_A, B), so U = Q_A U' with U' n x n.
-Only two steps need A's m rows: the lifted U_k = Q_A U'_k, applied from
-the Householder reflectors without forming Q_A, and the row selection s_A
-that DEIM reads from it. M_A takes its column factor from R_A (since
-A[:, p] = Q_A R_A[:, p], C^+ A R^+ = R_A[:, p]^+ R_A A_s^+ with
-A_s = A[s_A, :]), so its QR and core have n rows. Every residual that
-:func:`evaluate_bounds` and :func:`relative_errors` measure for A lies in
-range(A) too: each is Q_A times an n x n matrix built from R_A, U'_k and
-A_s, and Q_A preserves the 2-norm, so ||A|| = ||R_A|| as well. So A's
-errors and bounds are scored on n x n matrices, and no m x n residual is
-formed.
+Both matrices are reduced as ``gsvd`` reduces them: a taller than wide
+X (A with m > n, B with d > n) once to its n x n triangle, X = Q_X R_X,
+and a square X is its own R_X. The GSVD runs on (R_A, R_B), so U = Q_A U'
+and V = Q_B V' with U' and V' n x n. One routine, ``_side``, builds
+either side from its matrix X, R_X, the lift of Q_X and the k leading
+columns of U' or V'. Only two of its steps need X's rows: the lifted
+basis Q_X U'_k (or Q_X V'_k), applied from the Householder reflectors
+without forming Q_X, and the row selection that DEIM reads from it. The
+middle matrix takes its column factor from R_X (since
+X[:, p] = Q_X R_X[:, p], C^+ X R^+ = R_X[:, p]^+ R_X X_s^+ with
+X_s = X[s, :]), so its QR and core have n rows. Every residual that
+:func:`evaluate_bounds` and :func:`relative_errors` measure for X lies in
+range(Q_X) too: each is Q_X times an n x n matrix built from R_X, the
+side's basis and X_s, and Q_X preserves the 2-norm, so ||X|| = ||R_X||
+as well. So the errors and bounds of both sides are scored on n x n
+matrices, and no m x n or d x n residual is formed.
 
 Each factorization runs once per pair. The thin QRs that each middle
-matrix is built from, of R_A[:, p] and A_s^T for M_A and of B[:, p] and
+matrix is built from, of R_A[:, p] and A_s^T for M_A and of R_B[:, p] and
 B_s^T (B_s = B[s_B, :]) for M_B, also give the orthonormal bases of the
 one-sided projections that :func:`evaluate_bounds` and
 :func:`relative_errors` score, so :func:`gcur` keeps all four (Q_p and Q_s
 for A, Qb_p and Qb_s for B) and the scorers take no QR of those factors
-again. One routine scores either side, from its matrix (R_A or B), its
+again. One routine scores either side, from its triangle (R_A or R_B), its
 indices, its middle matrix, its selected rows and its two bases.
 """
 
@@ -75,14 +79,16 @@ class GcurFactors(NamedTuple):
     in its coordinates (n x k), so U_k = Q_A Ur_k. ``A_s`` is A[s_a, :]
     (k x n), the rows M_a was built from. ``Q_p`` and ``Q_s`` (n x k each)
     are the orthonormal bases of R_a[:, p] and of A_s^T that M_a's thin QRs
-    formed, and ``Qb_p`` (d x k) and ``Qb_s`` (n x k) those of B[:, p] and
-    of B[s_b, :]^T that M_b's formed, so the projections scored for either
-    side need no QR of their own. ``B_s`` is B[s_b, :] (k x n), the rows
-    M_b was built from. They take m*k + d*k + 2*n*n + 6*n*k + n floats,
-    each array owned; Q_A is never formed, and the m x n U and the d x n V
-    are not kept. :func:`gcur_only_a` sets ``s_b``, ``M_b``, ``Qb_p``,
-    ``Qb_s`` and ``B_s`` to None, and its factors take (d + 2n)*k floats
-    fewer.
+    formed. B's side carries the same: ``R_b`` is the n x n triangle of
+    B = Q_B R_B (a copy of B when d = n), ``V_k`` the leading k columns of
+    V (d x k) that s_b was selected from, ``B_s`` is B[s_b, :] (k x n), and
+    ``Qb_p`` and ``Qb_s`` (n x k each) are the bases of R_b[:, p] and of
+    B_s^T that M_b's thin QRs formed, so the projections scored for either
+    side need no QR of their own. They take m*k + d*k + 3*n*n + 7*n*k + n
+    floats, each array owned; Q_A and Q_B are never formed, and the m x n U
+    and the d x n V are not kept. :func:`gcur_only_a` sets ``s_b``,
+    ``M_b``, ``Qb_p``, ``Qb_s``, ``B_s``, ``R_b`` and ``V_k`` to None, and
+    its factors take d*k + n*n + 3*n*k floats fewer.
     """
 
     p: np.ndarray
@@ -103,6 +109,8 @@ class GcurFactors(NamedTuple):
     Qb_p: Optional[np.ndarray]
     Qb_s: Optional[np.ndarray]
     B_s: Optional[np.ndarray]
+    R_b: Optional[np.ndarray]
+    V_k: Optional[np.ndarray]
 
 
 class BoundReport(NamedTuple):
@@ -146,28 +154,38 @@ def _ratio_gap(factors, k):
     return float(ratios[k - 1] - ratios[k])
 
 
+def _side(x, reduced, basis_k, p, name):
+    """One side of a GCUR, for either matrix X = Q R of the pair, from the
+    side's k leading GSVD vectors in R's coordinates (U'_k or V'_k). It pops
+    its (R, lift of Q) off the front of ``reduced`` (``gsvd._reduce``), so
+    that a tall X's reflectors go once the basis is lifted. Returns, each
+    array owned, (R, W_k, s, X_s, M, Q_c, Q_r): the lifted basis
+    W_k = Q basis_k, the rows s DEIM selects from it, X_s = X[s, :], and the
+    middle matrix M with the bases Q_c of R[:, p] and Q_r of X_s^T that it
+    was built from."""
+    r, lift = reduced.pop(0)
+    w_k = lift(basis_k)
+    del lift  # the last reference to a tall X's reflectors
+    s = deim.deim_select(w_k, p.size)
+    x_s = x[s, :]
+    r = r.copy() if r is x else r  # a square X is its own R; the factors own their arrays
+    (m,), q_c, q_r = curfac._nested_middle_matrices(r, p, x_s, [(p.size, p.size)], name)
+    return r, w_k, s, x_s, m, q_c, q_r
+
+
 def _gcur(a, b, k, with_b):
     a, b = _require_pair(a, b)
     matkit._require_truncation_rank(k, a.shape[1])
-    # gsvd's reduction, but only U_k is lifted to m rows
-    f, r_a, lift = _reduced_gsvd(a, b)
-    if lift is None:
-        r_a = r_a.copy()  # A itself; the factors own their arrays
-    ur_k = f.U[:, :k].copy()
-    u_k = ur_k.copy() if lift is None else lift(ur_k)
-    del lift  # holds the m x n reflectors
+    # gsvd's reduction, but only U_k and V_k are lifted
+    f, reduced = _reduced_gsvd(a, b)
     p = deim.deim_select(f.Y[:, :k], k)
-    s_a = deim.deim_select(u_k, k)
-    a_s = a[s_a, :]
-    (m_a,), q_p, q_s = curfac._nested_middle_matrices(r_a, p, a_s, [(k, k)], "A")
-    s_b = m_b = qb_p = qb_s = b_s = None
-    if with_b:
-        s_b = deim.deim_select(f.V[:, :k], k)
-        b_s = b[s_b, :]
-        (m_b,), qb_p, qb_s = curfac._nested_middle_matrices(b, p, b_s, [(k, k)], "B")
+    ur_k = f.U[:, :k].copy()
+    r_a, u_k, s_a, a_s, m_a, q_p, q_s = _side(a, reduced, ur_k, p, "A")
+    b_side = _side(b, reduced, f.V[:, :k], p, "B") if with_b else (None,) * 7
+    r_b, v_k, s_b, b_s, m_b, qb_p, qb_s = b_side
     return GcurFactors(
         p, s_a, s_b, m_a, m_b, k, _ratio_gap(f, k), u_k, f.Y, f.gamma, r_a, ur_k, a_s,
-        q_p, q_s, qb_p, qb_s, b_s,
+        q_p, q_s, qb_p, qb_s, b_s, r_b, v_k,
     )
 
 
@@ -226,7 +244,7 @@ def reconstruct_b(b, factors):
     f = factors
     if f.s_b is None:
         raise DimensionError("factors carry no B-side data (built with gcur_only_a)")
-    return _reconstruct(b, (f.Qb_p.shape[0], f.Y.shape[0]), f.p, f.M_b, f.s_b, f.B_s, "B")
+    return _reconstruct(b, (f.V_k.shape[0], f.Y.shape[0]), f.p, f.M_b, f.s_b, f.B_s, "B")
 
 
 def _require_columns_of(a, r_a):
@@ -282,7 +300,7 @@ def _require_factors_of(a, b, factors):
     want = {"s_a": (k,), "U_k": (m, k), "Ur_k": (n, k), "R_a": (n, n), "A_s": (k, n),
             "Y": (n, n), "gamma": (n,), "Q_p": (n, k), "Q_s": (n, k)}
     if factors.s_b is not None:
-        want.update(Qb_p=(d, k), Qb_s=(n, k), B_s=(k, n))
+        want.update(V_k=(d, k), R_b=(n, n), Qb_p=(n, k), Qb_s=(n, k), B_s=(k, n))
     bad = [f"{name} {getattr(factors, name).shape}" for name, shape in want.items()
            if getattr(factors, name).shape != shape]
     if bad:
@@ -301,7 +319,8 @@ def _side_error(x, p, m, x_s, q_c, q_r, mode):
     the CUR residual (mode "cur"), or the orthogonal projection of X onto
     X[:, p] ("column") or onto X_s ("row"), read from the bases Q_c and Q_r
     that the side's middle matrix formed in gcur, whose triangles passed the
-    rank rule there; no QR is taken. A's side passes X = R_a, B's X = B."""
+    rank rule there; no QR is taken. Each side passes its triangle, R_a or
+    R_b, as X."""
     if mode == "cur":
         return _residual_norm(x, p, m, x_s)
     return curfac._projection_error(x, q_c if mode == "column" else q_r, mode)
@@ -312,18 +331,19 @@ def relative_errors(a, b, factors, mode="cur"):
 
     mode="cur" scores ||A - A[:, p] M_a A[s_a, :]|| / ||A||; "column" and
     "row" score the one-sided projection of A onto A[:, p] or A[s_a, :],
-    and likewise for B with p and s_b. Both sides are scored by one routine.
-    A's side is taken on the carried n x n triangle, as in
-    :func:`evaluate_bounds` (module docstring), with ||A|| = ||R_a||; B's
-    side on B itself. The projections read the carried bases (Q_p and Q_s
-    for A, Qb_p and Qb_s for B) and take no QR. err_b is None for factors
-    from :func:`gcur_only_a`. The factors must come from this same pair,
-    checked as in :func:`evaluate_bounds`, and a B whose row count differs
-    from theirs raises DimensionError; for factors with B's side, a B that
-    is zero, or whose rows B[s_b, :] are not the carried B_s bit for bit,
-    cannot have produced them and raises ContractViolationError, as a
-    non-finite A or B does (``matkit.as_matrix``). A residual beyond
-    float64's range raises ContractViolationError.
+    and likewise for B with p and s_b. Both sides are scored by one routine,
+    each on its carried n x n triangle, as in :func:`evaluate_bounds`
+    (module docstring), with ||A|| = ||R_a|| and ||B|| = ||R_b||. The
+    projections read the carried bases (Q_p and Q_s for A, Qb_p and Qb_s
+    for B) and take no QR. err_b is None for factors from
+    :func:`gcur_only_a`. The factors must come from this same pair, checked
+    as in :func:`evaluate_bounds`, and a B whose row count differs from
+    theirs raises DimensionError; for factors with B's side, a B whose rows
+    B[s_b, :] are not the carried B_s bit for bit (a zero B, say: B_s has
+    full row rank) cannot have produced them and raises
+    ContractViolationError, as a non-finite A or B does
+    (``matkit.as_matrix``). A residual beyond float64's range raises
+    ContractViolationError.
     """
     if mode not in ("cur", "column", "row"):
         raise ValueError(f"mode must be 'cur', 'column' or 'row', got {mode!r}")
@@ -333,11 +353,9 @@ def relative_errors(a, b, factors, mode="cur"):
     err_a /= matkit.spectral_norm(f.R_a)
     if f.s_b is None:
         return err_a, None
-    if not b.any():
-        raise ContractViolationError("B is zero; compute the factors with gcur on this pair")
     _require_rows_of(b, f.s_b, f.B_s, "B")
-    err_b = _side_error(b, f.p, f.M_b, f.B_s, f.Qb_p, f.Qb_s, mode)
-    return err_a, err_b / matkit.spectral_norm(b)
+    err_b = _side_error(f.R_b, f.p, f.M_b, f.B_s, f.Qb_p, f.Qb_s, mode)
+    return err_a, err_b / matkit.spectral_norm(f.R_b)
 
 
 def evaluate_bounds(a, b, factors):

@@ -10,26 +10,30 @@ are nonincreasing; directions with sigma_i = 0 (ratio +inf) come first.
 
 The computation stacks [A; B], takes a thin QR, and reads both factor sets
 off an SVD of the top block, so the cross products A.T @ A and B.T @ B are
-never formed. A taller than wide (m > n) is first reduced to its n x n
-triangle, A = Q_A R_A: the steps above run on [R_A; B], whose top block is
-n x n instead of m x n, and U is lifted as Q_A U' at the end (the QR
-preprocessing of LAPACK's xGGSVP3). Q_A is never formed: U' is lifted by
-applying A's Householder reflectors (``matkit._triangle_and_lift``), the
-same reduction ``gcur`` makes. A square A skips the reduction.
+never formed. Each matrix of the pair is first reduced the same way
+(``_reduce``): a taller than wide X (A with m > n, B with d > n) to its
+n x n triangle, X = Q_X R_X, and a square X is its own R_X. The steps
+above run on the 2n x n stack [R_A; R_B], and U and V are lifted as
+Q_A U' and Q_B V' at the end (the QR preprocessing of LAPACK's xGGSVP3).
+Q_A and Q_B are never formed: U' and V' are lifted by applying each
+matrix's Householder reflectors (``matkit._triangle_and_lift``), the same
+reduction ``gcur`` makes.
 
 ``gsvd_diagnostics`` runs that same reduction and returns the factors with
 the numbers the ``gcurkit gsvd`` command reports: both reconstruction
 residuals and, for a truncation rank k, the sandwich
-gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||. A's
-residuals lie in range(A) = range(Q_A), so they are scored on R_A and U',
-factors the GSVD already holds, with ||A|| = ||R_A||; no m x n residual is
-formed. They differ from an explicit m x n computation at rounding level.
+gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <= gamma_{k+1} ||Y_tail||.
+A's residuals lie in range(Q_A) and B's in range(Q_B), so they are scored
+on R_A and U', and on R_B and V', factors the GSVD already holds, with
+||A|| = ||R_A|| and ||B|| = ||R_B||; no m x n or d x n residual is formed.
+For a tall matrix they differ from an explicit computation at rounding
+level.
 
 ``gsvd`` takes one 2-D pair. Its core, ``_stacked_gsvd``, which runs the
-steps above on a square or reduced A, also takes stacks of pairs with leading
-axes (A of shape ``(..., m, n)``, B of shape ``(..., d, n)`` or one 2-D B
-shared by every pair) and factors all of them with one stacked QR and one
-stacked SVD, each pair with the bits it gets alone; the intro-angles
+steps above on square or reduced matrices, also takes stacks of pairs with
+leading axes (A of shape ``(..., m, n)``, B of shape ``(..., d, n)`` or one
+2-D B shared by every pair) and factors all of them with one stacked QR and
+one stacked SVD, each pair with the bits it gets alone; the intro-angles
 experiment runs its trials that way.
 """
 
@@ -104,17 +108,26 @@ def _require_pair(a, b):
     return a, b
 
 
-def _reduced_gsvd(a, b):
-    """GSVD of (R_A, B) for a validated pair, with R_A and the lift of U'.
+def _reduce(x):
+    """(R, lift) for a validated matrix x = Q R of a pair: the n x n triangle
+    of a tall x and the map X -> Q X from its Householder reflectors
+    (``matkit._triangle_and_lift``), or a square x itself with a lift that
+    copies."""
+    if x.shape[0] > x.shape[1]:
+        return matkit._triangle_and_lift(x)
+    return x, np.copy
 
-    A tall A is reduced to its triangle, [A; B] = diag(Q_A, I) [R_A; B], so
-    both stacks share the triangle T0; lift is None for a square A, which is
-    its own R_A.
+
+def _reduced_gsvd(a, b):
+    """GSVD of (R_A, R_B) for a validated pair, with [(R_A, lift), (R_B, lift)].
+
+    [A; B] = diag(Q_A, Q_B) [R_A; R_B], so both stacks share the triangle
+    T0, and U = Q_A U', V = Q_B V' for the factors U', V' (n x n each)
+    returned here. The (R, lift) pairs come in a list, from which ``gcur``
+    pops each, so that A's m x n reflectors go once U_k is lifted.
     """
-    if a.shape[0] > a.shape[1]:
-        r_a, lift = matkit._triangle_and_lift(a)
-        return _stacked_gsvd(r_a, b), r_a, lift
-    return _stacked_gsvd(a, b), a, None
+    sides = [_reduce(a), _reduce(b)]
+    return _stacked_gsvd(sides[0][0], sides[1][0]), sides
 
 
 def gsvd(a, b):
@@ -127,8 +140,8 @@ def gsvd(a, b):
     with a full-rank stack is handled: those directions get sigma = 0, sort
     first, and their V columns are completed by orthogonalization.
     """
-    f, _, lift = _reduced_gsvd(*_require_pair(a, b))
-    return f if lift is None else f._replace(U=lift(f.U))
+    f, ((_, lift_a), (_, lift_b)) = _reduced_gsvd(*_require_pair(a, b))
+    return f._replace(U=lift_a(f.U), V=lift_b(f.V))
 
 
 def gsvd_diagnostics(a, b, k):
@@ -143,22 +156,23 @@ def gsvd_diagnostics(a, b, k):
     - ``sandwich``: gamma_{k+1} psi_min(Y_tail) <= ||A - A_k|| <=
       gamma_{k+1} ||Y_tail||, checked to within 1e-9 * max(1, ||A||).
 
-    A's numbers are scored on the triangle the GSVD already reduced a tall
-    A to: A = Q_A R_A and U = Q_A U', so A - U diag(gamma) Y^T and A - A_k
-    are Q_A times n x n matrices built from R_A and U', and ||A|| = ||R_A||.
-    They differ from the explicit m x n residuals at rounding level (U' is
-    not lifted first). B's numbers are taken on B itself. k is checked
-    (1 <= k < n) before the factorization.
+    Each matrix's numbers are scored on the triangle the GSVD already
+    reduced it to: A = Q_A R_A and U = Q_A U', so A - U diag(gamma) Y^T and
+    A - A_k are Q_A times n x n matrices built from R_A and U', and
+    ||A|| = ||R_A||; likewise B - V diag(sigma) Y^T is Q_B times one built
+    from R_B and V'. For a tall matrix they differ from the explicit
+    residuals at rounding level (U' and V' are not lifted first). k is
+    checked (1 <= k < n) before the factorization.
     """
     a, b = _require_pair(a, b)
     if k is not None:
         _require_truncation_rank(k, a.shape[1])
-    f, r_a, lift = _reduced_gsvd(a, b)
+    f, ((r_a, lift_a), (r_b, lift_b)) = _reduced_gsvd(a, b)
     norm_a = matkit.spectral_norm(r_a)
     res_a = matkit.spectral_norm(r_a - f.U @ (f.gamma[:, None] * f.Y.T))
-    res_b = matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    res_b = matkit.spectral_norm(r_b - f.V @ (f.sigma[:, None] * f.Y.T))
     rel_a = res_a / max(1.0, norm_a)
-    rel_b = res_b / max(1.0, matkit.spectral_norm(b))
+    rel_b = res_b / max(1.0, matkit.spectral_norm(r_b))
     sandwich = None
     if k is not None:
         gamma_next = float(f.gamma[k])
@@ -169,15 +183,15 @@ def gsvd_diagnostics(a, b, k):
         tol = 1e-9 * max(1.0, norm_a)
         holds = bool(lower <= observed + tol and observed <= upper + tol)
         sandwich = TruncationSandwich(gamma_next, lower, observed, upper, holds)
-    if lift is not None:
-        f = f._replace(U=lift(f.U))
+    f = f._replace(U=lift_a(f.U), V=lift_b(f.V))
     return GsvdDiagnostics(f, res_a, res_b, rel_a, rel_b, sandwich)
 
 
 def _stacked_gsvd(a, b):
     """GSVD of a validated pair from one thin QR of the stack [A; B], with
-    U read off the SVD of its top block, so U has A's m rows. A and B may
-    carry leading stack axes (see the module docstring)."""
+    U read off the SVD of its top block, so U has A's m rows and V B's d
+    rows. It reduces neither matrix. A and B may carry leading stack axes
+    (see the module docstring)."""
     m, n = a.shape[-2:]
     d = b.shape[-2]
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcurkit import io as gio
-from gcurkit import cli, experiments, matkit, synth
+from gcurkit import cli, curfac, experiments, matkit, synth
 from gcurkit.cli import EXIT_NUMERIC, EXIT_PARSE, EXIT_USAGE, main
 from gcurkit.errors import ConvergenceError
 from gcurkit.gsvd import gsvd
@@ -257,14 +257,15 @@ def test_gsvd_command_numbers_match_explicit_residuals(tmp_path, pair, k):
     want = explicit_gsvd_numbers(a, b, k)
     got = {**rep["reconstruction_residuals"], **rep["truncation"]["sandwich"]}
     got["gamma_next"] = rep["truncation"]["gamma_next"]
-    # B's side and the Y-side ends of the sandwich are computed as before: equal
-    for key in ("b_abs", "b_rel", "gamma_next", "lower", "upper"):
+    # the Y-side ends of the sandwich are computed as before: equal
+    for key in ("gamma_next", "lower", "upper"):
         assert got[key] == want[key], key
-    # A's residuals are rounding errors of size ~eps ||A||, scored on A's
-    # triangle instead of A: they agree to 1e-14 ||A|| (a_rel to 1e-14)
-    norm_a = matkit.spectral_norm(a)
-    assert abs(got["a_abs"] - want["a_abs"]) <= 1e-14 * norm_a
-    assert abs(got["a_rel"] - want["a_rel"]) <= 1e-14
+    # the residuals are rounding errors of size ~eps ||X||, scored on each
+    # matrix's triangle instead of X: they agree to 1e-14 ||X|| (rel to 1e-14)
+    for side, x in (("a", a), ("b", b)):
+        norm_x = matkit.spectral_norm(x)
+        assert abs(got[f"{side}_abs"] - want[f"{side}_abs"]) <= 1e-14 * norm_x
+        assert abs(got[f"{side}_rel"] - want[f"{side}_rel"]) <= 1e-14
     # ||A - A_k|| itself is of size gamma_{k+1}: it agrees to 1e-13 relative
     assert got["observed"] == pytest.approx(want["observed"], rel=1e-13, abs=0)
     assert got["pass"] is True
@@ -622,6 +623,19 @@ def test_subgroups_below_rank_two_scores_two_leading_coordinates(tmp_path):
         assert {len(row) for row in rep["projections"][method]} == {2}
         assert rep["cells"][0]["stats"][method]["cv_error"] >= 0.0
     assert len(rep["cells"][0]["stats"]["CUR"]["columns"]) == 1
+
+
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_subgroups_rank_below_one_exits_before_any_selection(monkeypatch, capsys, rank):
+    # --rank 0 and --rank -3 used to exit 0 with a cell of n_columns 0 or -3
+    def no_selection(*_args):
+        raise AssertionError("a selection ran")
+
+    monkeypatch.setattr(curfac, "deim_cur", no_selection)
+    rc = main(["experiment", "subgroups", "--rank", rank, "--seed", "0"])
+    assert rc == EXIT_NUMERIC
+    want = f"gcurkit: numerical error: truncation rank must satisfy 1 <= k < 30, got {rank}\n"
+    assert capsys.readouterr().err == want
 
 
 def test_jsonable_numpy_scalars():

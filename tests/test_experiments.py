@@ -786,6 +786,19 @@ def test_subgroups_report_bands():
     assert min(by_n[10]["GCUR"]["columns"]) >= 1
 
 
+@pytest.mark.parametrize("n_columns", [(0,), (2, -3), (5, 30)])
+def test_subgroups_rejects_a_column_count_outside_one_to_thirty(monkeypatch, n_columns):
+    # 0 and -3 columns used to give a report with a cell of n_columns 0 or -3
+    def no_selection(*_args):
+        raise AssertionError("a selection ran")
+
+    monkeypatch.setattr(curfac, "deim_cur", no_selection)
+    monkeypatch.setattr(experiments, "gcur_only_a", no_selection)
+    bad = next(n for n in n_columns if not 1 <= n < 30)
+    with pytest.raises(DimensionError, match=f"1 <= k < 30, got {bad}"):
+        experiments.subgroups(n_columns=n_columns)
+
+
 def test_subgroups_determinism():
     a = experiments.subgroups(n_columns=(5,), seed=3)
     b = experiments.subgroups(n_columns=(5,), seed=3)

@@ -216,16 +216,21 @@ def test_bounds_match_fresh_gsvd_reference_bitwise(seed, m, d, n, k, only_a):
     values, checks = evaluate_bounds_fresh_gsvd(a, b, f)
     assert [float(v).hex() for v in rep[:-1]] == values
     assert rep.checks == checks
-    # the storage order of A changes no bit
-    err_a = relative_errors(a, b, f)[0]
-    for order in ("C", "F"):
-        a_o = np.asarray(a, order=order)
-        f_o = run(a_o, b, k)
-        for name in ("p", "s_a", "s_b", "M_a", "M_b", "U_k", "R_a"):
-            want, got = getattr(f, name), getattr(f_o, name)
-            assert (got is None and want is None) or got.tobytes() == want.tobytes()
-        assert evaluate_bounds(a_o, b, f_o) == rep
-        assert float(relative_errors(a_o, b, f_o)[0]).hex() == float(err_a).hex()
+    # the storage order of A or of B changes no bit: each side goes through
+    # its owned triangle
+    modes = ("cur", "column", "row")
+    errors = [relative_errors(a, b, f, mode) for mode in modes]
+    names = ("p", "s_a", "s_b", "M_a", "M_b", "U_k", "R_a", "R_b", "V_k", "Qb_p", "Qb_s")
+    for order_a in ("C", "F"):
+        for order_b in ("C", "F"):
+            a_o, b_o = np.asarray(a, order=order_a), np.asarray(b, order=order_b)
+            f_o = run(a_o, b_o, k)
+            for name in names:
+                want, got = getattr(f, name), getattr(f_o, name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
+            assert evaluate_bounds(a_o, b_o, f_o) == rep
+            for mode, err in zip(modes, errors):
+                assert relative_errors(a_o, b_o, f_o, mode) == err
 
 
 def cur_error(a, p, m, s):
@@ -292,7 +297,7 @@ def test_bound_residuals_match_explicit_formulas(case, m, n, k, only_a):
     norm_a = matkit.spectral_norm(a)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * norm_a, (got, want)
     assert all(rep.checks.values()), rep.checks
-    # relative_errors scores A on the triangle and B on B itself. Near exact
+    # relative_errors scores each side on its matrix's triangle. Near exact
     # rank the errors sit near the rounding level of ||A||, so there they
     # match to 1e-12 of ||A||, like the residuals above, not of themselves.
     want_a = dict(zip(("column", "row", "cur"), want[2:]))
@@ -338,6 +343,33 @@ def test_carried_u_k_is_lifted_from_the_triangle(m, k):
     # the lifted U_k spans the leading directions of the pair's own GSVD
     u = gsvd(a, b).U[:, :k]
     assert np.allclose(f.U_k, u, atol=1e-12)
+
+
+def test_each_side_drops_its_reflectors_once_its_basis_is_lifted(monkeypatch):
+    # a tall A's m x n reflectors are not held while s_a is selected and M_a
+    # built, nor a tall B's d x n ones while s_b is
+    import sys
+    import weakref
+
+    gsvd_module = sys.modules["gcurkit.gsvd"]
+    lifts, alive = [], []
+    reduce, select = gsvd_module._reduce, deim.deim_select
+
+    def spy_reduce(x):
+        r, lift = reduce(x)
+        lifts.append(weakref.ref(lift))
+        return r, lift
+
+    def spy_select(basis, k):
+        alive.append([ref() is not None for ref in lifts])
+        return select(basis, k)
+
+    monkeypatch.setattr(gsvd_module, "_reduce", spy_reduce)
+    monkeypatch.setattr(deim, "deim_select", spy_select)
+    rng = np.random.default_rng(0)
+    gcur(rng.standard_normal((50, 8)), rng.standard_normal((20, 8)), 3)
+    # selections of p, s_a and s_b, in that order
+    assert alive == [[True, True], [False, True], [False, False]]
 
 
 def test_bounds_reject_factors_of_another_shape():
@@ -402,29 +434,32 @@ def test_scorers_reuse_the_carried_bases(monkeypatch, m, n, k, only_a):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("d,n,k", [(9, 6, 3), (70, 60, 20)])
 def test_b_side_carries_the_bases_of_its_middle_matrix(order, d, n, k):
-    # Qb_p and Qb_s are the Q's of fresh QRs of B[:, p] and B[s_b, :]^T, and
-    # B's projections read them with the bits of a fresh projection
+    # Qb_p and Qb_s are the Q's of fresh QRs of R_b[:, p] and B[s_b, :]^T,
+    # and B's projections read them with the bits of a fresh projection of
+    # B's triangle R_b
     rng = np.random.default_rng(30 + d)
     a = rng.standard_normal((d + 11, n))
     b = np.asarray(rng.standard_normal((d, n)), order=order)
     f = gcur(a, b, k)
-    assert f.Qb_p.shape == (d, k) and f.Qb_s.shape == (n, k)
-    for x in (f.Qb_p, f.Qb_s):
+    assert f.Qb_p.shape == (n, k) and f.Qb_s.shape == (n, k)
+    assert f.R_b.shape == (n, n) and f.V_k.shape == (d, k)
+    for x in (f.Qb_p, f.Qb_s, f.R_b, f.V_k):
         assert x.base is None and x.flags.owndata
     b_s = b[f.s_b, :]
-    assert np.array_equal(f.Qb_p, matkit.thin_qr(b[:, f.p]).Q)
+    assert np.array_equal(f.Qb_p, matkit.thin_qr(f.R_b[:, f.p]).Q)
     assert np.array_equal(f.Qb_s, matkit.thin_qr(b_s.T).Q)
-    norm_b = matkit.spectral_norm(b)
+    norm_b = matkit.spectral_norm(f.R_b)
     fresh = {
-        "column": curfac._projection(b, b[:, f.p], "column", "C")[1],
-        "row": curfac._projection(b, b_s, "row", "R")[1],
+        "column": curfac._projection(f.R_b, f.R_b[:, f.p], "column", "C")[1],
+        "row": curfac._projection(f.R_b, b_s, "row", "R")[1],
     }
     for mode, err in fresh.items():
         assert relative_errors(a, b, f, mode)[1] == err / norm_b
     assert np.array_equal(f.B_s, b_s)
     only_a = gcur_only_a(a, b, k)
-    assert only_a.Qb_p is None and only_a.Qb_s is None and only_a.B_s is None
-    assert len(f) == len(only_a) == 18
+    for name in ("Qb_p", "Qb_s", "B_s", "R_b", "V_k"):
+        assert getattr(only_a, name) is None
+    assert len(f) == len(only_a) == 20
 
 
 @pytest.mark.parametrize("m", [30, 8])
@@ -501,7 +536,7 @@ def test_errors_reject_a_b_that_cannot_have_produced_the_factors(bad, mode):
     a, b = rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
     f = gcur(a, b, 3)
     if bad == "zero":
-        b_bad, match = 0.0 * b, "B is zero"
+        b_bad, match = 0.0 * b, r"rows B\[s_b, :\] differ"
     else:
         b_bad, match = b.copy(), "B contains non-finite entries"
         b_bad[4, 1] = bad
@@ -611,8 +646,10 @@ def test_products_beyond_float64_raise():
             call()
     assert np.array_equal(reconstruct_a(a, f), a[:, f.p] @ f.M_a @ a[f.s_a, :])
     assert np.array_equal(reconstruct_b(b, f), b[:, f.p] @ f.M_b @ b[f.s_b, :])
+    # err_b is scored on B's triangle: it agrees with the explicit d-row
+    # error to 1e-14 ||B|| (relative: to 1e-14)
     err_b = matkit.spectral_norm(b - b[:, f.p] @ f.M_b @ b[f.s_b, :])
-    assert relative_errors(a, b, f)[1] == err_b / matkit.spectral_norm(b)
+    assert abs(relative_errors(a, b, f)[1] - err_b / matkit.spectral_norm(b)) <= 1e-14
 
 
 def test_a_foreign_matrix_of_the_same_shape_is_not_scored_or_rebuilt():
@@ -654,7 +691,7 @@ def test_a_matrix_of_another_row_count_raises(side, rows):
     with pytest.raises(DimensionError, match=f"B is {rows}x6, but .* a 9x6 B"):
         reconstruct_b(other, f)
     for mode in ("cur", "column", "row"):
-        with pytest.raises(DimensionError, match=r"carried GSVD factors \(Qb_p \(9, 3\)\)"):
+        with pytest.raises(DimensionError, match=r"carried GSVD factors \(V_k \(9, 3\)\)"):
             relative_errors(a, other, f, mode)
     # factors without B's side score A alone, whatever B's row count
     assert relative_errors(a, other, gcur_only_a(a, b, 3))[1] is None

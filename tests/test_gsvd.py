@@ -199,12 +199,21 @@ def gsvd_vstack_reference(a, b):
     return u, vs / sigma, t.T @ wt.T, np.clip(gamma, 0.0, 1.0), sigma
 
 
+def reduced(x):
+    """(R, lift) of X = Q R from X's Householder reflectors for a tall X; a
+    square X is its own R."""
+    if x.shape[0] > x.shape[1]:
+        return matkit._triangle_and_lift(x)
+    return x, lambda u: u
+
+
 def gsvd_reduced_reference(a, b):
-    """Reduce-then-stack reference: A = Q_A R_A, the unreduced algorithm on
-    [R_A; B], then U lifted as Q_A U' from A's Householder reflectors."""
-    r_a, lift = matkit._triangle_and_lift(a)
-    u, v, y, gamma, sigma = gsvd_vstack_reference(r_a, b)
-    return lift(u), v, y, gamma, sigma
+    """Reduce-then-stack reference: each tall X = Q_X R_X, the unreduced
+    algorithm on [R_A; R_B], then U and V lifted as Q_A U' and Q_B V' from
+    the reflectors."""
+    (r_a, lift_a), (r_b, lift_b) = reduced(a), reduced(b)
+    u, v, y, gamma, sigma = gsvd_vstack_reference(r_a, r_b)
+    return lift_a(u), lift_b(v), y, gamma, sigma
 
 
 @pytest.mark.parametrize("order_b", ["C", "F"])
@@ -219,16 +228,18 @@ def test_stack_matches_vstack_reference_bitwise(m, d, n, order_a, order_b):
     for got, want in zip(f, gsvd_reduced_reference(a, b)):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
-    # the lift agrees with forming Q_A and multiplying, U = Q_A U', to rounding
-    q_a, r_a = _signed_qr(a)
-    u_formed = q_a @ gsvd_vstack_reference(r_a, b)[0]
-    assert np.max(np.abs(f.U - u_formed)) <= 1e-14 * np.max(np.abs(f.U))
+    # the lifts agree with forming Q_A and Q_B and multiplying, U = Q_A U'
+    # and V = Q_B V', to rounding
+    (q_a, r_a), (q_b, r_b) = _signed_qr(a), _signed_qr(b)
+    u, v = gsvd_vstack_reference(r_a, r_b)[:2]
+    assert np.max(np.abs(f.U - q_a @ u)) <= 1e-14 * np.max(np.abs(f.U))
+    assert np.max(np.abs(f.V - q_b @ v)) <= 1e-14 * np.max(np.abs(f.V))
 
 
 def test_tall_a_reaches_no_thin_qr(monkeypatch):
-    # A (m x n, m > n) is reduced by its reflectors: the only thin QR is of
-    # the (n + d) x n stack [R_A; B], and no m-row array reaches the thin QR
-    # core that thin_qr and the GSVD core share
+    # A (m x n, m > n) and B (d x n, d > n) are reduced by their reflectors:
+    # the only thin QR is of the 2n x n stack [R_A; R_B], and no m- or d-row
+    # array reaches the thin QR core that thin_qr and the GSVD core share
     m, d, n = 90, 50, 30
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((m, n)), rng.standard_normal((d, n))
@@ -241,12 +252,13 @@ def test_tall_a_reaches_no_thin_qr(monkeypatch):
 
     monkeypatch.setattr(matkit, "_thin_qr", spy)
     f = gsvd(a, b)
-    assert seen == [(n + d, n)]
+    assert seen == [(2 * n, n)]
     check_invariants(a, b, f)
 
 
 def test_square_a_skips_reduction_bitwise():
-    # square A is not reduced: the unreduced algorithm's bits exactly
+    # square A is not reduced: the unreduced algorithm's bits exactly, on
+    # [A; B] for a square B and on [A; R_B] for a tall one
     intro_a = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]])
     intro_cov = np.array([[1.0, 0.8, 0.3], [0.8, 1.0, 0.8], [0.3, 0.8, 1.0]])
     rng = np.random.default_rng(120)
@@ -255,7 +267,7 @@ def test_square_a_skips_reduction_bitwise():
         (rng.standard_normal((120, 120)), rng.standard_normal((150, 120))),
     ]
     for a, b in pairs:
-        for got, want in zip(gsvd(a, b), gsvd_vstack_reference(a, b)):
+        for got, want in zip(gsvd(a, b), gsvd_reduced_reference(a, b)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -283,19 +295,25 @@ def test_reduction_matches_unreduced_values(m, d, n, rank_b):
 def test_stacked_core_matches_each_pair_bitwise(shared_b):
     # the core factors a stack of square pairs, against one shared B or a
     # stack of Bs, with the bits gsvd gives each pair; pair 4's B is rank
-    # deficient, so its sigma = 0 column is completed inside the stack
-    rng = np.random.default_rng(40)
-    n, d = 4, 6
-    a = rng.standard_normal((6, n, n))
-    b = rng.standard_normal((d, n)) if shared_b else rng.standard_normal((6, d, n))
-    if not shared_b:
-        b[4] = rng.standard_normal((d, n - 1)) @ rng.standard_normal((n - 1, n))
-    f = _stacked_gsvd(a, b)
-    for i in range(len(a)):
-        for got, want in zip(f, gsvd(a[i], b if shared_b else b[i])):
-            assert got[i].tobytes() == want.tobytes()
-    if not shared_b:
-        assert f.sigma[4, 0] <= 1e-12 and np.all(f.sigma[np.arange(6) != 4] > 1e-3)
+    # deficient, so its sigma = 0 column is completed inside the stack. The
+    # core does not reduce: a tall B (d = 6) enters as its triangle R_B, and
+    # V as Q_B V', as gsvd reduces it; a square B (d = 4) enters as itself
+    n = 4
+    for d in (6, 4):
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((6, n, n))
+        b = rng.standard_normal((d, n)) if shared_b else rng.standard_normal((6, d, n))
+        if not shared_b:
+            b[4] = rng.standard_normal((d, n - 1)) @ rng.standard_normal((n - 1, n))
+        bs = [b] * 6 if shared_b else list(b)
+        sides = [reduced(b_i) for b_i in bs]
+        f = _stacked_gsvd(a, sides[0][0] if shared_b else np.stack([r for r, _ in sides]))
+        for i, (_, lift_b) in enumerate(sides):
+            u, v, y, gamma, sigma = (x[i] for x in f)
+            for got, want in zip((u, lift_b(v), y, gamma, sigma), gsvd(a[i], bs[i])):
+                assert got.tobytes() == want.tobytes()
+        if not shared_b:
+            assert f.sigma[4, 0] <= 1e-12 and np.all(f.sigma[np.arange(6) != 4] > 1e-3)
 
 
 def test_stacked_core_rejects_a_stack_with_a_rank_deficient_pair():
@@ -332,7 +350,11 @@ def test_gsvd_diagnostics_factors_and_square_residuals(m):
     f = gsvd(a, b)
     for name in f._fields:  # the factors of gsvd, bit for bit
         assert getattr(g.factors, name).tobytes() == getattr(f, name).tobytes()
-    assert g.residual_b == matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    # B's residual is scored on its triangle: it agrees with the explicit d-row
+    # one to 1e-14 ||B||, as A's does for a tall A
+    norm_b = matkit.spectral_norm(b)
+    explicit_b = matkit.spectral_norm(b - f.V @ (f.sigma[:, None] * f.Y.T))
+    assert abs(g.residual_b - explicit_b) <= 1e-14 * norm_b
     assert g.sandwich.holds and g.sandwich.gamma_next == f.gamma[8]
     if m == 40:  # a square A is its own triangle: the explicit bits
         assert g.residual_a == matkit.spectral_norm(a - f.U @ (f.gamma[:, None] * f.Y.T))
