@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, curfac, experiments
+from . import __version__, curfac, experiments, matkit
 from . import io as gio
-from .errors import GcurkitError, ParseError
+from .errors import DimensionError, GcurkitError, ParseError
 from .gcur import evaluate_bounds, gcur, gcur_only_a, relative_errors
 from .gsvd import gsvd_diagnostics
 
@@ -72,18 +72,24 @@ def _read(path, args):
     return gio.read_matrix(path, csv_header=args.csv_header)
 
 
-def _require_rank(k, n, what="columns"):
-    if k is None:
-        raise UsageError("--rank/-k is required")
-    if not 1 <= k < n:
-        raise UsageError(f"rank k={k} must satisfy 1 <= k < {what} = {n}")
+def _require_rank_option(args, n, required=True):
+    """Check ``--rank`` by the library's one rank rule, 1 <= k < n
+    (``matkit._require_truncation_rank``); a missing or bad rank is a usage
+    error (exit 2), not a numerical one."""
+    if args.rank is None:
+        if required:
+            raise UsageError("--rank/-k is required")
+        return
+    try:
+        matkit._require_truncation_rank(args.rank, n)
+    except DimensionError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_gsvd(args):
     a = _read(args.file_a, args)
     b = _read(args.file_b, args)
-    if args.rank is not None:
-        _require_rank(args.rank, a.shape[1])
+    _require_rank_option(args, a.shape[1], required=False)
     g = gsvd_diagnostics(a, b, args.rank)
     f = g.factors
     params = {"file_a": args.file_a, "file_b": args.file_b, "k": args.rank}
@@ -125,7 +131,7 @@ def cmd_gsvd(args):
 
 def cmd_cur(args):
     a = _read(args.file_a, args)
-    _require_rank(args.rank, min(a.shape), "min(rows, cols)")
+    _require_rank_option(args, min(a.shape))
     f = curfac.deim_cur(a, args.rank)
     report = experiments._report_head(
         "command", "cur", {"file_a": args.file_a, "k": args.rank}, not args.no_timestamp
@@ -145,7 +151,7 @@ def cmd_cur(args):
 def cmd_gcur(args):
     a = _read(args.file_a, args)
     b = _read(args.file_b, args)
-    _require_rank(args.rank, a.shape[1])
+    _require_rank_option(args, a.shape[1])
     report = experiments._report_head(
         "command",
         "gcur",

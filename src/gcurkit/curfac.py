@@ -18,6 +18,11 @@ routine, and ``_projection_error`` the one one-sided projection error,
 read from an orthonormal basis of the factor: the basis ``_projection``
 takes, or one that ``_nested_middle_matrices`` returned. ``gcur`` scores
 both of its sides, errors and bounds, through these two.
+
+The public functions here read A in Fortran order, the order
+``gcurkit.io`` returns: a C-order A is copied once, so that the BLAS
+products that see A (Q_c^T A, the residuals) give C and F copies of one
+matrix the same bits.
 """
 
 import warnings
@@ -109,7 +114,7 @@ def middle_matrix(a, p, s):
 
     With C = Q_c T_c and R^T = Q_r T_r, C^+ A R^+ = T_c^-1 (Q_c^T A Q_r) T_r^-T.
     """
-    a = as_matrix(a, "A")
+    a = np.asfortranarray(as_matrix(a, "A"))
     p = deim.as_indices(p, a.shape[1], "p")
     s = deim.as_indices(s, a.shape[0], "s")
     (middle,), _, _ = _nested_middle_matrices(a, p, a[s, :], [(p.size, s.size)])
@@ -136,7 +141,7 @@ def deim_cur(a, k):
     A degenerate spectrum at the cut emits a warning; selection proceeds
     deterministically.
     """
-    a = as_matrix(a, "A")
+    a = np.asfortranarray(as_matrix(a, "A"))
     _require_truncation_rank(k, min(a.shape))
     f = matkit.svd(a)
     _warn_if_degenerate(f.psi, k)
@@ -212,7 +217,7 @@ def projection_error(a, indices, mode):
     raises FullRankError. Indices that are not distinct integers in range
     (n columns or m rows) raise DimensionError, as in :func:`middle_matrix`.
     """
-    a = as_matrix(a, "A")
+    a = np.asfortranarray(as_matrix(a, "A"))
     if mode == "column":
         p = deim.as_indices(indices, a.shape[1], "p")
         return _projection(a, a[:, p], mode, "column factor A[:, p]")
@@ -228,7 +233,7 @@ def interpolative(a, k, mode="column"):
     """
     if mode not in ("column", "row"):
         raise ValueError(f"mode must be 'column' or 'row', got {mode!r}")
-    a = as_matrix(a, "A")
+    a = np.asfortranarray(as_matrix(a, "A"))
     _require_truncation_rank(k, min(a.shape))
     f = matkit.svd(a)
     _warn_if_degenerate(f.psi, k)

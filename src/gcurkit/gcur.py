@@ -17,7 +17,8 @@ transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
 
 Both matrices are reduced as ``gsvd`` reduces them: a taller than wide
 X (A with m > n, B with d > n) once to its n x n triangle, X = Q_X R_X,
-and a square X is its own R_X. The GSVD runs on (R_A, R_B), so U = Q_A U'
+and so is a square B with an entry below its diagonal; a square A, and an
+upper-triangular B, is its own R_X. The GSVD runs on (R_A, R_B), so U = Q_A U'
 and V = Q_B V' with U' and V' n x n. One routine, ``_side``, builds
 either side from its matrix X, R_X, the lift of Q_X and the k leading
 columns of U' or V'. Only two of its steps need X's rows: the lifted
@@ -80,10 +81,11 @@ class GcurFactors(NamedTuple):
     (k x n), the rows M_a was built from. ``Q_p`` and ``Q_s`` (n x k each)
     are the orthonormal bases of R_a[:, p] and of A_s^T that M_a's thin QRs
     formed. B's side carries the same: ``R_b`` is the n x n triangle of
-    B = Q_B R_B (a copy of B when d = n), ``V_k`` the leading k columns of
-    V (d x k) that s_b was selected from, ``B_s`` is B[s_b, :] (k x n), and
-    ``Qb_p`` and ``Qb_s`` (n x k each) are the bases of R_b[:, p] and of
-    B_s^T that M_b's thin QRs formed, so the projections scored for either
+    B = Q_B R_B (a copy of B when B is an upper triangle), ``V_k`` the
+    leading k columns of V (d x k) that s_b was selected from, ``B_s`` is
+    B[s_b, :] (k x n), and ``Qb_p`` and ``Qb_s`` (n x k each) are the
+    bases of R_b[:, p] and of B_s^T that M_b's thin QRs formed, so the
+    projections scored for either
     side need no QR of their own. They take m*k + d*k + 3*n*n + 7*n*k + n
     floats, each array owned; Q_A and Q_B are never formed, and the m x n U
     and the d x n V are not kept. :func:`gcur_only_a` sets ``s_b``,
@@ -168,7 +170,8 @@ def _side(x, reduced, basis_k, p, name):
     del lift  # the last reference to a tall X's reflectors
     s = deim.deim_select(w_k, p.size)
     x_s = x[s, :]
-    r = r.copy() if r is x else r  # a square X is its own R; the factors own their arrays
+    # a square A and an upper-triangular B are their own R; the factors own their arrays
+    r = r.copy() if r is x else r
     (m,), q_c, q_r = curfac._nested_middle_matrices(r, p, x_s, [(p.size, p.size)], name)
     return r, w_k, s, x_s, m, q_c, q_r
 

@@ -9,13 +9,13 @@ column-major, and ``gcurkit.io`` reads and writes that layout. All
 operations here are pure functions of their inputs.
 
 ``thin_qr`` forms the whole Q of a thin QR, and runs only where that Q is
-read: the QR of the stacked pair in ``gsvd``, the column and row factors in
-``curfac._nested_middle_matrices`` (whose Q's ``gcur`` keeps for the
-projections of both sides) and ``curfac._projection``, Y's QR in
-``gcur.evaluate_bounds``, and in ``experiments`` the QR of the low-rank
-generators' n x 50 factor Y, whose Q is the noise-recovery scorer's basis
-of A's rows, and (``_factor_in_basis``) the QR of each noise-recovery
-K_eps, which has min(m, n + 50) rows, not m. A caller that needs only the
+read: the column and row factors in ``curfac._nested_middle_matrices``
+(whose Q's ``gcur`` keeps for the projections of both sides) and
+``curfac._projection``, Y's QR in ``gcur.evaluate_bounds``, and in
+``experiments`` the QR of the low-rank generators' n x 50 factor Y, whose
+Q is the noise-recovery scorer's basis of A's rows, and
+(``_factor_in_basis``) the QR of each noise-recovery K_eps, which has
+min(m, n + 50) rows, not m. A caller that needs only the
 triangle, or Q applied to a few columns, uses ``_triangle_and_lift``,
 which keeps the Householder reflectors in compact WY form instead of
 forming Q, for a matrix of any shape: the reduction of a tall A in
@@ -24,7 +24,9 @@ low-rank generators' factors, which ``lowrank_gapped``'s gap check
 reads), the noise-recovery scorer's per-reconstruction triangle, and the
 noise-recovery trial's one QR of [G, F], which lifts the left vectors of
 every eps to m rows and reads the noise's selected rows through the
-lift's row-gather form.
+lift's row-gather form. The QR of the stacked pair in ``gsvd``, whose top
+block is B's triangle, is ``_triangle_on_top_qr``: it forms Q from the
+reflectors' compact-WY factor by products, with no xORGQR.
 
 Input is validated once, at the public boundary: every public function of
 the package passes each matrix argument through ``as_matrix``, which rejects
@@ -34,8 +36,9 @@ point a non-finite value is an intermediate that overflowed, and the checks
 on results (a spectrum, a solve, a product) raise for it. A public function
 here validates and then calls a private core.
 The cores ``_svd``, ``_thin_qr`` (with the sign fix ``_diag_signs``),
-``_spectral_norm`` and ``_lambda_max``, ``_max_principal_angle`` and
-``_check_orthonormal``, and ``_require_full_rank`` also take a stack of
+``_triangle_on_top_qr`` and ``_wy_factor``, ``_spectral_norm`` and
+``_lambda_max``, ``_max_principal_angle`` and ``_check_orthonormal``, and
+``_require_full_rank`` also take a stack of
 matrices with leading axes (shape ``(..., m, n)``) and factor every matrix
 of the stack in one numpy call. numpy's stacked LAPACK and matmul calls give
 each matrix the bits it gets alone, so a stack changes no result; the
@@ -238,25 +241,26 @@ def _triangle_and_lift(a):
     R, up to the same signs. ``lift(x)`` maps a p x k X to Q @ X (m x k,
     Fortran order), equal to ``thin_qr(a).Q @ x`` to rounding. It applies
     the p reflectors H_i = I - tau_i v_i v_i^T in compact WY form
-    (Schreiber & Van Loan 1989), H_1 ... H_p = I - V S V^T with
-    S^-1 = striu(V^T V) + diag(1/tau) (the UT transform, Joffrain et al.
-    2006), so
+    (Schreiber & Van Loan 1989), H_1 ... H_p = I - V S V^T with the factor
+    S that ``_wy_factor`` builds from V^T V and tau, so
 
         Q @ X = [D X; 0] - V S (V_1^T D X),   V_1 = V[:p, :].
 
-    That is one m x p Gram, taken at the first call and kept, and two thin
-    products per call, against forming all of Q (xORGQR, about 4mp^2
-    flops) and multiplying by it. V's unit diagonal and the zeros above it
-    are set at the first call too, so a caller that reads only T pays for
-    the QR and for V's copy in Fortran order (none for a Fortran-order A).
-    A reflector with tau = 0 (the last one of a square or wide A, say) is
-    the identity and is left out. A Fortran-order A is factored without a
-    copy of its own beyond the one numpy's QR makes, and V overwrites that
-    copy. ``thin_qr`` stays the routine for callers that need all of Q.
+    S is built at the first call and kept, and each call is then three
+    thin products, against forming all of Q (xORGQR, about 4mp^2 flops)
+    and multiplying by it. V's unit diagonal and the zeros above it are
+    set at the first call too, so a caller that reads only T pays for the
+    QR and for V's copy in Fortran order (none for a Fortran-order A). A
+    reflector with tau = 0 (the last one of a square or wide A, say) is
+    the identity, and S has a zero row and column for it. A Fortran-order
+    A is factored without a copy of its own beyond the one numpy's QR
+    makes, and V overwrites that copy. ``thin_qr`` stays the routine for
+    callers that need all of Q.
 
     ``lift(x, gather=True)`` is the row-gather form: it returns a function
     that maps row indices s to (Q @ X)[s, :], from rows s of V, without
-    forming Q @ X. Its one solve runs at this call, not once per s.
+    forming Q @ X. Its two products with V_1^T and S run at this call,
+    not once per s.
     """
     p = min(a.shape)
     h, tau = np.linalg.qr(a, mode="raw")
@@ -268,27 +272,23 @@ def _triangle_and_lift(a):
     d = _diag_signs(t[:, :p])
     t *= d[:, None]
     v = v[:, :p]
-    s_inv = None
+    s = None
 
     def lift(x, gather=False):
-        nonlocal v, tau, s_inv
-        if s_inv is None:
+        nonlocal s
+        if s is None:
             v[np.triu_indices(p, 1)] = 0.0
             np.fill_diagonal(v, 1.0)
-            keep = tau != 0.0
-            if not keep.all():
-                v, tau = v[:, keep], tau[keep]
-            s_inv = np.triu(v.T @ v, 1)
-            s_inv[np.diag_indices_from(s_inv)] = 1.0 / tau
+            s = _wy_factor(v.T @ v, tau)
         dx = d[:, None] * x
-        w = np.linalg.solve(s_inv, v[:p].T @ dx)
+        w = s @ (v[:p].T @ dx)
         if gather:
 
-            def rows(s):
-                out = v[s] @ w
+            def rows(idx):
+                out = v[idx] @ w
                 np.negative(out, out=out)
-                top = s < p
-                out[top] += dx[s[top]]
+                top = idx < p
+                out[top] += dx[idx[top]]
                 return out
 
             return rows
@@ -298,6 +298,113 @@ def _triangle_and_lift(a):
         return out
 
     return t, lift
+
+
+# Columns per leaf of the recursions in _wy_factor and _triangle_on_top_qr.
+_LEAF = 40
+# Up to this many columns _wy_factor's recursion runs down to single
+# columns: on a stack of tiny matrices (intro-angles' 3 x 3 pairs) its few
+# products cost less than a LAPACK solve per matrix.
+_SMALL = 4
+
+
+def _wy_factor(gram, tau, out=None):
+    """The compact-WY factor S of n Householder reflectors, for a stack too.
+
+    Reflectors H_i = I - tau_i w_i w_i^T with Gram matrix G = W^T W
+    multiply to H_1 ... H_n = I - W S W^T, where S is upper triangular
+    and S^-1 = striu(G) + diag(1/tau) (the UT transform, Joffrain et al.
+    2006); only the strict upper triangle of G is read. S is found by the
+    2x2 block recursion S = [S_1, -S_1 G_12 S_2; 0, S_2] on column
+    halves (Elmroth & Gustavson 2000), written into ``out`` (a new zero
+    array by default). It ends at single columns, S = tau, for at most
+    ``_SMALL`` columns, and a leaf of ``_SMALL`` + 1 to ``_LEAF`` columns
+    solves (I + D N) S = D with D = diag(tau) and N = striu(G), since
+    S^-1 = D^-1 (I + D N). That system is unit upper triangular, so a
+    reflector with tau = 0, the identity, needs no division and gets a
+    zero row and column of S. A non-finite leaf (from a QR that
+    overflowed) gives NaN, for the caller's check on its triangle, not a
+    solve on NaN.
+    """
+    n = tau.shape[-1]
+    out = np.zeros(gram.shape) if out is None else out
+    if n == 1:
+        out[..., 0, 0] = tau[..., 0]
+        return out
+    if n > _LEAF or n <= _SMALL:
+        h = n // 2
+        _wy_factor(gram[..., :h, :h], tau[..., :h], out[..., :h, :h])
+        _wy_factor(gram[..., h:, h:], tau[..., h:], out[..., h:, h:])
+        _wy_join(out, h, gram[..., :h, h:])
+        return out
+    lhs = np.triu(gram, 1) * tau[..., :, None] + np.eye(n)
+    if np.isfinite(lhs).all():
+        out[...] = np.linalg.solve(lhs, tau[..., None, :] * np.eye(n))
+    else:
+        out[...] = np.nan
+    return out
+
+
+def _wy_join(s, k, g12):
+    """Set S's upper right block to -S_1 G_12 S_2 from its diagonal blocks
+    S_1 (k x k) and S_2: the S of two sets of reflectors, one after the
+    other, with Gram block G_12 between them."""
+    s1, s2 = s[..., :k, :k], s[..., k:, k:]
+    np.negative((s1 @ g12) @ s2, out=s[..., :k, k:])
+
+
+def _triangle_on_top_qr(t, x):
+    """Thin QR [T; X] = Q R of an upper-triangular T (n x n) on top of any
+    X (m x n), without xORGQR; T and X may carry leading stack axes.
+
+    Returns ``QrFactors`` with Q of shape (..., n + m, n), column-major per
+    matrix, and R with a nonnegative diagonal. T and X are work arrays,
+    overwritten. The rows of T below column j's diagonal are zero and stay
+    so, hence the reflectors have the form [e_j; x_j] (LAPACK's xTPQRT);
+    X is overwritten by their m x n part V, and their product is
+    I - [I; V] S [I; V]^T with S = ``_wy_factor`` of V^T V. The QR
+    recurses on column halves: factor the left half, apply its reflectors
+    to the right half, factor that, and join the two S factors; a leaf of
+    at most ``_LEAF`` columns is numpy's raw QR (xGEQRF) of its own stack.
+    With the sign fix D of R's diagonal, Q = [(I - S) D; -V S D], one
+    product into one array. A stack is factored in one call per step, each
+    matrix with the bits it gets alone. A non-finite T or X, or a QR that
+    overflows, gives a non-finite R, for the caller to reject.
+    """
+    n, m = t.shape[-1], x.shape[-2]
+    s = np.zeros(t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _stack_reflectors(t, x, s)
+        d = _diag_signs(t)
+        q = np.empty((*x.shape[:-2], n, n + m)).swapaxes(-1, -2)
+        np.matmul(x, s, out=q[..., n:, :])
+        np.subtract(s, np.eye(n), out=q[..., :n, :])
+        q *= -d[..., None, :]
+        t *= d[..., :, None]
+    return QrFactors(q, t)
+
+
+def _stack_reflectors(t, v, s):
+    """The recursion of ``_triangle_on_top_qr``, in place: T becomes R,
+    X becomes V, and the reflectors' S factor is written into s."""
+    n = t.shape[-1]
+    if n <= _LEAF:
+        h, tau = np.linalg.qr(np.concatenate((t, v), axis=-2), mode="raw")
+        h = h.swapaxes(-1, -2)
+        # below the diagonal, T's rows of the reflectors are exact zeros
+        t[...] = h[..., :n, :]
+        v[...] = h[..., n:, :]
+        _wy_factor(v.swapaxes(-1, -2) @ v, tau, s)
+        return
+    k = n // 2
+    _stack_reflectors(t[..., :k, :k], v[..., :, :k], s[..., :k, :k])
+    v1t = v[..., :, :k].swapaxes(-1, -2)
+    # the left reflectors' Q^T on the right half: rows k: of T are untouched
+    w = s[..., :k, :k].swapaxes(-1, -2) @ (t[..., :k, k:] + v1t @ v[..., :, k:])
+    t[..., :k, k:] -= w
+    v[..., :, k:] -= v[..., :, :k] @ w
+    _stack_reflectors(t[..., k:, k:], v[..., :, k:], s[..., k:, k:])
+    _wy_join(s, k, v1t @ v[..., :, k:])
 
 
 def _check_orthonormal(u, name):

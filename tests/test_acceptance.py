@@ -332,3 +332,35 @@ def test_acceptance_11_deim_property_suite():
         via_raw = interp_project(raw, base, x, side="left")
         assert np.max(np.abs(via_raw - projected)) <= 1e-9
     _report(11, "sign invariance, prefixes, interpolation, basis independence: 100/100")
+
+
+# -- 12. The paper's index identities at desk scale ------------------------------
+
+
+def test_acceptance_12_index_identities_at_desk_scale():
+    # acceptance 03 and 04 at the experiments' size: for 20 noisy gapped
+    # 2000x300 matrices at k = 100, GCUR(A, I) selects DEIM-CUR(A)'s p and s,
+    # and GCUR(A, B) selects DEIM-CUR(A B^-1)'s rows as s_a and its columns
+    # as s_b, for the square Toeplitz Cholesky factor B and for a tall
+    # 400x300 B (A B^+). Unbalanced, the Toeplitz B read 18/20 (s_b) and
+    # 15/20 (s_a), the tall B 18/20 and 17/20
+    from gcurkit import synth
+
+    t0 = time.perf_counter()
+    k = 100
+    rchol = synth.toeplitz_chol(300, 0.99)
+    inv_rchol = np.linalg.inv(rchol)
+    for seed in range(20):
+        a = synth.lowrank_gapped(2000, 300, 200 + seed)
+        noisy = a + 0.05 * np.random.default_rng(seed).standard_normal((2000, 300))
+        g, oracle = gcur(noisy, np.eye(300), k), deim_cur(noisy, k)
+        assert np.array_equal(g.p, oracle.p) and np.array_equal(g.s_a, oracle.s), seed
+        extra = 0.1 * np.random.default_rng(100 + seed).standard_normal((100, 300))
+        tall = np.vstack((rchol, extra))
+        for b, b_inv in ((rchol, inv_rchol), (tall, np.linalg.pinv(tall))):
+            g, oracle = gcur(noisy, b, k), deim_cur(noisy @ b_inv, k)
+            assert np.array_equal(g.s_b, oracle.p), (seed, b.shape)
+            assert np.array_equal(g.s_a, oracle.s), (seed, b.shape)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0, f"desk-scale identities took {elapsed:.1f}s"
+    _report(12, f"60 desk-scale index identities (B = I, Toeplitz, tall) exact in {elapsed:.1f}s")

@@ -342,3 +342,23 @@ def test_deim_cur_rel_error_matches_explicit_residual(shape):
     f = deim_cur(a, 5)
     want = matkit.spectral_norm(a - a[:, f.p] @ f.M @ a[f.s, :]) / matkit.spectral_norm(a)
     assert f.rel_error == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_storage_order_of_a_changes_no_bit(seed):
+    # the products that see the caller's array read it in one order
+    # (Fortran, the order the readers return), so C and F copies of one A
+    # give the same bits, as gcur's factors do
+    rng = np.random.default_rng(3000 + seed)
+    m, n = int(rng.integers(8, 40)), int(rng.integers(6, 20))
+    a = rng.standard_normal((m, n)) if seed % 2 else rng.standard_normal((n, m)).T
+    k = (1, 2, 5)[seed % 3]
+    p = deim.deim_select(rng.standard_normal((n, k)), k)
+    s = deim.deim_select(rng.standard_normal((m, k)), k)
+    runs = []
+    for x in (np.ascontiguousarray(a), np.asfortranarray(a)):
+        out = [*curfac.deim_cur(x, k), curfac.middle_matrix(x, p, s)]
+        for mode, idx in (("column", p), ("row", s)):
+            out += [*curfac.interpolative(x, k, mode), *curfac.projection_error(x, idx, mode)]
+        runs.append([np.asarray(v).tobytes() for v in out])
+    assert runs[0] == runs[1]

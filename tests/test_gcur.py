@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,8 +360,8 @@ def test_each_side_drops_its_reflectors_once_its_basis_is_lifted(monkeypatch):
     lifts, alive = [], []
     reduce, select = gsvd_module._reduce, deim.deim_select
 
-    def spy_reduce(x):
-        r, lift = reduce(x)
+    def spy_reduce(x, triangle=False):
+        r, lift = reduce(x, triangle)
         lifts.append(weakref.ref(lift))
         return r, lift
 
@@ -505,6 +510,19 @@ def test_same_pair_check_holds_at_any_finite_scale(scale):
             assert np.isfinite(relative_errors(a, b, f, mode)).all()
         with pytest.raises(ContractViolationError, match="column norms"):
             evaluate_bounds(2.0 * a, b, f)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-20, 1e-100, 1e-300])
+def test_bounds_hold_for_an_a_small_against_b(scale):
+    # unbalanced, gamma had an absolute floor near 2.6e-17 ||[A; B]||: for
+    # s <= 1e-20 gamma_next read 2.6e-17 (or 0) and both lower interpolation
+    # checks failed. Balanced, gamma_next is s times the s = 1 ratio
+    rng = np.random.default_rng(0)
+    a, b = scale * rng.standard_normal((20, 6)), rng.standard_normal((9, 6))
+    ratio = gsvd(a / scale, b).ratios[3]
+    rep = evaluate_bounds(a, b, gcur(a, b, 3))
+    assert all(rep.checks.values())
+    assert rep.gamma_next == pytest.approx(scale * ratio / np.hypot(1.0, scale * ratio), rel=1e-13)
 
 
 @pytest.mark.parametrize("only_a", [False, True])
@@ -790,3 +808,44 @@ def test_non_finite_input_raises_contract_violation(bad):
             run(a, b, 3)
         with pytest.raises(ContractViolationError, match="B contains non-finite entries"):
             run(b, a, 3)
+
+
+_THREAD_SCRIPT = """
+import json
+import numpy as np
+from gcurkit import experiments, gcur, synth
+rchol = synth.toeplitz_chol(300, 0.99)
+indices = []
+for a_seed, n_seed, k in ((102, 1, 30), (103, 2, 100), (104, 3, 100)):
+    noise = np.random.default_rng(n_seed).standard_normal((2000, 300))
+    f = gcur(synth.lowrank_gapped(2000, 300, a_seed) + 0.1 * noise, rchol, k)
+    indices.append([f.p.tolist(), f.s_a.tolist(), f.s_b.tolist()])
+rep = experiments.noise_recovery(trials=2, seed=0)
+means = [[c["stats"][m]["mean"] for m in sorted(c["stats"])] for c in rep.cells]
+print(json.dumps([indices, means]))
+"""
+
+
+def test_indices_do_not_depend_on_blas_threads():
+    # on three desk pairs (noisy gapped 2000x300 A, Toeplitz Cholesky B, k =
+    # 30, 100, 100) 1 and 2 BLAS threads select the same p, s_a and s_b;
+    # unbalanced, s_a or s_b differed at 27/30, 77/100 and 98/100 steps. The
+    # noise-recovery means agree to 1e-11 relative (1.6e-13 seen, in TGSVD;
+    # GCUR's differed by 9.7e-2 unbalanced). Threaded GEMM sums in another
+    # order, so the floats are not byte-identical. The thread variables are
+    # read when numpy loads, so each count runs in a fresh interpreter
+    src = str(Path(matkit.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_SCRIPT], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        runs.append(json.loads(out.stdout))
+    (indices_1, means_1), (indices_2, means_2) = runs
+    assert indices_1 == indices_2
+    m1, m2 = np.array(means_1), np.array(means_2)
+    assert m1.shape == (16, 4)
+    assert np.max(np.abs(m1 - m2) / np.abs(m1)) <= 1e-11

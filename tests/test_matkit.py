@@ -136,7 +136,7 @@ def test_triangle_and_lift_match_complete_qr(shape, order):
     # p = min(m, n) reflectors for any shape: T is the p x n R of numpy's
     # complete QR and lift(X) is Q[:, :p] @ X, both up to the sign fix that
     # makes diag(T) nonnegative. A square or wide A ends in a tau = 0
-    # reflector, which the lift leaves out
+    # reflector, the identity, which gets a zero row and column of S
     rng = np.random.default_rng(shape[0] * shape[1])
     a = np.asarray(rng.standard_normal(shape), order=order)
     p = min(shape)
@@ -406,6 +406,84 @@ def test_public_functions_reject_stacks(call):
     # the cores take a leading stack axis; the public functions stay 2-D
     with pytest.raises(DimensionError, match="must be 2-D, got ndim=3"):
         call(np.tile(np.eye(3), (2, 1, 1)))
+
+
+def _column_major(x):
+    """A copy of x with each matrix of the stack in column-major order, the
+    layout the GSVD hands the triangle-on-top QR."""
+    out = np.empty((*x.shape[:-2], x.shape[-1], x.shape[-2])).swapaxes(-1, -2)
+    out[...] = x
+    return out
+
+
+def _triangle_stack(rng, n, m, batch=()):
+    t = np.triu(rng.standard_normal((*batch, n, n))) + 2.0 * np.eye(n)
+    return t, rng.standard_normal((*batch, m, n))
+
+
+@pytest.mark.parametrize("m_rows", ["n", "2000"])
+@pytest.mark.parametrize("n", [3, 30, 300])
+def test_triangle_on_top_qr_quality(n, m_rows):
+    # [T; X] = Q0 T0 to rounding, Q0 orthonormal, and T0 the R of LAPACK's
+    # QR of the whole stack after the same sign fix
+    rng = np.random.default_rng(n)
+    m = n if m_rows == "n" else 2000
+    t, x = _triangle_stack(rng, n, m)
+    stack = np.vstack((t, x))
+    q0, t0 = matkit._triangle_on_top_qr(_column_major(t), _column_major(x))
+    assert q0.shape == (n + m, n) and q0.flags.f_contiguous
+    norm = np.linalg.norm(stack, 2)
+    assert np.linalg.norm(q0 @ t0 - stack, 2) <= 1e-14 * norm
+    assert np.max(np.abs(q0.T @ q0 - np.eye(n))) <= 1e-14
+    assert np.array_equal(t0, np.triu(t0)) and np.all(np.diag(t0) >= 0.0)
+    r = _head_thin_qr(stack)[1]
+    assert np.max(np.abs(t0 - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_triangle_on_top_qr_stack_matches_each_pair_bitwise(n):
+    rng = np.random.default_rng(n + 1)
+    t, x = _triangle_stack(rng, n, n + 5, batch=(4,))
+    q, r = matkit._triangle_on_top_qr(_column_major(t), _column_major(x))
+    for i in range(4):
+        q_i, r_i = matkit._triangle_on_top_qr(_column_major(t[i]), _column_major(x[i]))
+        assert q[i].tobytes() == q_i.tobytes() and r[i].tobytes() == r_i.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 100])
+def test_triangle_on_top_qr_takes_identity_reflectors(n):
+    # a zero column, and a column of T whose X part is zero, give tau = 0
+    # reflectors (the identity): no division by zero and no RuntimeWarning,
+    # and a column that repeats another (rank deficient) is factored too
+    rng = np.random.default_rng(n + 2)
+    t, x = _triangle_stack(rng, n, 2 * n)
+    t[:, 2], x[:, 2] = 0.0, 0.0
+    x[:, n - 2] = 0.0
+    t[:, n - 1], x[:, n - 1] = t[:, 1], x[:, 1]
+    stack = np.vstack((t, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q0, t0 = matkit._triangle_on_top_qr(_column_major(t), _column_major(x))
+    assert t0[2, 2] == 0.0
+    assert np.max(np.abs(q0 @ t0 - stack)) <= 1e-14 * np.max(np.abs(stack)) * n
+    assert np.max(np.abs(q0.T @ q0 - np.eye(n))) <= 1e-14
+
+
+def test_wy_factor_keeps_what_tau_zero_leaves_out():
+    # S of reflectors with a tau = 0 one, the identity, is the S of the
+    # others with a zero row and column inserted
+    h, tau = np.linalg.qr(np.random.default_rng(5).standard_normal((90, 50)), mode="raw")
+    w = np.tril(h.T, -1) + np.eye(90, 50)  # the reflectors' vectors, unit diagonal
+    tau[17] = 0.0
+    s = matkit._wy_factor(w.T @ w, tau)
+    assert np.all(s[17] == 0.0) and np.all(s[:, 17] == 0.0)
+    keep = np.arange(50) != 17
+    w_k = w[:, keep]
+    s_k = matkit._wy_factor(w_k.T @ w_k, tau[keep])
+    assert np.max(np.abs(s[np.ix_(keep, keep)] - s_k)) <= 1e-13 * np.max(np.abs(s_k))
+    # S^-1 = striu(W^T W) + diag(1/tau) on the kept reflectors
+    s_inv = np.triu(w_k.T @ w_k, 1) + np.diag(1.0 / tau[keep])
+    assert np.max(np.abs(s_k @ s_inv - np.eye(49))) <= 1e-12
 
 
 def _head_thin_qr(a):
