@@ -10,6 +10,12 @@ arguments and format reports; every computation lives in the library.
 are scored on factors the library already holds (each matrix's n x n
 triangle, or the SVD ``deim_cur`` selects from), so they differ from an
 explicit computation on the full matrices at rounding level.
+
+Each experiment has its own subparser under ``experiment``. It takes the
+options its runner in ``gcurkit.experiments`` reads, each parsed into the
+runner's keyword, plus ``--seed``, ``--plot-out``, ``--plot-format``,
+``--format``, ``--out`` and ``--no-timestamp``, all after the experiment's
+name. Any other option is a usage error (exit 2) before any trial runs.
 """
 
 import argparse
@@ -57,15 +63,22 @@ def _one_based(indices):
     return [int(i) + 1 for i in indices]
 
 
-def _parse_list(text, flag, kind):
-    try:
-        values = [kind(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        values = []
-    if not values:
-        what = "integer" if kind is int else "number"
-        raise UsageError(f"{flag} expects a comma-separated {what} list, got {text!r}")
-    return values
+def _list_of(kind, flag):
+    """An argparse ``type`` that reads a nonempty comma-separated list."""
+
+    def parse(text):
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            what = "integer" if kind is int else "number"
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects a comma-separated {what} list, got {text!r}"
+            )
+        return values
+
+    return parse
 
 
 def _read(path, args):
@@ -231,54 +244,28 @@ def _experiment_plot_series(report_dict):
     return series
 
 
+# what an experiment's namespace holds besides its runner's keywords
+_REPORT_OPTIONS = {"command", "name", "func", "runner", "format", "out", "no_timestamp",
+                   "plot_out", "plot_format"}
+
+
 def cmd_experiment(args):
-    """Run a named experiment, passing on only the options the user set:
-    every default lives in ``gcurkit.experiments``."""
-    name = args.name
-    rank = None if args.rank is None else _parse_list(args.rank, "--rank", int)
-    eps = None if args.eps is None else _parse_list(args.eps, "--eps", float)
-    opts = {"seed": args.seed}
-    if name == "intro-angles":
-        run = experiments.intro_angles
-        opts.update(eps_values=eps, trials=args.trials)
-    elif name in ("noise-recovery", "noise-recovery-inexact"):
-        run = experiments.noise_recovery
-        trials, m = args.trials, None
-        if args.paper_scale:
-            m = 100000 if args.matrix_kind == "sparse" else 10000
-            trials = 100 if trials is None else trials
-        opts.update(
-            kind=args.matrix_kind,
-            m=m,
-            k_values=rank,
-            eps_values=eps,
-            trials=trials,
-            rho=args.rho,
-            inexact_chol=name == "noise-recovery-inexact",
-        )
-    else:  # subgroups: argparse's choices admit no other name
-        run = experiments.subgroups
-        opts.update(n_columns=rank, points_per_group=args.points_per_group)
-    rep = run(**{key: value for key, value in opts.items() if value is not None})
+    """Run a named experiment on the keywords its subparser parsed and
+    report it. An option the user did not set is absent from ``args``, so
+    every default lives in ``gcurkit.experiments``. ``--paper-scale`` sets
+    m by matrix kind and, unless ``--trials`` is given, 100 trials. The
+    runner is looked up in ``gcurkit.experiments`` at each call."""
+    opts = {key: value for key, value in vars(args).items() if key not in _REPORT_OPTIONS}
+    if opts.pop("paper_scale", False):
+        opts["m"] = 100000 if opts.get("kind") == "sparse" else 10000
+        opts.setdefault("trials", 100)
+    rep = getattr(experiments, args.runner)(**opts)
     report = rep.to_dict(include_timing=not args.no_timestamp)
     if args.plot_out:
         series = _experiment_plot_series(report)
-        gio.write_plotdata(series, args.plot_out, fmt=args.plot_format, title=name)
+        gio.write_plotdata(series, args.plot_out, fmt=args.plot_format, title=args.name)
     _emit(report, args)
     return EXIT_OK
-
-
-def _add_common(parser):
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument(
-        "--csv-header", action="store_true", help="input CSV files have a header row"
-    )
-    parser.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamps and wall-clock fields for byte-stable output",
-    )
 
 
 def build_parser():
@@ -289,24 +276,31 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"gcurkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gsvd", help="factor a matrix pair and report the spectrum")
-    p.add_argument("file_a")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "csv"), default="json")
+    report.add_argument("--out", default=None, help="write the report to this path")
+    report.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit timestamps and wall-clock fields for byte-stable output",
+    )
+    files = argparse.ArgumentParser(add_help=False, parents=[report])
+    files.add_argument("file_a")
+    files.add_argument("--rank", "-k", type=int, default=None)
+    files.add_argument(
+        "--csv-header", action="store_true", help="input CSV files have a header row"
+    )
+
+    p = sub.add_parser("gsvd", parents=[files], help="factor a matrix pair and report the spectrum")
     p.add_argument("file_b")
-    p.add_argument("--rank", "-k", type=int, default=None)
     p.add_argument("--factors-out", default=None, help="directory for factor matrices")
-    _add_common(p)
     p.set_defaults(func=cmd_gsvd)
 
-    p = sub.add_parser("cur", help="single-matrix CUR decomposition")
-    p.add_argument("file_a")
-    p.add_argument("--rank", "-k", type=int, default=None)
-    _add_common(p)
+    p = sub.add_parser("cur", parents=[files], help="single-matrix CUR decomposition")
     p.set_defaults(func=cmd_cur)
 
-    p = sub.add_parser("gcur", help="generalized CUR of a matrix pair")
-    p.add_argument("file_a")
+    p = sub.add_parser("gcur", parents=[files], help="generalized CUR of a matrix pair")
     p.add_argument("file_b")
-    p.add_argument("--rank", "-k", type=int, default=None)
     p.add_argument("--only-a", action="store_true", help="skip B's row selection")
     p.add_argument("--bounds", action="store_true", help="evaluate error bounds")
     p.add_argument(
@@ -315,26 +309,38 @@ def build_parser():
         default=None,
         help="report a one-sided interpolative decomposition instead",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_gcur)
 
     p = sub.add_parser("experiment", help="run a named reproducible experiment")
-    p.add_argument(
-        "name",
-        choices=("intro-angles", "noise-recovery", "noise-recovery-inexact", "subgroups"),
-    )
-    p.add_argument("--rank", "-k", default=None, help="comma-separated rank list")
-    p.add_argument("--eps", default=None, help="comma-separated noise levels")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None, help="Toeplitz covariance parameter")
-    p.add_argument("--matrix-kind", choices=("gapped", "sparse"), default=None)
-    p.add_argument("--paper-scale", action="store_true", help="full-size experiment dims")
-    p.add_argument("--points-per-group", type=int, default=None)
-    p.add_argument("--plot-out", default=None, help="write plot data to this path")
-    p.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
-    _add_common(p)
     p.set_defaults(func=cmd_experiment)
+    names = p.add_subparsers(dest="name", required=True)
+    shared = argparse.ArgumentParser(add_help=False, parents=[report])
+    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--plot-out", default=None, help="write plot data to this path")
+    shared.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
+    # an option left unset is absent from the namespace: the runner's default holds
+    kw = {"parents": [shared], "argument_default": argparse.SUPPRESS}
+    ranks = {"type": _list_of(int, "--rank"), "help": "comma-separated rank list"}
+    eps = {"dest": "eps_values", "type": _list_of(float, "--eps"),
+           "help": "comma-separated noise levels"}
+
+    q = names.add_parser("intro-angles", **kw)
+    q.add_argument("--eps", **eps)
+    q.add_argument("--trials", type=int)
+    q.set_defaults(runner="intro_angles")
+    for name in ("noise-recovery", "noise-recovery-inexact"):
+        q = names.add_parser(name, **kw)
+        q.add_argument("--rank", "-k", dest="k_values", **ranks)
+        q.add_argument("--eps", **eps)
+        q.add_argument("--trials", type=int)
+        q.add_argument("--rho", type=float, help="Toeplitz covariance parameter")
+        q.add_argument("--matrix-kind", dest="kind", choices=("gapped", "sparse"))
+        q.add_argument("--paper-scale", action="store_true", help="full-size experiment dims")
+        q.set_defaults(runner="noise_recovery", inexact_chol=name == "noise-recovery-inexact")
+    q = names.add_parser("subgroups", **kw)
+    q.add_argument("--rank", "-k", dest="n_columns", **ranks)
+    q.add_argument("--points-per-group", type=int)
+    q.set_defaults(runner="subgroups")
     return parser
 
 

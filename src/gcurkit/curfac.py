@@ -121,13 +121,21 @@ def middle_matrix(a, p, s):
     return middle
 
 
-def _warn_if_degenerate(psi, k):
-    if k < psi.size and _negligible(psi[k - 1] - psi[k], psi[0]):
+def _selection_svd(a, k):
+    """A as a Fortran-order float64 matrix and its SVD, for a selection of
+    k indices: the rank rule 1 <= k < min(m, n) runs first, and singular
+    values k and k + 1 that coincide to working precision emit a warning
+    that names the public function's caller."""
+    a = np.asfortranarray(as_matrix(a, "A"))
+    _require_truncation_rank(k, min(a.shape))
+    f = matkit.svd(a)
+    if k < f.psi.size and _negligible(f.psi[k - 1] - f.psi[k], f.psi[0]):
         warnings.warn(
             f"singular values {k} and {k + 1} coincide to working precision; "
             "index selection is still deterministic but not unique",
             stacklevel=3,
         )
+    return a, f
 
 
 def deim_cur(a, k):
@@ -141,10 +149,7 @@ def deim_cur(a, k):
     A degenerate spectrum at the cut emits a warning; selection proceeds
     deterministically.
     """
-    a = np.asfortranarray(as_matrix(a, "A"))
-    _require_truncation_rank(k, min(a.shape))
-    f = matkit.svd(a)
-    _warn_if_degenerate(f.psi, k)
+    a, f = _selection_svd(a, k)
     p = deim.deim_select(f.Z[:, :k], k)
     s = deim.deim_select(f.W[:, :k], k)
     (middle,), _, _ = _nested_middle_matrices(a, p, a[s, :], [(k, k)])
@@ -233,10 +238,7 @@ def interpolative(a, k, mode="column"):
     """
     if mode not in ("column", "row"):
         raise ValueError(f"mode must be 'column' or 'row', got {mode!r}")
-    a = np.asfortranarray(as_matrix(a, "A"))
-    _require_truncation_rank(k, min(a.shape))
-    f = matkit.svd(a)
-    _warn_if_degenerate(f.psi, k)
+    a, f = _selection_svd(a, k)
     scale = max(f.psi[0], np.finfo(float).tiny)
     basis = f.Z if mode == "column" else f.W
     idx = deim.deim_select(basis[:, :k], k)

@@ -40,7 +40,8 @@ Only the leading kmax left vectors of the two are lifted to m rows, in one
 call of Q_b's lift. The rows the middle matrices read are
 eps c (G R)[s] + F[s] Y^T. Once the QR returns, F is copied out of [G, F]
 and [G, F] is dropped: (G R)[s] is read as rows s of Q_b (R_b[:, :n] R)
-through the lift's row-gather form, whose one b x n solve runs once per
+through the lift's row-gather form, which builds the reflectors'
+compact-WY factor S once and runs its two b x b x n products once per
 trial, and the einsum of F[s] gives A[s] with the public generator's bits.
 The reconstructions are scored in A's row space. Each of the four lies in
 range(Q), X = Q L R' (TSVD and TGSVD through the left vectors of R's
@@ -67,7 +68,7 @@ relative error of the explicit m x n residual up to rounding. A Q_Y lies
 in range(Q_b) too: A Q_Y = Q_b F' with F' = R_b[:, n:] T_Y^T, so
 C_Y = Q_s^T F' and P_Y = Q_b (F' - Q_s C_Y), and P_Y^T P_Y is the Gram of
 the b-row F' - Q_s C_Y. Per trial, [G, F] costs one m x (n + 50) QR,
-the row-gather form one b x b x n solve and Q_Y one n x j QR; per eps,
+the row-gather form two b x b x n products and Q_Y one n x j QR; per eps,
 K_eps costs a b x n QR, the SVD and GSVD of R and an m x b x 2 kmax lift,
 the selected rows 2 kmax x b x n work, and C_Y and P_Y b x n x j work;
 per score, (j + k)-sized work. In the eps loop only Q_b's reflectors and

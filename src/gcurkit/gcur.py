@@ -9,11 +9,12 @@ where the *same* column indices p are used for both matrices. Indices come
 from greedy interpolation-index selection on the generalized singular vector
 matrices: p from Y, s_A from U, s_B from V, ordered by nonincreasing
 generalized singular value ratios. All three select k indices, one rank k
-for the whole factorization, each in one blocked elimination pass (see
-:func:`gcurkit.deim.deim_select`). Middle matrices are the pseudoinverse
-products that minimize the Frobenius reconstruction error for the chosen
-indices, computed from one thin QR of the column factor and one of the
-transposed row factor (see :func:`gcurkit.curfac.middle_matrix`).
+for the whole factorization, each in one unblocked, left-looking
+elimination pass (see :func:`gcurkit.deim.deim_select`). Middle matrices
+are the pseudoinverse products that minimize the Frobenius reconstruction
+error for the chosen indices, computed from one thin QR of the column
+factor and one of the transposed row factor (see
+:func:`gcurkit.curfac.middle_matrix`).
 
 Both matrices are reduced as ``gsvd`` reduces them: a taller than wide
 X (A with m > n, B with d > n) once to its n x n triangle, X = Q_X R_X,

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -417,6 +418,55 @@ def test_bad_seed_or_grid_exits_before_any_trial(monkeypatch, capsys, argv, mess
     rc = main(["experiment", *argv])
     assert rc == EXIT_NUMERIC
     assert capsys.readouterr().err == f"gcurkit: numerical error: {message}\n"
+
+
+_NOISE_OPTIONS = {"--rank", "--eps", "--trials", "--rho", "--matrix-kind", "--paper-scale"}
+# the options each experiment's runner reads, besides the shared ones
+_OWN_OPTIONS = {
+    "intro-angles": {"--eps", "--trials"},
+    "noise-recovery": _NOISE_OPTIONS,
+    "noise-recovery-inexact": _NOISE_OPTIONS,
+    "subgroups": {"--rank", "--points-per-group"},
+}
+_SHARED_OPTIONS = {"--seed", "--plot-out", "--plot-format", "--format", "--out",
+                   "--no-timestamp", "--help"}
+# a valid value for every option that some command takes
+_SAMPLE_ARGS = {"--rank": ["3"], "--eps": ["0.1"], "--trials": ["5"], "--rho": ["0.5"],
+                "--matrix-kind": ["sparse"], "--paper-scale": [], "--points-per-group": ["7"],
+                "--csv-header": []}
+
+
+@pytest.mark.parametrize("name", sorted(_OWN_OPTIONS))
+def test_each_experiment_lists_only_its_own_options(capsys, name):
+    assert main(["experiment", name, "--help"]) == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == _OWN_OPTIONS[name] | _SHARED_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "name,option",
+    [(name, opt) for name, own in _OWN_OPTIONS.items() for opt in sorted(set(_SAMPLE_ARGS) - own)],
+)
+def test_option_an_experiment_does_not_read_is_usage_error(monkeypatch, capsys, name, option):
+    # these used to run on the defaults, the option silently dropped
+    def no_trial(*_args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(synth, "_lowrank", no_trial)
+    monkeypatch.setattr(synth, "subgroup_data", no_trial)
+    monkeypatch.setattr(experiments, "_child", no_trial)
+    argv = [option, *_SAMPLE_ARGS[option]]
+    rc = main(["experiment", name, *argv, "--seed", "0"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}\n" in err
+    assert "Traceback" not in err
+
+
+def test_options_follow_the_experiment_name(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "_child", lambda *_args: pytest.fail("a trial ran"))
+    assert main(["experiment", "--seed", "1", "intro-angles"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_gcur_report_deterministic_bytes(tmp_path, diag_pair):

@@ -226,9 +226,12 @@ def test_rank_bounds_error():
         deim_cur(np.eye(4), 4)
 
 
-def test_degenerate_spectrum_warns():
-    with pytest.warns(UserWarning, match="coincide"):
-        deim_cur(np.eye(5), 2)
+@pytest.mark.parametrize("select", [deim_cur, interpolative])
+def test_degenerate_spectrum_warns(select):
+    # the warning names the public function's caller, here this file
+    with pytest.warns(UserWarning, match="coincide") as record:
+        select(np.eye(5), 2)
+    assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-13])
